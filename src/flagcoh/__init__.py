@@ -43,7 +43,6 @@ from .parabolic import (  # noqa: F401
     h0_twisted_cotangent,
     konno_lowest_weights,
     konno_pairs,
-    konno_table_rows,
     macaulay_exceptions,
     parabolic_data,
     sigma,

@@ -4,7 +4,8 @@ Weights are always entered in fundamental-weight coordinates, as a
 comma-separated list with one integer per node, e.g. ``--weight 0,1,0``.
 Results go to standard output (or ``--out``); diagnostics go to standard
 error.  Exit codes: 0 success / all cases passed, 1 sweep failures,
-2 usage or configuration errors.
+2 usage or configuration errors, including an ``--out`` that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -324,7 +325,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(code) if code is not None else 0
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, UnsupportedPairError, ValueError) as exc:
+    except (ConfigError, UnsupportedPairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

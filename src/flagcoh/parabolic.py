@@ -10,28 +10,28 @@ induced structures in exact arithmetic:
   nilradical by that coefficient;
 * dim Y and the Fano index k(Y), read off from the sum of the nilradical
   roots, which is a multiple of lambda_r exactly;
-* the embedded table of lowest weights of the graded pieces of the
-  cotangent module, instantiated per pair and validated against the root
-  system before use;
+* the lowest weights of the graded pieces of the cotangent module,
+  derived from the root system (the level-i root that no Levi simple root
+  lowers), validated and memoized per pair;
 * h^0(Y, Omega^1_Y(a)) for a >= 1 as the sum of the Borel-Weil-Bott
   dimensions of the graded pieces;
 * sigma(d) = (dim Y + 1) d - 2 k(Y) and the static lookup of the pairs
   (d, a) where the duality pairing of the pseudo-Jacobi ring fails to be
   injective or surjective.
 
-Pairs omitted from the embedded table because they are isomorphic to a
-listed pair (for instance (D_l, node l) versus (D_l, node l-1)) are
-refused with an error naming the canonical form; remapping silently would
-hide node-numbering mistakes.
+Pairs isomorphic to a listed pair (for instance (D_l, node l) versus
+(D_l, node l-1)) are refused with an error naming the canonical form;
+remapping silently would hide node-numbering mistakes.  The refusal is
+also needed for correctness: summing graded pieces is valid only when G
+is the full automorphism group of Y, which fails exactly for (B_l, l),
+(C_l, 1) and (G2, 1) (Demazure, Invent. Math. 39, 1977).  At (G2, 1) the
+pieces give a wrong h^0 and an H^1 that the quadric (B3, 1) does not have.
 """
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from typing import Optional
 
 from .bwb import bwb_cohomology
@@ -45,9 +45,6 @@ from .rootsys import (
     all_lie_types,
     fundamental_weight,
     root_system,
-    root_to_weight_coords,
-    simple_root,
-    zero_weight,
 )
 
 __all__ = [
@@ -58,7 +55,6 @@ __all__ = [
     "h0_twisted_cotangent",
     "konno_lowest_weights",
     "konno_pairs",
-    "konno_table_rows",
     "macaulay_exceptions",
     "parabolic_data",
     "sigma",
@@ -66,7 +62,7 @@ __all__ = [
 
 
 class UnsupportedPairError(LookupError):
-    """Raised for pairs (g, alpha_r) omitted from the lowest-weight table."""
+    """Raised for pairs (g, alpha_r) omitted in favour of an isomorphic listed pair."""
 
 
 class MacaulayStatus(Enum):
@@ -120,7 +116,7 @@ class ParabolicData:
 
 @dataclass(frozen=True)
 class KonnoEntry:
-    """Instantiated table row: lowest weights of the graded cotangent pieces.
+    """Lowest weights of the graded cotangent pieces, derived from the root system.
 
     ``weights[i]`` is the lowest weight of the piece at ``levels[i]``; the
     levels are exactly 1..depth in increasing order, one weight per level.
@@ -146,20 +142,20 @@ def parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
         else:
             nilrad.append(root)
             levels.setdefault(n_r, []).append(root)
-    assert len(phi1) + len(nilrad) == len(rs.positive_roots)
     canonical = [0] * rank
     for root in nilrad:
         m = rs.root_fw[rs.root_index[root.sr_coords]]
         for j in range(rank):
             canonical[j] += m[j]
     for j in range(rank):
-        if j != r - 1:
-            assert canonical[j] == 0, (
+        if j != r - 1 and canonical[j] != 0:
+            raise ArithmeticError(
                 f"sum of nilradical roots is not a multiple of lambda_{r}: "
                 f"coordinate {j + 1} is {canonical[j]}"
             )
     k = canonical[r - 1]
-    assert k > 0
+    if k <= 0:
+        raise ArithmeticError(f"Fano index {k} at node {r} is not positive")
     return ParabolicData(
         lie_type=rs.lie_type,
         node=r,
@@ -170,80 +166,6 @@ def parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
         fano_index=k,
         root_system=rs,
     )
-
-
-_TERM_RE = re.compile(r"([+-]?)(?:(\d+)\*)?(alpha|lambda)\[(r(?:-[12])?|\d+)\]")
-
-
-def _instantiate(expr: str, rs: RootSystem, r: int) -> Weight:
-    """Evaluate a symbolic weight expression at node ``r`` (lambda_0 = 0)."""
-    text = expr.replace(" ", "")
-    total = zero_weight(rs.rank)
-    pos = 0
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if m is None:
-            raise AssertionError(f"malformed weight expression {expr!r}")
-        sign_s, coeff_s, kind, idx_s = m.groups()
-        if idx_s == "r":
-            idx = r
-        elif idx_s == "r-1":
-            idx = r - 1
-        elif idx_s == "r-2":
-            idx = r - 2
-        else:
-            idx = int(idx_s)
-        if kind == "lambda":
-            w = fundamental_weight(rs.rank, idx)
-        else:
-            w = root_to_weight_coords(rs, simple_root(rs, idx))
-        coeff = int(coeff_s) if coeff_s else 1
-        if sign_s == "-":
-            coeff = -coeff
-        total = total + coeff * w
-        pos = m.end()
-    return total
-
-
-_TABLE_ROWS: Optional[list[dict]] = None
-
-
-def konno_table_rows() -> list[dict]:
-    """Raw rows of the embedded lowest-weight table (parsed once, cached)."""
-    global _TABLE_ROWS
-    if _TABLE_ROWS is None:
-        text = resources.files("flagcoh").joinpath("data/konno_table.json").read_text()
-        payload = json.loads(text)
-        assert payload["version"] == 1
-        _TABLE_ROWS = payload["rows"]
-    return _TABLE_ROWS
-
-
-def _resolve_node_expr(value, rank: int) -> int:
-    if isinstance(value, int):
-        return value
-    if value == "l":
-        return rank
-    if value == "l-1":
-        return rank - 1
-    if value == "l-2":
-        return rank - 2
-    raise AssertionError(f"bad node bound {value!r} in embedded table")
-
-
-def _find_row(t: LieType, r: int) -> Optional[dict]:
-    for row in konno_table_rows():
-        if row["family"] != t.family.value:
-            continue
-        if t.rank < row["min_rank"]:
-            continue
-        if "max_rank" in row and t.rank > row["max_rank"]:
-            continue
-        lo = _resolve_node_expr(row["node_min"], t.rank)
-        hi = _resolve_node_expr(row["node_max"], t.rank)
-        if lo <= r <= hi:
-            return row
-    return None
 
 
 def _canonical_form(t: LieType, r: int) -> Optional[tuple[str, int, int]]:
@@ -264,69 +186,61 @@ def _canonical_form(t: LieType, r: int) -> Optional[tuple[str, int, int]]:
     return None
 
 
-def konno_lowest_weights(pd: ParabolicData) -> KonnoEntry:
-    """Instantiate and validate the table row for ``pd``.
+_LOWEST_WEIGHTS: dict[tuple[LieType, int], KonnoEntry] = {}
 
-    Every instantiated weight must be a positive root of the nilradical,
-    its coefficient at the marked node is its grading level, and the
-    levels must cover 1..depth exactly once.  Raises UnsupportedPairError
-    for pairs the table omits in favour of an isomorphic listed pair.
+
+def konno_lowest_weights(pd: ParabolicData) -> KonnoEntry:
+    """Lowest weights of the graded pieces of the cotangent module of ``pd``.
+
+    The level-i piece is irreducible under the Levi factor, and its lowest
+    weight is the unique level-i root that no Levi simple root lowers
+    (Kostant, Ann. Math. 74, 1961).  Each weight is checked to have node
+    coefficient c in {1, 2} with c*lambda_r - w dominant and zero at r, and
+    the levels must be exactly 1..depth.  Results are memoized per pair.
+    Raises UnsupportedPairError for pairs omitted in favour of an
+    isomorphic listed pair.
     """
     t, r = pd.lie_type, pd.node
-    row = _find_row(t, r)
-    if row is None:
-        name = f"{t.family.value}{t.rank}"
+    entry = _LOWEST_WEIGHTS.get((t, r))
+    if entry is None:
         target = _canonical_form(t, r)
         if target is not None:
             tf, tl, tr = target
             raise UnsupportedPairError(
-                f"pair ({name}, node {r}) is not in the lowest-weight table; "
+                f"pair ({t.family.value}{t.rank}, node {r}) is not in the lowest-weight table; "
                 f"it is isomorphic to the listed pair ({tf}{tl}, node {tr})"
             )
-        raise UnsupportedPairError(
-            f"pair ({name}, node {r}) is not in the lowest-weight table"
-        )
-    rs = pd.root_system
+        entry = _LOWEST_WEIGHTS[(t, r)] = _derive_lowest_weights(pd)
+    return entry
+
+
+def _derive_lowest_weights(pd: ParabolicData) -> KonnoEntry:
+    rs, r = pd.root_system, pd.node
+    pair = f"({rs.lie_type}, node {r})"
+    index = rs.root_index
+    levi = [j for j in range(rs.rank) if j != r - 1]
     lam_r = fundamental_weight(rs.rank, r)
-    by_level: dict[int, Weight] = {}
-    for expr in row["weights"]:
-        w = _instantiate(expr, rs, r)
-        # The lowest weight of a graded piece of the nilradical is itself a
-        # root: check it against the enumerated root set.
-        coords = _weight_to_int_root_coords(rs, w)
-        idx = rs.root_index.get(tuple(coords))
-        assert idx is not None, f"{expr!r} at ({t.family.value}{t.rank}, {r}) is not a positive root"
-        level = coords[r - 1]
-        assert level >= 1, f"{expr!r} lies in the Levi part, not the nilradical"
-        assert level not in by_level, f"two table weights share level {level}"
-        # Shape check: the weight has coefficient 1 or 2 at the marked node
-        # and c*lambda_r - w is dominant and vanishes there, the form the
-        # twisted classification relies on.
+    weights: list[Weight] = []
+    for level, roots in pd.levels.items():
+        lowest = []
+        for root in roots:
+            n = root.sr_coords
+            if not any(n[:j] + (n[j] - 1,) + n[j + 1:] in index for j in levi):
+                lowest.append(n)
+        if len(lowest) != 1:
+            raise ArithmeticError(f"level {level} of {pair} has {len(lowest)} lowest weights, not 1")
+        w = Weight(rs.root_fw[index[lowest[0]]])
         c = w.fw_coords[r - 1]
-        assert c in (1, 2), f"{expr!r} has unexpected node coefficient {c}"
+        if c not in (1, 2):
+            raise ArithmeticError(f"lowest weight {w.fw_coords} of {pair} has node coefficient {c}")
         prime = c * lam_r - w
-        assert prime.is_dominant() and prime.fw_coords[r - 1] == 0
-        by_level[level] = w
-    depth = pd.depth
-    assert sorted(by_level) == list(range(1, depth + 1)), (
-        f"table levels {sorted(by_level)} do not cover 1..{depth} "
-        f"for ({t.family.value}{t.rank}, node {r})"
-    )
-    levels = tuple(range(1, depth + 1))
-    return KonnoEntry(
-        pair=(t, r),
-        weights=tuple(by_level[i] for i in levels),
-        levels=levels,
-    )
-
-
-def _weight_to_int_root_coords(rs: RootSystem, w: Weight) -> list[int]:
-    out: list[int] = []
-    for i in range(rs.rank):
-        value = sum(rs.inverse_cartan[i][j] * w.fw_coords[j] for j in range(rs.rank))
-        assert value.denominator == 1, "table weight is not in the root lattice"
-        out.append(int(value))
-    return out
+        if not prime.is_dominant() or prime.fw_coords[r - 1] != 0:
+            raise ArithmeticError(f"{c}*lambda_{r} - {w.fw_coords} is not dominant with 0 at node {r}")
+        weights.append(w)
+    levels = tuple(pd.levels)
+    if levels != tuple(range(1, pd.depth + 1)):
+        raise ArithmeticError(f"levels {levels} of {pair} do not cover 1..{pd.depth}")
+    return KonnoEntry(pair=(rs.lie_type, r), weights=tuple(weights), levels=levels)
 
 
 def h0_twisted_cotangent(pd: ParabolicData, a: int) -> tuple[int, tuple[tuple[int, Optional[Weight], int], ...]]:
@@ -339,6 +253,8 @@ def h0_twisted_cotangent(pd: ParabolicData, a: int) -> tuple[int, tuple[tuple[in
     degree would contradict the classification of these twists and is an
     internal error.
     """
+    if not isinstance(a, int) or isinstance(a, bool):
+        raise TypeError(f"twist a must be an int, got {a!r}")
     if a < 1:
         raise ValueError(f"twist a must be >= 1, got {a}")
     entry = konno_lowest_weights(pd)
@@ -351,10 +267,11 @@ def h0_twisted_cotangent(pd: ParabolicData, a: int) -> tuple[int, tuple[tuple[in
         if table.vanishes:
             pieces.append((level, None, 0))
             continue
-        assert table.degree == 0, (
-            f"piece at level {level} concentrated in degree {table.degree}; "
-            "twisted cotangent pieces never sit in positive degree"
-        )
+        if table.degree != 0:
+            raise ArithmeticError(
+                f"piece at level {level} concentrated in degree {table.degree}; "
+                "twisted cotangent pieces never sit in positive degree"
+            )
         pieces.append((level, table.dominant_weight, table.dimension))
         total += table.dimension
     return total, tuple(pieces)
@@ -405,9 +322,9 @@ def macaulay_exceptions(pd: ParabolicData, d: int, a: int) -> MacaulayStatus:
 
 
 def konno_pairs(max_rank: int) -> list[ParabolicData]:
-    """All pairs with a table row, for every type up to ``max_rank``.
+    """All supported pairs, for every type up to ``max_rank``.
 
-    Pairs the table omits as isomorphic duplicates are skipped, so each
+    Pairs omitted as isomorphic duplicates are skipped, so each
     isomorphism class appears exactly once.
     """
     out: list[ParabolicData] = []

@@ -268,14 +268,17 @@ def check_lemma_studiopesi(
 ) -> Report:
     """Classification sweep over every supported pair and listed twist.
 
-    For each table weight the predicted class (singular exactly when the
+    For each lowest weight the predicted class (singular exactly when the
     node coefficient is 2 and a = 1, regular of index 0 otherwise) is
     compared against the computed one; a case passes when every weight
     matches.
     """
     if max_rank < 2:
         raise ValueError(f"max_rank must be >= 2, got {max_rank}")
-    twists = sorted(set(int(a) for a in twists))
+    for a in twists:
+        if not isinstance(a, int) or isinstance(a, bool):
+            raise TypeError(f"twists must be ints, got {a!r}")
+    twists = sorted(set(twists))
     if not twists:
         raise ValueError("twists must be nonempty")
     if twists[0] < 1:

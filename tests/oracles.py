@@ -1,15 +1,20 @@
 """Independent oracles used by the test suite.
 
-Everything here is derived from classical closed forms or from the
-epsilon-coordinate realizations of the classical root systems, on purpose
-sharing no code with the package's reflection-string closure and Weyl
-product implementations.
+Everything here is derived from classical closed forms, from the
+epsilon-coordinate realizations of the classical root systems, or from
+the paper's table of lowest weights (``data/konno_table.json``), on
+purpose sharing no code with the package's reflection-string closure,
+Weyl product and lowest-weight derivation.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from pathlib import Path
 
 
 def classical_positive_root_count(family: str, l: int) -> int:
@@ -160,3 +165,72 @@ def type_a_weyl_dim(l: int, fw: tuple[int, ...]) -> int:
 
 def binomial(n: int, k: int) -> int:
     return comb(n, k) if 0 <= k <= n else 0
+
+
+# ---------------------------------------------------------------------------
+# the paper's table of lowest weights
+
+
+_TABLE_PATH = Path(__file__).parent / "data" / "konno_table.json"
+_TERM = re.compile(r"([+-]?)(?:(\d+)\*)?(alpha|lambda)\[(r(?:-[12])?|\d+)\]")
+
+
+@lru_cache(maxsize=None)
+def konno_table_rows() -> list[dict]:
+    """Raw rows of the paper's lowest-weight table (parsed once)."""
+    payload = json.loads(_TABLE_PATH.read_text(encoding="utf-8"))
+    if payload["version"] != 1:
+        raise ValueError(f"unknown table version {payload['version']!r}")
+    return payload["rows"]
+
+
+def _node_bound(value, rank: int) -> int:
+    if isinstance(value, int):
+        return value
+    offsets = {"l": 0, "l-1": 1, "l-2": 2}
+    if value not in offsets:
+        raise ValueError(f"bad node bound {value!r} in the table")
+    return rank - offsets[value]
+
+
+def find_table_row(family: str, rank: int, node: int) -> dict | None:
+    """The table row listing (family, rank, node), or None if it is omitted."""
+    for row in konno_table_rows():
+        if row["family"] != family or rank < row["min_rank"]:
+            continue
+        if "max_rank" in row and rank > row["max_rank"]:
+            continue
+        if _node_bound(row["node_min"], rank) <= node <= _node_bound(row["node_max"], rank):
+            return row
+    return None
+
+
+def instantiate_table_weight(expr: str, cartan, r: int) -> tuple[int, ...]:
+    """Fundamental-weight coordinates of a table expression at node ``r``.
+
+    ``alpha[i]`` is column i of the Cartan matrix; ``lambda[0]`` is 0.
+    """
+    rank = len(cartan)
+    total = [0] * rank
+    text = expr.replace(" ", "")
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if m is None:
+            raise ValueError(f"malformed weight expression {expr!r}")
+        sign, coeff, kind, idx = m.groups()
+        i = {"r": r, "r-1": r - 1, "r-2": r - 2}[idx] if idx.startswith("r") else int(idx)
+        k = (-1 if sign == "-" else 1) * (int(coeff) if coeff else 1)
+        if i > 0:
+            for j in range(rank):
+                total[j] += k * (cartan[j][i - 1] if kind == "alpha" else int(j == i - 1))
+        pos = m.end()
+    return tuple(total)
+
+
+def table_lowest_weights(family: str, rank: int, node: int, cartan) -> list[tuple[int, ...]] | None:
+    """The listed weights of (family, rank, node) in table order, or None."""
+    row = find_table_row(family, rank, node)
+    if row is None:
+        return None
+    return [instantiate_table_weight(expr, cartan, node) for expr in row["weights"]]

@@ -17,9 +17,9 @@ import flagcoh.cli as cli
 from flagcoh.verify import CaseResult, Report
 
 
-def invoke(*argv: str) -> subprocess.CompletedProcess:
+def invoke(*argv: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "flagcoh", *argv],
+        [sys.executable, *flags, "-m", "flagcoh", *argv],
         capture_output=True,
         timeout=120,
     )
@@ -55,6 +55,17 @@ def test_verify_lungo_json_byte_identical_runs() -> None:
     payload = json.loads(first.stdout)
     assert payload["summary"]["failed"] == 0
     assert payload["summary"]["total"] == 139
+
+
+def test_optimized_mode_keeps_reports_and_checks() -> None:
+    # python -O strips assert statements; validation must not depend on them
+    args = ("verify", "--sweep", "studiopesi", "--max-rank", "6", "--format", "json")
+    plain, optimized = invoke(*args), invoke(*args, flags=("-O",))
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout
+    proc = invoke("h0-cotangent", "G", "2", "--node", "1", "--twist", "1", flags=("-O",))
+    assert proc.returncode == 2
+    assert b"isomorphic to the listed pair (B3, node 1)" in proc.stderr
 
 
 def test_unknown_subcommand_exits_2() -> None:
@@ -194,6 +205,18 @@ def test_out_flag_for_query(tmp_path, capsys) -> None:
     assert cli.run(["info", "G", "2", "--format", "json", "--out", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert json.loads(path.read_text())["positive_roots"] == 6
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys) -> None:
+    missing = str(tmp_path / "no-such-dir" / "x")
+    assert cli.run(["info", "A", "3", "--out", missing]) == 2  # text, via _emit
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "no-such-dir" in err
+    for fmt in ("text", "json"):  # the json report is written as bytes
+        argv = ["verify", "--sweep", "lungo", "--max-rank", "2", "--format", fmt, "--out", missing]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_exit_1_on_failures(monkeypatch, capsys) -> None:

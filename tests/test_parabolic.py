@@ -1,36 +1,38 @@
-"""Tests for the parabolic data, the embedded lowest-weight table, h0 sums,
+"""Tests for the parabolic data, the derived lowest weights, h0 sums,
 and the sigma / duality-exception lookups.
 
-The independent oracle here is the Lie-theoretic characterization of the
-lowest weight of each graded piece: the unique level-i root beta such that
-beta - alpha_j is not a root for every Levi node j.  The embedded table is
-compared against that computation for every supported pair.
+Two oracles check the lowest weight of each graded piece: the paper's
+table (``oracles.table_lowest_weights``) and the Lie-theoretic
+characterization, the unique level-i root beta such that beta - alpha_j
+is not a root for every Levi node j.  The engine derives its weights by
+the second rule, so the table is what makes the comparison independent.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from flagcoh.bwb import weyl_dim
+from flagcoh.bwb import bwb_cohomology, weyl_dim
 from flagcoh.parabolic import (
     MacaulayStatus,
     UnsupportedPairError,
+    _canonical_form,
     h0_twisted_cotangent,
     konno_lowest_weights,
     konno_pairs,
-    konno_table_rows,
     macaulay_exceptions,
     parabolic_data,
     sigma,
 )
 from flagcoh.rootsys import (
     ConfigError,
+    Weight,
     all_lie_types,
     fundamental_weight,
     root_system,
 )
 
-from oracles import binomial, epsilon_weyl_dim
+from oracles import binomial, epsilon_weyl_dim, konno_table_rows, table_lowest_weights
 
 
 def pd_of(family: str, rank: int, node: int):
@@ -134,7 +136,7 @@ def test_json_round_shape() -> None:
 
 
 # ---------------------------------------------------------------------------
-# the embedded lowest-weight table
+# the lowest weights of the graded pieces
 
 
 def lowest_weights_by_levi_action(rs, r):
@@ -160,21 +162,26 @@ def lowest_weights_by_levi_action(rs, r):
 
 
 def test_table_matches_levi_lowest_weights_everywhere() -> None:
-    """Every embedded entry equals the computed lowest weight of its piece."""
-    checked = 0
-    for pd in all_pairs(8):
-        try:
-            entry = konno_lowest_weights(pd)
-        except UnsupportedPairError:
+    """Paper table == Levi-action recomputation == engine, on every pair."""
+    checked = {8: 0, 14: 0}
+    for pd in all_pairs(14):
+        t = pd.lie_type
+        table = table_lowest_weights(t.family.value, t.rank, pd.node, pd.root_system.cartan)
+        if table is None:
+            with pytest.raises(UnsupportedPairError):
+                konno_lowest_weights(pd)
             continue
-        checked += 1
+        for cap in checked:
+            checked[cap] += t.rank <= cap
         truth = lowest_weights_by_levi_action(pd.root_system, pd.node)
         # each graded piece is irreducible: exactly one lowest weight
         assert {lv: len(v) for lv, v in truth.items()} == {lv: 1 for lv in truth}
-        assert set(entry.levels) == set(truth)
-        for level, w in zip(entry.levels, entry.weights):
-            assert w.fw_coords == truth[level][0]
-    assert checked == 142
+        assert sorted(truth) == list(range(1, pd.depth + 1))
+        levi = [truth[lv][0] for lv in sorted(truth)]
+        entry = konno_lowest_weights(pd)
+        assert entry.levels == tuple(sorted(truth))
+        assert table == levi == [w.fw_coords for w in entry.weights]
+    assert checked == {8: 142, 14: 400}
 
 
 def test_table_levels_cover_grading() -> None:
@@ -222,6 +229,45 @@ def test_unsupported_pairs_name_canonical_form(family, l, r, canonical) -> None:
     assert canonical in str(err.value)
 
 
+def h0_from_levi_pieces(pd, a: int) -> tuple[int, list[int]]:
+    """Sum over the Levi-action pieces: (h0, degrees of the non-vanishing pieces)."""
+    rs, r = pd.root_system, pd.node
+    lam_r = fundamental_weight(rs.rank, r)
+    h0, degrees = 0, []
+    for _level, (w,) in sorted(lowest_weights_by_levi_action(rs, r).items()):
+        table = bwb_cohomology(rs, a * lam_r - Weight(w))
+        if not table.vanishes:
+            degrees.append(table.degree)
+            h0 += table.dimension if table.degree == 0 else 0
+    return h0, degrees
+
+
+def test_omitted_pairs_match_canonical_twin_except_g2_node_1() -> None:
+    """Summing the derived pieces of an omitted pair reproduces its
+    canonical twin everywhere except at (G2, node 1)."""
+    omitted = [pd for pd in all_pairs(9) if _canonical_form(pd.lie_type, pd.node) is not None]
+    assert len(omitted) == 25
+    disagree = set()
+    for pd in omitted:
+        twin = pd_of(*_canonical_form(pd.lie_type, pd.node))
+        for a in (1, 2, 3):
+            h0, degrees = h0_from_levi_pieces(pd, a)
+            same = (pd.dim_y, pd.fano_index, h0) == (
+                twin.dim_y, twin.fano_index, h0_twisted_cotangent(twin, a)[0]
+            )
+            if not same or any(degrees):
+                disagree.add((pd.lie_type.family.value, pd.lie_type.rank, pd.node))
+    assert disagree == {("G", 2, 1)}
+
+
+def test_g2_node_1_summed_pieces_are_wrong() -> None:
+    # Q^5 = (B3, node 1) has no twisted 1-forms at a = 1; the G2 pieces
+    # claim one section and also leave a piece in degree 1.
+    h0, degrees = h0_from_levi_pieces(pd_of("G", 2, 1), 1)
+    assert h0 == 1 and 1 in degrees
+    assert h0_twisted_cotangent(pd_of("B", 3, 1), 1)[0] == 0
+
+
 def test_grading_depth_frozen_values() -> None:
     # depth equals the marked coefficient of the highest root
     assert pd_of("G", 2, 2).depth == 2  # fixes the arrow convention
@@ -240,6 +286,7 @@ def test_grading_depth_frozen_values() -> None:
 
 def test_table_rows_raw_access() -> None:
     rows = konno_table_rows()
+    assert rows is konno_table_rows()  # parsed once
     assert all({"family", "min_rank", "node_min", "node_max", "weights"} <= set(r) for r in rows)
     assert any(r["family"] == "G" for r in rows)
 
@@ -337,6 +384,9 @@ def test_h0_rejects_bad_twist() -> None:
         h0_twisted_cotangent(pd, 0)
     with pytest.raises(ValueError):
         h0_twisted_cotangent(pd, -2)
+    for bad in (2.9, 2.0, True, "2"):
+        with pytest.raises(TypeError):
+            h0_twisted_cotangent(pd, bad)
 
 
 def test_h0_unsupported_pair_propagates() -> None:

@@ -9,7 +9,7 @@ import json
 import pytest
 
 import flagcoh
-from flagcoh.parabolic import _find_row, konno_pairs, konno_table_rows
+from flagcoh.parabolic import konno_pairs
 from flagcoh.verify import (
     CaseResult,
     Report,
@@ -17,6 +17,8 @@ from flagcoh.verify import (
     check_theorem_lungo,
     emit_report,
 )
+
+from oracles import find_table_row, konno_table_rows
 
 
 # ---------------------------------------------------------------------------
@@ -68,14 +70,14 @@ def test_lungo_spot_cases() -> None:
 
 
 def test_lungo_sweep_completeness_rank8() -> None:
-    """Every embedded table row is exercised by at least one sweep case."""
+    """Every row of the paper's table is exercised by at least one sweep case."""
     rep = check_theorem_lungo(8)
     hit_rows = set()
     for c in rep.cases:
         pairs = [pd for pd in konno_pairs(c.rank) if pd.lie_type.rank == c.rank]
         for pd in pairs:
             if pd.lie_type.family.value == c.family and pd.node == c.node:
-                row = _find_row(pd.lie_type, pd.node)
+                row = find_table_row(c.family, c.rank, c.node)
                 assert row is not None
                 hit_rows.add(id(row))
     assert len(hit_rows) == len(konno_table_rows())
@@ -132,6 +134,9 @@ def test_studiopesi_parameter_validation() -> None:
         check_lemma_studiopesi(8, (2, -1))
     with pytest.raises(ValueError):
         check_lemma_studiopesi(1, (1,))
+    for bad in (2.9, 2.0, True):
+        with pytest.raises(TypeError):
+            check_lemma_studiopesi(3, (1, bad))
 
 
 def test_studiopesi_twists_normalized() -> None:
