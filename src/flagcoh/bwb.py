@@ -78,16 +78,15 @@ def classify(rs: RootSystem, v: Weight) -> WeightClass:
     return WeightClass(negatives)
 
 
-def to_dominant(rs: RootSystem, v: Weight, pick: str = "lowest") -> tuple[int, Weight] | None:
+def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
     """Reflect v into the dominant chamber, or None when v is singular.
 
-    Reflects at a node with negative coordinate until all coordinates are
-    positive; any zero coordinate along the way means the vector is fixed
-    by that simple reflection, hence orthogonal to a root, hence singular.
-    For regular v the number of reflections equals the index of v.
+    Reflects at the lowest node with negative coordinate until all
+    coordinates are positive; any zero coordinate along the way means the
+    vector is fixed by that simple reflection, hence orthogonal to a root,
+    hence singular.  For regular v the number of reflections equals the
+    index of v.
     """
-    if pick not in ("lowest", "highest"):
-        raise ValueError(f"unknown strategy {pick!r}")
     m = list(v.fw_coords)
     if len(m) != rs.rank:
         raise ValueError(f"expected {rs.rank} coordinates, got {len(m)}")
@@ -99,11 +98,12 @@ def to_dominant(rs: RootSystem, v: Weight, pick: str = "lowest") -> tuple[int, W
         negs = [j for j, c in enumerate(m) if c < 0]
         if not negs:
             return steps, Weight(tuple(m))
-        k = negs[0] if pick == "lowest" else negs[-1]
+        k = negs[0]
         c = m[k]
         m = [m[j] - c * rs.cartan[j][k] for j in range(rs.rank)]
         steps += 1
-        assert steps <= limit  # a regular orbit meets the chamber within |Phi+| steps
+        if steps > limit:
+            raise ArithmeticError(f"{v.fw_coords} is not dominant after |Phi+| = {limit} reflections")
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
@@ -120,7 +120,8 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
         num *= sum(a * b for a, b in zip(shifted, coroot))
         den *= sum(coroot)
     q, r = divmod(num, den)
-    assert r == 0 and q > 0  # the Weyl product is a positive integer
+    if r or q <= 0:
+        raise ArithmeticError(f"Weyl product {num}/{den} at {m} is not a positive integer")
     return q
 
 

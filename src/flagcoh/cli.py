@@ -107,7 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="twist for the studiopesi sweep; repeatable (default 1 2 3)",
     )
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     return parser
 
@@ -286,10 +285,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.sweep == "lungo":
         if args.twist:
             raise ValueError("--twist applies to the studiopesi sweep only")
-        report = check_theorem_lungo(args.max_rank, jobs=args.jobs)
+        report = check_theorem_lungo(args.max_rank)
     else:
         twists = tuple(args.twist) if args.twist else (1, 2, 3)
-        report = check_lemma_studiopesi(args.max_rank, twists, jobs=args.jobs)
+        report = check_lemma_studiopesi(args.max_rank, twists)
     if args.format == "text":
         payload = _render_report_text(report)
         _emit(payload, args.out)

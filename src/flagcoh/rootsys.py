@@ -14,7 +14,12 @@ Conventions, fixed once for the whole package:
   basis (``fw_coords``).  The two bases are related by m = A n, that is
   m_j = sum_i a_ji n_i.
 
-Everything is exact: integers and fractions only, no floating point.
+Everything is exact and there is no floating point.  Root-system
+construction and classification use integers only: the symmetrizer is
+carried scaled by 6 (D_i = 6 d_i in {6, 3, 2}) and the coroots come from
+exact integer division.  ``Fraction`` appears only in ``pairing``,
+``weight_to_root_coords`` and ``bwb.partial_weyl_product``, and in the
+public ``symmetrizer`` field that ``pairing`` reads.
 """
 
 from __future__ import annotations
@@ -71,6 +76,15 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
+def _int_coords(coords: Iterable[int]) -> tuple[int, ...]:
+    """The coordinates as a tuple; anything but a plain int (a bool too) is a TypeError."""
+    out = tuple(coords)
+    for c in out:
+        if type(c) is not int:
+            raise TypeError(f"coordinates must be ints, got {c!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class Root:
     """Element of the root lattice; integer coefficients n_i over the simple roots."""
@@ -78,7 +92,7 @@ class Root:
     sr_coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sr_coords", tuple(int(c) for c in self.sr_coords))
+        object.__setattr__(self, "sr_coords", _int_coords(self.sr_coords))
 
     @property
     def height(self) -> int:
@@ -92,7 +106,7 @@ class Weight:
     fw_coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fw_coords", tuple(int(c) for c in self.fw_coords))
+        object.__setattr__(self, "fw_coords", _int_coords(self.fw_coords))
 
     def __add__(self, other: "Weight") -> "Weight":
         if len(self.fw_coords) != len(other.fw_coords):
@@ -127,126 +141,105 @@ def fundamental_weight(rank: int, i: int) -> Weight:
     return Weight(tuple(1 if j == i - 1 else 0 for j in range(rank)))
 
 
-def _diagram(t: LieType) -> tuple[list[Fraction], dict[tuple[int, int], Fraction]]:
-    """Symmetrizer d_i and off-diagonal inner products (alpha_i, alpha_j), 0-based."""
+def _diagram(t: LieType) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """Scaled symmetrizer D_i = 6 d_i and off-diagonal 6 (alpha_i, alpha_j), 0-based."""
     l = t.rank
-    one, half, third = Fraction(1), Fraction(1, 2), Fraction(1, 3)
-    d: list[Fraction]
-    edges: dict[tuple[int, int], Fraction] = {}
+    d: list[int]
+    edges: dict[tuple[int, int], int] = {}
     chain = [(i, i + 1) for i in range(l - 1)]
     if t.family is Family.A:
-        d = [one] * l
+        d = [6] * l
         for e in chain:
-            edges[e] = -one
+            edges[e] = -6
     elif t.family is Family.B:
-        d = [one] * (l - 1) + [half]
+        d = [6] * (l - 1) + [3]
         for e in chain:
-            edges[e] = -one
+            edges[e] = -6
     elif t.family is Family.C:
-        d = [half] * (l - 1) + [one]
+        d = [3] * (l - 1) + [6]
         for e in chain[:-1]:
-            edges[e] = -half
-        edges[chain[-1]] = -one
+            edges[e] = -3
+        edges[chain[-1]] = -6
     elif t.family is Family.D:
-        d = [one] * l
+        d = [6] * l
         for e in chain[:-1]:
-            edges[e] = -one
-        edges[(l - 3, l - 1)] = -one
+            edges[e] = -6
+        edges[(l - 3, l - 1)] = -6
     elif t.family is Family.E:
-        d = [one] * l
+        d = [6] * l
         for e in [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, l - 1)]:
-            edges[e] = -one
+            edges[e] = -6
     elif t.family is Family.F:
-        d = [one, one, half, half]
-        edges[(0, 1)] = -one
-        edges[(1, 2)] = -one
-        edges[(2, 3)] = -half
+        d = [6, 6, 3, 3]
+        edges[(0, 1)] = -6
+        edges[(1, 2)] = -6
+        edges[(2, 3)] = -3
     else:  # G2
-        d = [third, one]
-        edges[(0, 1)] = -one
+        d = [2, 6]
+        edges[(0, 1)] = -6
     return d, edges
 
 
-def _cartan_matrix(t: LieType) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
+def _cartan_matrix(t: LieType) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """Cartan matrix a_ij = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i) and the scaled symmetrizer."""
     d, edges = _diagram(t)
     l = t.rank
-    s = [[Fraction(0)] * l for _ in range(l)]
+    rows = [[0] * l for _ in range(l)]
     for i in range(l):
-        s[i][i] = 2 * d[i]
+        rows[i][i] = 2
     for (i, j), v in edges.items():
-        s[i][j] = v
-        s[j][i] = v
-    rows = []
-    for i in range(l):
-        row = []
-        for j in range(l):
-            a = s[i][j] / d[i]
-            assert a.denominator == 1
-            row.append(int(a))
-        rows.append(tuple(row))
-    cartan = tuple(rows)
-    for i in range(l):
-        assert cartan[i][i] == 2
-        for j in range(l):
-            if i != j:
-                assert cartan[i][j] in (0, -1, -2, -3)
-            assert d[i] * cartan[i][j] == d[j] * cartan[j][i]
-    return cartan, tuple(d)
+        for a, b in ((i, j), (j, i)):
+            q, r = divmod(v, d[a])
+            if r or q not in (0, -1, -2, -3):
+                raise ArithmeticError(
+                    f"{t}: Cartan entry {v}/{d[a]} at ({a + 1}, {b + 1}) is not one of 0, -1, -2, -3"
+                )
+            rows[a][b] = q
+    return tuple(tuple(row) for row in rows), d
 
 
-def _invert(rows: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a small integer matrix by Gauss-Jordan elimination."""
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+def _positive_root_closure(
+    cartan: Sequence[Sequence[int]],
+) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], tuple[int, ...]]]:
     """Enumerate positive roots from the simple ones by root-string closure.
 
     For a root beta and a simple root alpha_i, the alpha_i-string through
     beta runs from beta - p alpha_i to beta + q alpha_i with
-    p - q = <beta, alpha_i^vee>, so beta + alpha_i is a root iff
-    p - <beta, alpha_i^vee> > 0.  Processing by height guarantees the
-    downward part of every string is already known.
+    p - q = <beta, alpha_i^vee> = m_i, so beta + alpha_i is a root iff
+    p - m_i > 0.  Processing by height guarantees the downward part of
+    every string is already known: p_i(beta + alpha_i) = 1 + p_i(beta),
+    and p_i of a root is 0 unless some root of the previous height reaches
+    it along alpha_i.  The weight coordinates follow the same steps,
+    m(beta + alpha_i) = m(beta) + column i of A.
+
+    Returns the roots sorted by (height, coords) and their weight coordinates.
     """
     rank = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    found = set(simple)
-    frontier = list(simple)
+    columns = [tuple(row[i] for row in cartan) for i in range(rank)]
+    fw: dict[tuple[int, ...], tuple[int, ...]] = {}
+    frontier: dict[tuple[int, ...], list[int]] = {}
+    for i in range(rank):
+        simple = tuple(1 if j == i else 0 for j in range(rank))
+        fw[simple] = columns[i]
+        frontier[simple] = [0] * rank
+    ordered: list[tuple[int, ...]] = []
     while frontier:
-        nxt = []
-        for beta in frontier:
+        level = sorted(frontier)
+        ordered += level
+        nxt: dict[tuple[int, ...], list[int]] = {}
+        for beta in level:
+            p = frontier[beta]
+            m = fw[beta]
             for i in range(rank):
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if tuple(down) in found:
-                        p += 1
-                    else:
-                        break
-                q = p - sum(cartan[i][j] * beta[j] for j in range(rank))
-                if q > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    up_t = tuple(up)
-                    if up_t not in found:
-                        found.add(up_t)
-                        nxt.append(up_t)
+                if p[i] > m[i]:
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                    up_p = nxt.get(up)
+                    if up_p is None:
+                        up_p = nxt[up] = [0] * rank
+                        fw[up] = tuple(a + b for a, b in zip(m, columns[i]))
+                    up_p[i] = p[i] + 1
         frontier = nxt
-    return sorted(found, key=lambda n: (sum(n), n))
+    return ordered, fw
 
 
 @dataclass(frozen=True)
@@ -263,10 +256,8 @@ class RootSystem:
     symmetrizer: tuple[Fraction, ...]
     positive_roots: tuple[Root, ...]
     weyl_vector: Weight
-    inverse_cartan: tuple[tuple[Fraction, ...], ...] = field(repr=False)
     root_fw: tuple[tuple[int, ...], ...] = field(repr=False)
     coroots: tuple[tuple[int, ...], ...] = field(repr=False)
-    half_lengths: tuple[Fraction, ...] = field(repr=False)
     root_index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
 
     @property
@@ -279,34 +270,27 @@ class RootSystem:
 
 def build_root_system(t: LieType) -> RootSystem:
     cartan, d = _cartan_matrix(t)
-    rank = t.rank
-    coords = _positive_root_closure(cartan)
-    roots = tuple(Root(n) for n in coords)
-    fw_list = []
+    coords, fw = _positive_root_closure(cartan)
     coroot_list = []
-    dalpha_list = []
     for n in coords:
-        m = tuple(sum(cartan[j][i] * n[i] for i in range(rank)) for j in range(rank))
-        length_sq = sum(m[j] * n[j] * d[j] for j in range(rank))
-        dalpha = length_sq / 2
+        m = fw[n]
+        # L = 6 (alpha, alpha), so c_j = 2 n_j d_j / (alpha, alpha) = 2 n_j D_j / L
+        length = sum(a * b * c for a, b, c in zip(m, n, d))
         coroot = []
-        for j in range(rank):
-            c = n[j] * d[j] / dalpha
-            assert c.denominator == 1  # coroot coordinates are integers
-            coroot.append(int(c))
-        fw_list.append(m)
+        for nj, dj in zip(n, d):
+            c, rem = divmod(2 * nj * dj, length)
+            if rem:
+                raise ArithmeticError(f"{t}: coroot of {n} has a non-integer coordinate")
+            coroot.append(c)
         coroot_list.append(tuple(coroot))
-        dalpha_list.append(dalpha)
     return RootSystem(
         lie_type=t,
         cartan=cartan,
-        symmetrizer=d,
-        positive_roots=roots,
-        weyl_vector=Weight((1,) * rank),
-        inverse_cartan=_invert(cartan),
-        root_fw=tuple(fw_list),
+        symmetrizer=tuple(Fraction(x, 6) for x in d),
+        positive_roots=tuple(Root(n) for n in coords),
+        weyl_vector=Weight((1,) * t.rank),
+        root_fw=tuple(fw[n] for n in coords),
         coroots=tuple(coroot_list),
-        half_lengths=tuple(dalpha_list),
         root_index={n: k for k, n in enumerate(coords)},
     )
 
@@ -349,7 +333,8 @@ def copairing(rs: RootSystem, w: Weight, r: Root) -> int:
     if length_sq == 0:
         raise ValueError("copairing undefined for the zero vector")
     val = 2 * pairing(rs, w, r) / length_sq
-    assert val.denominator == 1  # integral on integer fw coordinates
+    if val.denominator != 1:
+        raise ArithmeticError(f"<w, r^vee> = {val} is not an integer: {r.sr_coords} is not a root")
     return int(val)
 
 
@@ -361,13 +346,21 @@ def root_to_weight_coords(rs: RootSystem, r: Root) -> Weight:
 
 
 def weight_to_root_coords(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:
-    """Exact rational coordinates of w in the simple-root basis (A^-1 m)."""
+    """Exact rational coordinates of w in the simple-root basis, solving A n = m.
+
+    A = D^-1 S with S positive definite, so every leading minor of A is
+    positive and elimination in order never meets a zero pivot.
+    """
     _check_len(rs, w.fw_coords)
-    m = w.fw_coords
-    return tuple(
-        sum((rs.inverse_cartan[i][j] * m[j] for j in range(rs.rank)), Fraction(0))
-        for i in range(rs.rank)
-    )
+    l = rs.rank
+    a = [[Fraction(x) for x in row] + [Fraction(c)] for row, c in zip(rs.cartan, w.fw_coords)]
+    for k in range(l):
+        pivot = a[k]
+        for r in range(l):
+            if r != k and a[r][k]:
+                f = a[r][k] / pivot[k]
+                a[r] = [x - f * y for x, y in zip(a[r], pivot)]
+    return tuple(a[i][l] / a[i][i] for i in range(l))
 
 
 def simple_reflection(rs: RootSystem, i: int, w: Weight) -> Weight:

@@ -20,9 +20,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .bwb import classify_cotangent_twist_weights, partial_weyl_product
@@ -106,20 +105,6 @@ class Report:
         }
 
 
-def _run_cases(
-    inputs: Sequence,
-    worker: Callable,
-    jobs: int,
-) -> list[CaseResult]:
-    if jobs > 1 and len(inputs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, inputs))
-    else:
-        results = [worker(item) for item in inputs]
-    results.sort(key=CaseResult.sort_key)
-    return results
-
-
 def _base_annotations(pd: ParabolicData) -> list[str]:
     key = (pd.lie_type.family.value, pd.lie_type.rank, pd.node)
     return ["degree-3 exception"] if key in _DEGREE_THREE_EXCEPTIONS else []
@@ -188,7 +173,7 @@ def _lungo_case(pd: ParabolicData) -> CaseResult:
     )
 
 
-def check_theorem_lungo(max_rank: int = 8, jobs: int = 1) -> Report:
+def check_theorem_lungo(max_rank: int = 8) -> Report:
     """Twist-2 section sweep: h0(Y, Omega^1_Y(2)) >= dim Y over all pairs.
 
     Covers every supported pair with rank <= max_rank and dim Y >= 3;
@@ -198,7 +183,7 @@ def check_theorem_lungo(max_rank: int = 8, jobs: int = 1) -> Report:
     if max_rank < 2:
         raise ValueError(f"max_rank must be >= 2, got {max_rank}")
     pairs = [pd for pd in konno_pairs(max_rank) if pd.dim_y >= 3]
-    cases = _run_cases(pairs, _lungo_case, jobs)
+    cases = sorted(map(_lungo_case, pairs), key=CaseResult.sort_key)
     return Report(
         sweep="lungo",
         version=__version__,
@@ -264,7 +249,6 @@ def _studiopesi_case(item: tuple[ParabolicData, int]) -> CaseResult:
 def check_lemma_studiopesi(
     max_rank: int = 8,
     twists: Sequence[int] = (1, 2, 3),
-    jobs: int = 1,
 ) -> Report:
     """Classification sweep over every supported pair and listed twist.
 
@@ -284,7 +268,7 @@ def check_lemma_studiopesi(
     if twists[0] < 1:
         raise ValueError(f"twists must all be >= 1, got {twists[0]}")
     inputs = [(pd, a) for pd in konno_pairs(max_rank) for a in twists]
-    cases = _run_cases(inputs, _studiopesi_case, jobs)
+    cases = sorted(map(_studiopesi_case, inputs), key=CaseResult.sort_key)
     return Report(
         sweep="studiopesi",
         version=__version__,

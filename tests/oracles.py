@@ -1,10 +1,11 @@
 """Independent oracles used by the test suite.
 
 Everything here is derived from classical closed forms, from the
-epsilon-coordinate realizations of the classical root systems, or from
-the paper's table of lowest weights (``data/konno_table.json``), on
-purpose sharing no code with the package's reflection-string closure,
-Weyl product and lowest-weight derivation.
+epsilon-coordinate realizations of the classical root systems, from the
+Cartan matrix alone, or from the paper's table of lowest weights
+(``data/konno_table.json``), on purpose sharing no code with the
+package's reflection-string closure, Weyl chamber walk, coroots, Weyl
+product and lowest-weight derivation.
 """
 
 from __future__ import annotations
@@ -234,3 +235,61 @@ def table_lowest_weights(family: str, rank: int, node: int, cartan) -> list[tupl
     if row is None:
         return None
     return [instantiate_table_weight(expr, cartan, node) for expr in row["weights"]]
+
+
+# ---------------------------------------------------------------------------
+# Weyl-chamber walk and coroots from the Cartan matrix alone
+
+
+def dominant_by_highest_reflection(cartan, coords: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """Reflect at the highest node with negative coordinate until dominant.
+
+    Returns (reflections, dominant coordinates), or None as soon as a
+    coordinate is 0 (the vector is fixed by a simple reflection).
+    """
+    rank = len(cartan)
+    m = list(coords)
+    steps = 0
+    while 0 not in m:
+        negative = [j for j in range(rank) if m[j] < 0]
+        if not negative:
+            return steps, tuple(m)
+        k = negative[-1]
+        c = m[k]
+        # sigma_k(m) = m - m_k alpha_k, and alpha_k is column k of the Cartan matrix
+        m = [m[j] - c * cartan[j][k] for j in range(rank)]
+        steps += 1
+    return None
+
+
+def symmetrizer_from_cartan(cartan) -> tuple[Fraction, ...]:
+    """d_i = (alpha_i, alpha_i) / 2 from d_i a_ij = d_j a_ji, long roots at 1.
+
+    Propagates d_j = d_i a_ij / a_ji along the edges of the Dynkin diagram
+    from node 1, then rescales so the largest value is 1.
+    """
+    rank = len(cartan)
+    d: list[Fraction | None] = [Fraction(1)] + [None] * (rank - 1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(rank):
+            if j != i and cartan[i][j] and d[j] is None:
+                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                stack.append(j)
+    top = max(d)
+    return tuple(x / top for x in d)
+
+
+def coroots_from_cartan(cartan, roots) -> list[tuple[int, ...]]:
+    """Coroot coordinates n_j d_j / d_alpha of each root n over the simple coroots."""
+    d = symmetrizer_from_cartan(cartan)
+    rank = len(cartan)
+    out = []
+    for n in roots:
+        # (alpha, alpha) = sum_ij n_i n_j (alpha_i, alpha_j), with (alpha_i, alpha_j) = d_i a_ij
+        d_alpha = sum(n[i] * d[i] * sum(cartan[i][j] * n[j] for j in range(rank)) for i in range(rank)) / 2
+        coroot = [n[j] * d[j] / d_alpha for j in range(rank)]
+        assert all(c.denominator == 1 for c in coroot)
+        out.append(tuple(int(c) for c in coroot))
+    return out

@@ -34,7 +34,7 @@ from flagcoh.rootsys import (
     zero_weight,
 )
 
-from oracles import binomial, epsilon_weyl_dim, type_a_weyl_dim
+from oracles import binomial, dominant_by_highest_reflection, epsilon_weyl_dim, type_a_weyl_dim
 
 RANK_LE_4 = [t for t in all_lie_types(4)]
 
@@ -72,14 +72,14 @@ def test_classify_to_dominant_agreement_exhaustive(t: LieType):
     for coords in itertools.product(range(-3, 4), repeat=t.rank):
         v = Weight(coords)
         cls = classify(rs, v)
-        low = to_dominant(rs, v, pick="lowest")
-        high = to_dominant(rs, v, pick="highest")
+        low = to_dominant(rs, v)
+        high = dominant_by_highest_reflection(rs.cartan, coords)
         if cls.singular:
             assert low is None and high is None
         else:
             assert low is not None and high is not None
             assert low[0] == cls.index == high[0]
-            assert low[1] == high[1]  # dominant representative is strategy-independent
+            assert low[1].fw_coords == high[1]  # dominant representative is strategy-independent
             assert low[1].is_dominant()
 
 

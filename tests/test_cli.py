@@ -231,11 +231,16 @@ def test_verify_exit_1_on_failures(monkeypatch, capsys) -> None:
             ),
         ),
     )
-    monkeypatch.setattr(cli, "check_theorem_lungo", lambda max_rank, jobs=1: failing)
+    monkeypatch.setattr(cli, "check_theorem_lungo", lambda max_rank: failing)
     assert cli.run(["verify", "--sweep", "lungo", "--max-rank", "2"]) == 1
     out = capsys.readouterr().out
     assert "failed 1" in out
     assert "FAIL A2 node 1" in out
+
+
+def test_verify_has_no_jobs_option(capsys) -> None:
+    assert cli.run(["verify", "--sweep", "lungo", "--max-rank", "2", "--jobs", "2"]) == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_help_exits_0() -> None:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagcoh import rootsys
 from flagcoh.rootsys import (
     ConfigError,
     Family,
@@ -27,7 +28,12 @@ from flagcoh.rootsys import (
     zero_weight,
 )
 
-from oracles import classical_positive_root_count, epsilon_positive_roots
+from oracles import (
+    classical_positive_root_count,
+    coroots_from_cartan,
+    epsilon_positive_roots,
+    symmetrizer_from_cartan,
+)
 
 ALL_TYPES_8 = all_lie_types(8)
 
@@ -81,6 +87,29 @@ def test_cartan_invariants(t: LieType):
             if i != j:
                 assert rs.cartan[i][j] in (0, -1, -2, -3)
             assert rs.symmetrizer[i] * rs.cartan[i][j] == rs.symmetrizer[j] * rs.cartan[j][i]
+
+
+@pytest.mark.parametrize(
+    "t",
+    all_lie_types(12) + [LieType(Family(f), 30) for f in "ABCD"],
+    ids=str,
+)
+def test_symmetrizer_and_coroots_match_cartan_oracle(t: LieType):
+    rs = root_system(t.family, t.rank)
+    assert rs.symmetrizer == symmetrizer_from_cartan(rs.cartan)
+    roots = [r.sr_coords for r in rs.positive_roots]
+    assert list(rs.coroots) == coroots_from_cartan(rs.cartan, roots)
+
+
+def test_inconsistent_diagram_raises(monkeypatch):
+    # 6 (alpha_1, alpha_2) = -6 is not a multiple of D_2 = 4
+    monkeypatch.setattr(rootsys, "_diagram", lambda t: ([6, 4], {(0, 1): -6}))
+    with pytest.raises(ArithmeticError):
+        rootsys.build_root_system(LieType(Family.A, 2))
+    # -12 / 3 = -4 is not a Cartan entry
+    monkeypatch.setattr(rootsys, "_diagram", lambda t: ([6, 3], {(0, 1): -12}))
+    with pytest.raises(ArithmeticError):
+        rootsys.build_root_system(LieType(Family.A, 2))
 
 
 def test_cartan_matrices_spot():
@@ -186,6 +215,14 @@ def test_copairing_off_lattice_root():
         assert copairing(rs, w, neg) == -copairing(rs, w, r)
 
 
+def test_copairing_with_non_root_raises():
+    # 2 alpha is in the root lattice but its coroot alpha^vee / 2 is not integral
+    rs = root_system("A", 1)
+    assert copairing(rs, Weight((2,)), Root((2,))) == 1
+    with pytest.raises(ArithmeticError):
+        copairing(rs, Weight((1,)), Root((2,)))
+
+
 def test_simple_reflection_spot():
     rs = root_system("A", 1)
     assert simple_reflection(rs, 1, fundamental_weight(1, 1)) == Weight((-1,))
@@ -232,6 +269,25 @@ def test_pairing_symmetry_on_roots():
             wb = root_to_weight_coords(rs, b)
             for g in rs.positive_roots:
                 assert pairing(rs, wb, g) == pairing(rs, root_to_weight_coords(rs, g), b)
+
+
+@pytest.mark.parametrize("cls", [Weight, Root])
+def test_coordinates_must_be_ints(cls):
+    for bad in [(1.7, 2), (1, Fraction(5, 2)), (Fraction(2), 0), (True, 0), (1, False)]:
+        with pytest.raises(TypeError):
+            cls(bad)
+    from_list = cls([1, -2, 3])
+    assert from_list == cls((1, -2, 3))
+    assert type(from_list.sr_coords if cls is Root else from_list.fw_coords) is tuple
+    hash(from_list)
+    with pytest.raises(TypeError):
+        cls([1, 2.0])
+
+
+def test_weight_arithmetic_keeps_int_check():
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * Weight((2, 4))
+    assert 3 * Weight((1, -1)) == Weight((3, -3))
 
 
 def test_length_validation():

@@ -150,13 +150,12 @@ def test_studiopesi_twists_normalized() -> None:
 # emission
 
 
-def test_reports_byte_identical_across_runs_and_jobs() -> None:
+def test_reports_byte_identical_across_runs() -> None:
     a = emit_report(check_theorem_lungo(8), "json")
     b = emit_report(check_theorem_lungo(8), "json")
-    c = emit_report(check_theorem_lungo(8, jobs=4), "json")
-    assert a == b == c
+    assert a == b
     x = emit_report(check_lemma_studiopesi(6, (1, 2)), "csv")
-    y = emit_report(check_lemma_studiopesi(6, (1, 2), jobs=3), "csv")
+    y = emit_report(check_lemma_studiopesi(6, (1, 2)), "csv")
     assert x == y
 
 
