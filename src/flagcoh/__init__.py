@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .rootsys import (  # noqa: F401
+    MAX_RANK,
     ConfigError,
     Family,
     LieType,

@@ -7,12 +7,17 @@ lowest weight -lambda, all cohomology vanishes when lambda + delta is
 singular; otherwise it is concentrated in degree p = index(lambda + delta)
 with dimension given by the Weyl formula at the dominant representative.
 
-Signs of (v, alpha) agree with signs of the copairing <v, alpha>, so all
-classification runs on integer dot products against precomputed coroots.
+Classification and the Weyl dimension formula both read the scaled
+pairings s_k(v) = 6 (v, beta_k) of a weight with every positive root.
+They come in one integer pass along the root chain of the root system,
+one addition per root: s(beta + alpha_i) = s(beta) + 6 m_i d_i.  The
+sign of s_k is the sign of the copairing <v, beta_k^vee>, and the Weyl
+dimension of lam is prod s_k(lam + delta) / prod s_k(delta).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -63,18 +68,31 @@ class CohomologyTable:
         }
 
 
+def _root_pairings(rs: RootSystem, m: Sequence[int]) -> list[int]:
+    """s_k = 6 (v, beta_k) for every positive root, in root order, one addition each."""
+    inc = [c * d for c, d in zip(m, rs.scaled_symmetrizer)]
+    s: list[int] = []
+    for parent, i in rs.root_chain:
+        s.append(inc[i] if parent < 0 else s[parent] + inc[i])
+    return s
+
+
 def classify(rs: RootSystem, v: Weight) -> WeightClass:
     """Singular iff orthogonal to some positive root, else count negative pairings."""
     m = v.fw_coords
     if len(m) != rs.rank:
         raise ValueError(f"expected {rs.rank} coordinates, got {len(m)}")
+    inc = [c * d for c, d in zip(m, rs.scaled_symmetrizer)]
+    s: list[int] = []
     negatives = 0
-    for coroot in rs.coroots:
-        s = sum(a * b for a, b in zip(m, coroot))
-        if s == 0:
+    # the pass of _root_pairings, stopping at the first zero
+    for parent, i in rs.root_chain:
+        x = inc[i] if parent < 0 else s[parent] + inc[i]
+        if x == 0:
             return SINGULAR
-        if s < 0:
+        if x < 0:
             negatives += 1
+        s.append(x)
     return WeightClass(negatives)
 
 
@@ -107,21 +125,16 @@ def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
-    """Weyl dimension formula, exact: prod <lam+delta, a^vee> / <delta, a^vee>."""
+    """Weyl dimension formula, exact: prod (lam+delta, a) / (delta, a) over positive roots a."""
     m = lam.fw_coords
     if len(m) != rs.rank:
         raise ValueError(f"expected {rs.rank} coordinates, got {len(m)}")
     if not lam.is_dominant():
         raise ValueError(f"weight {m} is not dominant")
-    shifted = [c + 1 for c in m]
-    num = 1
-    den = 1
-    for coroot in rs.coroots:
-        num *= sum(a * b for a, b in zip(shifted, coroot))
-        den *= sum(coroot)
-    q, r = divmod(num, den)
+    num = math.prod(_root_pairings(rs, [c + 1 for c in m]))
+    q, r = divmod(num, rs.weyl_denominator)
     if r or q <= 0:
-        raise ArithmeticError(f"Weyl product {num}/{den} at {m} is not a positive integer")
+        raise ArithmeticError(f"Weyl product {num}/{rs.weyl_denominator} at {m} is not a positive integer")
     return q
 
 
@@ -186,7 +199,7 @@ def classify_cotangent_twist_weights(rs: RootSystem, r: int, a: int, twisted_wei
 
 
 def shape_of_table_weight(rs: RootSystem, r: int, w: Weight) -> int:
-    """Shape number (1, 2 or 3) of an untwisted lowest weight w from the table."""
+    """Shape number (1, 2 or 3) of an untwisted lowest weight w."""
     if w == root_to_weight_coords(rs, simple_root(rs, r)):
         return 1
     c = w.fw_coords[r - 1]

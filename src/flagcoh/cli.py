@@ -24,7 +24,7 @@ from .parabolic import (
     parabolic_data,
     sigma,
 )
-from .rootsys import ConfigError, Weight, root_system
+from .rootsys import MAX_RANK, ConfigError, Weight, root_system
 from .verify import Report, check_lemma_studiopesi, check_theorem_lungo, emit_report
 
 __all__ = ["main", "run"]
@@ -41,6 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json"), default="text")
+    output.add_argument("--out")
 
     def add_pair(p: argparse.ArgumentParser, node: bool = False) -> None:
         p.add_argument("family", help="family letter A-G")
@@ -48,58 +51,48 @@ def _build_parser() -> argparse.ArgumentParser:
         if node:
             p.add_argument("--node", type=int, required=True, help="marked node r (1-based)")
 
-    p = sub.add_parser("info", help="root-system summary: counts and Cartan matrix")
+    p = sub.add_parser("info", help="root-system summary: counts and Cartan matrix", parents=[output])
     add_pair(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
 
-    p = sub.add_parser("parabolic", help="parabolic data at a node: partition, dim Y, k(Y)")
+    p = sub.add_parser("parabolic", help="parabolic data at a node: partition, dim Y, k(Y)", parents=[output])
     add_pair(p, node=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
 
-    p = sub.add_parser("bwb", help="cohomology table of the irreducible bundle for a weight")
+    p = sub.add_parser(
+        "bwb", help="cohomology table of the irreducible bundle for a weight", parents=[output]
+    )
     add_pair(p)
     p.add_argument(
         "--weight",
         required=True,
         help="fundamental-weight coordinates, e.g. 0,1,0; write --weight=-1,0 for a leading negative",
     )
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
 
-    p = sub.add_parser("dim", help="Weyl dimension of a dominant weight")
+    p = sub.add_parser("dim", help="Weyl dimension of a dominant weight", parents=[output])
     add_pair(p)
     p.add_argument(
         "--weight",
         required=True,
         help="fundamental-weight coordinates, e.g. 0,1,0; write --weight=-1,0 for a leading negative",
     )
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
 
-    p = sub.add_parser("h0-cotangent", help="sections of the twisted cotangent bundle on G/P")
+    p = sub.add_parser(
+        "h0-cotangent", help="sections of the twisted cotangent bundle on G/P", parents=[output]
+    )
     add_pair(p, node=True)
     p.add_argument("--twist", type=int, required=True, help="twist a >= 1")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
 
-    p = sub.add_parser("sigma", help="socle degree sigma = (N+1)d - 2k(Y)")
+    p = sub.add_parser("sigma", help="socle degree sigma = (N+1)d - 2k(Y)", parents=[output])
     add_pair(p, node=True)
     p.add_argument("--degree", type=int, required=True, help="hypersurface degree d >= 3")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
 
-    p = sub.add_parser("macaulay", help="duality-pairing exception lookup for (d, a)")
+    p = sub.add_parser("macaulay", help="duality-pairing exception lookup for (d, a)", parents=[output])
     add_pair(p, node=True)
     p.add_argument("--degree", type=int, required=True, help="hypersurface degree d")
     p.add_argument("--twist", type=int, required=True, help="twist a")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run a verification sweep and emit a report")
     p.add_argument("--sweep", choices=("lungo", "studiopesi"), required=True)
-    p.add_argument("--max-rank", type=int, default=8)
+    p.add_argument("--max-rank", type=int, default=8, help=f"largest rank swept, 2 to {MAX_RANK}")
     p.add_argument(
         "--twist",
         type=int,

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .bwb import bwb_cohomology
 from .rootsys import (
@@ -79,15 +80,17 @@ class ParabolicData:
 
     ``phi1`` holds the positive roots of the Levi factor (coefficient of
     alpha_r equal to zero); ``phi_n_plus`` the roots of the nilradical,
-    grouped by that coefficient in ``levels``.  ``dim_y`` is the number of
-    nilradical roots and ``fano_index`` the integer k with K_Y = O(-k).
+    grouped by that coefficient in ``levels``, a read-only mapping since
+    ``parabolic_data`` shares one instance per pair.  ``dim_y`` is the
+    number of nilradical roots and ``fano_index`` the integer k with
+    K_Y = O(-k).
     """
 
     lie_type: LieType
     node: int
     phi1: tuple[Root, ...]
     phi_n_plus: tuple[Root, ...]
-    levels: dict[int, tuple[Root, ...]] = field(repr=False)
+    levels: Mapping[int, tuple[Root, ...]] = field(repr=False)
     dim_y: int
     fano_index: int
     root_system: RootSystem = field(repr=False, compare=False)
@@ -127,11 +130,25 @@ class KonnoEntry:
     levels: tuple[int, ...]
 
 
+_PARABOLIC: dict[tuple[LieType, int], ParabolicData] = {}
+
+
 def parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
-    """Partition the positive roots at node ``r`` and extract dim Y and k(Y)."""
+    """Partition the positive roots at node ``r`` and extract dim Y and k(Y).
+
+    Results are memoized per pair and shared between callers.
+    """
     rank = rs.rank
     if not 1 <= r <= rank:
         raise ConfigError(f"node {r} out of range 1..{rank}")
+    pd = _PARABOLIC.get((rs.lie_type, r))
+    if pd is None:
+        pd = _PARABOLIC[(rs.lie_type, r)] = _build_parabolic_data(rs, r)
+    return pd
+
+
+def _build_parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
+    rank = rs.rank
     phi1: list[Root] = []
     nilrad: list[Root] = []
     levels: dict[int, list[Root]] = {}
@@ -161,7 +178,7 @@ def parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
         node=r,
         phi1=tuple(phi1),
         phi_n_plus=tuple(nilrad),
-        levels={i: tuple(v) for i, v in sorted(levels.items())},
+        levels=MappingProxyType({i: tuple(v) for i, v in sorted(levels.items())}),
         dim_y=len(nilrad),
         fano_index=k,
         root_system=rs,
@@ -217,19 +234,16 @@ def konno_lowest_weights(pd: ParabolicData) -> KonnoEntry:
 def _derive_lowest_weights(pd: ParabolicData) -> KonnoEntry:
     rs, r = pd.root_system, pd.node
     pair = f"({rs.lie_type}, node {r})"
-    index = rs.root_index
-    levi = [j for j in range(rs.rank) if j != r - 1]
+    index, lowerable = rs.root_index, rs.lowerable
+    # bit j of lowerable[k]: root k minus alpha_{j+1} is a root
+    levi_mask = ((1 << rs.rank) - 1) ^ (1 << (r - 1))
     lam_r = fundamental_weight(rs.rank, r)
     weights: list[Weight] = []
     for level, roots in pd.levels.items():
-        lowest = []
-        for root in roots:
-            n = root.sr_coords
-            if not any(n[:j] + (n[j] - 1,) + n[j + 1:] in index for j in levi):
-                lowest.append(n)
+        lowest = [k for k in (index[root.sr_coords] for root in roots) if not lowerable[k] & levi_mask]
         if len(lowest) != 1:
             raise ArithmeticError(f"level {level} of {pair} has {len(lowest)} lowest weights, not 1")
-        w = Weight(rs.root_fw[index[lowest[0]]])
+        w = Weight(rs.root_fw[lowest[0]])
         c = w.fw_coords[r - 1]
         if c not in (1, 2):
             raise ArithmeticError(f"lowest weight {w.fw_coords} of {pair} has node coefficient {c}")

@@ -16,14 +16,29 @@ Conventions, fixed once for the whole package:
 
 Everything is exact and there is no floating point.  Root-system
 construction and classification use integers only: the symmetrizer is
-carried scaled by 6 (D_i = 6 d_i in {6, 3, 2}) and the coroots come from
-exact integer division.  ``Fraction`` appears only in ``pairing``,
-``weight_to_root_coords`` and ``bwb.partial_weyl_product``, and in the
-public ``symmetrizer`` field that ``pairing`` reads.
+carried scaled by 6 (``scaled_symmetrizer``, D_i = 6 d_i in {6, 3, 2})
+and the coroots come from exact integer division.  ``Fraction`` appears
+only in ``pairing``, ``weight_to_root_coords``,
+``bwb.partial_weyl_product`` and the public ``symmetrizer`` property.
+
+Besides the roots, their weight coordinates and their coroots, a
+``RootSystem`` keeps what the root closure learns on the way, as plain
+ints:
+
+* ``root_chain[k] = (parent, i)``: root k is root ``parent`` plus
+  alpha_i, or alpha_i itself when ``parent`` is -1.  Parents come first
+  in the root order, so s_k(v) = 6 (v, beta_k) = sum_j n_j m_j D_j of a
+  weight v = sum_j m_j lambda_j follows for every root in one pass, one
+  addition each: s(beta + alpha_i) = s(beta) + m_i D_i.  The sign of
+  s_k is the sign of <v, beta_k^vee>, since (beta_k, beta_k) > 0.
+* ``weyl_denominator = prod_k s_k(delta)``, the denominator of the Weyl
+  dimension formula in this scaling.
+* ``lowerable[k]``: bit i is set when beta_k - alpha_i is a root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -47,13 +62,19 @@ class Family(Enum):
         return self.value
 
 
+# Largest rank accepted for the unbounded families A-D, so that a typo
+# cannot hang the command line: on a 2-vCPU VM building A100 takes about
+# 0.5 s and B100, C100 or D100 about 0.8 s, and the cost grows with the
+# cube of the rank.
+MAX_RANK = 100
+
 # Inclusive rank bounds per family (D3 is allowed; C2 and D2 are not,
 # they duplicate B2 and A1 x A1).
 _RANK_BOUNDS = {
-    Family.A: (1, None),
-    Family.B: (2, None),
-    Family.C: (3, None),
-    Family.D: (3, None),
+    Family.A: (1, MAX_RANK),
+    Family.B: (2, MAX_RANK),
+    Family.C: (3, MAX_RANK),
+    Family.D: (3, MAX_RANK),
     Family.E: (6, 8),
     Family.F: (4, 4),
     Family.G: (2, 2),
@@ -69,8 +90,8 @@ class LieType:
         if not isinstance(self.family, Family):
             object.__setattr__(self, "family", Family(str(self.family).upper()))
         lo, hi = _RANK_BOUNDS[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise ConfigError(f"rank {self.rank} out of bounds for family {self.family}")
+        if not lo <= self.rank <= hi:
+            raise ConfigError(f"rank {self.rank} out of bounds {lo}..{hi} for family {self.family}")
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -200,7 +221,7 @@ def _cartan_matrix(t: LieType) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
 
 def _positive_root_closure(
     cartan: Sequence[Sequence[int]],
-) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], tuple[int, ...]]]:
+) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, int], int]]:
     """Enumerate positive roots from the simple ones by root-string closure.
 
     For a root beta and a simple root alpha_i, the alpha_i-string through
@@ -212,34 +233,36 @@ def _positive_root_closure(
     it along alpha_i.  The weight coordinates follow the same steps,
     m(beta + alpha_i) = m(beta) + column i of A.
 
-    Returns the roots sorted by (height, coords) and their weight coordinates.
+    Returns, sorted by (height, coords), one tuple per root: its coords,
+    its weight coordinates, the (parent index, node) of the first step
+    that reached it ((-1, i) for alpha_i), and the mask of the nodes i
+    with p_i > 0, that is with beta - alpha_i a root.
     """
     rank = len(cartan)
     columns = [tuple(row[i] for row in cartan) for i in range(rank)]
-    fw: dict[tuple[int, ...], tuple[int, ...]] = {}
-    frontier: dict[tuple[int, ...], list[int]] = {}
+    # per root: [weight coords, string-down lengths p, (parent, node), mask of p_i > 0]
+    frontier: dict[tuple[int, ...], list] = {}
     for i in range(rank):
         simple = tuple(1 if j == i else 0 for j in range(rank))
-        fw[simple] = columns[i]
-        frontier[simple] = [0] * rank
-    ordered: list[tuple[int, ...]] = []
+        frontier[simple] = [columns[i], [0] * rank, (-1, i), 0]
+    roots: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, int], int]] = []
     while frontier:
-        level = sorted(frontier)
-        ordered += level
-        nxt: dict[tuple[int, ...], list[int]] = {}
-        for beta in level:
-            p = frontier[beta]
-            m = fw[beta]
+        nxt: dict[tuple[int, ...], list] = {}
+        for beta in sorted(frontier):
+            m, p, link, mask = frontier[beta]
+            k = len(roots)
+            roots.append((beta, m, link, mask))
             for i in range(rank):
                 if p[i] > m[i]:
                     up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-                    up_p = nxt.get(up)
-                    if up_p is None:
-                        up_p = nxt[up] = [0] * rank
-                        fw[up] = tuple(a + b for a, b in zip(m, columns[i]))
-                    up_p[i] = p[i] + 1
+                    entry = nxt.get(up)
+                    if entry is None:
+                        up_m = tuple(a + b for a, b in zip(m, columns[i]))
+                        entry = nxt[up] = [up_m, [0] * rank, (k, i), 0]
+                    entry[1][i] = p[i] + 1
+                    entry[3] |= 1 << i
         frontier = nxt
-    return ordered, fw
+    return roots
 
 
 @dataclass(frozen=True)
@@ -249,20 +272,30 @@ class RootSystem:
     ``coroots[k]`` holds the integer coordinates c_j of the k-th positive
     root's coroot over the simple coroots, so the copairing of a weight m
     with that root is the plain integer dot product sum_j m_j c_j.
+    ``root_chain``, ``weyl_denominator`` and ``lowerable`` are described
+    in the module docstring.
     """
 
     lie_type: LieType
     cartan: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[Fraction, ...]
+    scaled_symmetrizer: tuple[int, ...]
     positive_roots: tuple[Root, ...]
     weyl_vector: Weight
     root_fw: tuple[tuple[int, ...], ...] = field(repr=False)
     coroots: tuple[tuple[int, ...], ...] = field(repr=False)
+    root_chain: tuple[tuple[int, int], ...] = field(repr=False)
+    weyl_denominator: int = field(repr=False)
+    lowerable: tuple[int, ...] = field(repr=False)
     root_index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
 
     @property
     def rank(self) -> int:
         return self.lie_type.rank
+
+    @property
+    def symmetrizer(self) -> tuple[Fraction, ...]:
+        """d_i = (alpha_i, alpha_i) / 2, that is D_i / 6."""
+        return tuple(Fraction(x, 6) for x in self.scaled_symmetrizer)
 
     def __hash__(self) -> int:
         return hash((self.lie_type,))
@@ -270,10 +303,11 @@ class RootSystem:
 
 def build_root_system(t: LieType) -> RootSystem:
     cartan, d = _cartan_matrix(t)
-    coords, fw = _positive_root_closure(cartan)
+    coords, root_fw, root_chain, lowerable = zip(*_positive_root_closure(cartan))
     coroot_list = []
-    for n in coords:
-        m = fw[n]
+    # 6 (delta, beta) along the chain, as (delta, alpha_i) = d_i
+    delta_pairings: list[int] = []
+    for n, m, (parent, i) in zip(coords, root_fw, root_chain):
         # L = 6 (alpha, alpha), so c_j = 2 n_j d_j / (alpha, alpha) = 2 n_j D_j / L
         length = sum(a * b * c for a, b, c in zip(m, n, d))
         coroot = []
@@ -283,14 +317,18 @@ def build_root_system(t: LieType) -> RootSystem:
                 raise ArithmeticError(f"{t}: coroot of {n} has a non-integer coordinate")
             coroot.append(c)
         coroot_list.append(tuple(coroot))
+        delta_pairings.append(d[i] if parent < 0 else delta_pairings[parent] + d[i])
     return RootSystem(
         lie_type=t,
         cartan=cartan,
-        symmetrizer=tuple(Fraction(x, 6) for x in d),
+        scaled_symmetrizer=tuple(d),
         positive_roots=tuple(Root(n) for n in coords),
         weyl_vector=Weight((1,) * t.rank),
-        root_fw=tuple(fw[n] for n in coords),
+        root_fw=root_fw,
         coroots=tuple(coroot_list),
+        root_chain=root_chain,
+        weyl_denominator=math.prod(delta_pairings),
+        lowerable=lowerable,
         root_index={n: k for k, n in enumerate(coords)},
     )
 
@@ -316,10 +354,7 @@ def pairing(rs: RootSystem, w: Weight, r: Root) -> Fraction:
     """Invariant form (w, alpha) = sum_j n_j m_j d_j."""
     _check_len(rs, w.fw_coords)
     _check_len(rs, r.sr_coords)
-    return sum(
-        (Fraction(m * n) * d for m, n, d in zip(w.fw_coords, r.sr_coords, rs.symmetrizer)),
-        Fraction(0),
-    )
+    return Fraction(sum(m * n * d for m, n, d in zip(w.fw_coords, r.sr_coords, rs.scaled_symmetrizer)), 6)
 
 
 def copairing(rs: RootSystem, w: Weight, r: Root) -> int:
@@ -386,7 +421,6 @@ def all_lie_types(max_rank: int) -> list[LieType]:
     out: list[LieType] = []
     for fam in Family:
         lo, hi = _RANK_BOUNDS[fam]
-        top = max_rank if hi is None else min(hi, max_rank)
-        for l in range(lo, top + 1):
+        for l in range(lo, min(hi, max_rank) + 1):
             out.append(LieType(fam, l))
     return out

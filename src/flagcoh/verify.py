@@ -31,7 +31,7 @@ from .parabolic import (
     konno_lowest_weights,
     konno_pairs,
 )
-from .rootsys import Family, fundamental_weight
+from .rootsys import MAX_RANK, ConfigError, Family, fundamental_weight
 
 __all__ = [
     "CaseResult",
@@ -44,6 +44,13 @@ __all__ = [
 # Pairs excluded from the degree-3 statement of the main theorem: the
 # three-dimensional quadric and the three-dimensional spinor variety.
 _DEGREE_THREE_EXCEPTIONS = {("B", 2, 1), ("D", 3, 2)}
+
+
+def _check_max_rank(max_rank: int) -> None:
+    if max_rank < 2:
+        raise ValueError(f"max_rank must be >= 2, got {max_rank}")
+    if max_rank > MAX_RANK:
+        raise ConfigError(f"max_rank must be <= {MAX_RANK}, got {max_rank}")
 
 
 @dataclass(frozen=True)
@@ -180,8 +187,7 @@ def check_theorem_lungo(max_rank: int = 8) -> Report:
     equality counts as a pass.  Golden subcases additionally pin the exact
     values where a closed form exists.
     """
-    if max_rank < 2:
-        raise ValueError(f"max_rank must be >= 2, got {max_rank}")
+    _check_max_rank(max_rank)
     pairs = [pd for pd in konno_pairs(max_rank) if pd.dim_y >= 3]
     cases = sorted(map(_lungo_case, pairs), key=CaseResult.sort_key)
     return Report(
@@ -257,8 +263,7 @@ def check_lemma_studiopesi(
     compared against the computed one; a case passes when every weight
     matches.
     """
-    if max_rank < 2:
-        raise ValueError(f"max_rank must be >= 2, got {max_rank}")
+    _check_max_rank(max_rank)
     for a in twists:
         if not isinstance(a, int) or isinstance(a, bool):
             raise TypeError(f"twists must be ints, got {a!r}")

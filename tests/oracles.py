@@ -4,8 +4,8 @@ Everything here is derived from classical closed forms, from the
 epsilon-coordinate realizations of the classical root systems, from the
 Cartan matrix alone, or from the paper's table of lowest weights
 (``data/konno_table.json``), on purpose sharing no code with the
-package's reflection-string closure, Weyl chamber walk, coroots, Weyl
-product and lowest-weight derivation.
+package's reflection-string closure, root chain, Weyl chamber walk,
+coroots, Weyl product and lowest-weight derivation.
 """
 
 from __future__ import annotations
@@ -293,3 +293,26 @@ def coroots_from_cartan(cartan, roots) -> list[tuple[int, ...]]:
         assert all(c.denominator == 1 for c in coroot)
         out.append(tuple(int(c) for c in coroot))
     return out
+
+
+def positive_roots_by_reflection(cartan) -> list[tuple[int, ...]]:
+    """Positive roots as the Weyl-group orbit of the simple roots, kept where positive.
+
+    Every root is conjugate to a simple one.  In simple-root coordinates
+    s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, with
+    <beta, alpha_i^vee> = sum_j a_ij n_j.
+    """
+    rank = len(cartan)
+    simple = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    seen = set(simple)
+    stack = list(simple)
+    while stack:
+        n = stack.pop()
+        for i in range(rank):
+            c = sum(cartan[i][j] * n[j] for j in range(rank))
+            if c:
+                image = n[:i] + (n[i] - c,) + n[i + 1 :]
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+    return sorted(n for n in seen if min(n) >= 0)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -34,9 +36,68 @@ from flagcoh.rootsys import (
     zero_weight,
 )
 
-from oracles import binomial, dominant_by_highest_reflection, epsilon_weyl_dim, type_a_weyl_dim
+from oracles import (
+    binomial,
+    coroots_from_cartan,
+    dominant_by_highest_reflection,
+    epsilon_weyl_dim,
+    positive_roots_by_reflection,
+    symmetrizer_from_cartan,
+    type_a_weyl_dim,
+)
 
 RANK_LE_4 = [t for t in all_lie_types(4)]
+KERNEL_TYPES = all_lie_types(8) + [LieType(Family(f), 30) for f in "ABCD"]
+
+
+@lru_cache(maxsize=None)
+def cartan_oracle(t: LieType) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Positive roots and their coroots of ``t``, from its Cartan matrix alone."""
+    cartan = root_system(t.family, t.rank).cartan
+    roots = positive_roots_by_reflection(cartan)
+    return roots, coroots_from_cartan(cartan, roots)
+
+
+@pytest.mark.parametrize("t", KERNEL_TYPES, ids=str)
+def test_chain_pass_matches_coroot_oracle(t: LieType):
+    # classify and weyl_dim read the root-chain pass; the oracle pairs with coroots directly
+    rs = root_system(t.family, t.rank)
+    roots, coroots = cartan_oracle(t)
+    rng = random.Random(f"chain pass {t}")
+    for k in range(40):
+        m = [rng.randint(-3, 3) for _ in range(t.rank)]
+        if k % 2:
+            # a Weyl image of a regular dominant weight: regular, of any index
+            m = [rng.randint(1, 3) for _ in range(t.rank)]
+            for _ in range(rng.randrange(3 * t.rank)):
+                j = rng.randrange(t.rank)
+                c = m[j]
+                m = [x - c * row[j] for x, row in zip(m, rs.cartan)]
+        pairings = [sum(a * b for a, b in zip(m, c)) for c in coroots]
+        expected = None if 0 in pairings else sum(1 for x in pairings if x < 0)
+        assert classify(rs, Weight(m)).index == expected
+    for _ in range(10):
+        m = tuple(rng.randint(0, 3) for _ in range(t.rank))
+        product = math.prod(
+            (Fraction(sum((a + 1) * b for a, b in zip(m, c)), sum(c)) for c in coroots), start=Fraction(1)
+        )
+        assert weyl_dim(rs, Weight(m)) == product
+
+
+@pytest.mark.parametrize("t", KERNEL_TYPES, ids=str)
+def test_chain_tables_match_cartan_oracle(t: LieType):
+    rs = root_system(t.family, t.rank)
+    roots, _ = cartan_oracle(t)
+    d = symmetrizer_from_cartan(rs.cartan)
+    # (delta, alpha) = sum_j n_j d_j, since (lambda_i, alpha_j) = delta_ij d_j
+    assert rs.weyl_denominator == math.prod(6 * sum(x * y for x, y in zip(n, d)) for n in roots)
+    assert {r.sr_coords for r in rs.positive_roots} == set(roots)
+    root_set = set(roots)
+    for root, mask in zip(rs.positive_roots, rs.lowerable):
+        n = root.sr_coords
+        for i in range(t.rank):
+            lowered = n[:i] + (n[i] - 1,) + n[i + 1 :]
+            assert bool(mask >> i & 1) == (lowered in root_set)
 
 
 def test_classify_delta():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -241,6 +242,42 @@ def test_verify_exit_1_on_failures(monkeypatch, capsys) -> None:
 def test_verify_has_no_jobs_option(capsys) -> None:
     assert cli.run(["verify", "--sweep", "lungo", "--max-rank", "2", "--jobs", "2"]) == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_rank_above_cap_exits_2_quickly(capsys) -> None:
+    # before the cap, `info A 200` ran for more than 20 s
+    for argv in (["info", "A", "200"], ["verify", "--sweep", "lungo", "--max-rank", "200"]):
+        start = time.perf_counter()
+        assert cli.run(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "200" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "G", "2"],
+        ["parabolic", "F", "4", "--node", "4"],
+        ["bwb", "B", "3", "--weight=-2,0,1"],
+        ["dim", "E", "6", "--weight", "1,0,0,0,0,0"],
+        ["h0-cotangent", "F", "4", "--node", "4", "--twist", "2"],
+        ["sigma", "F", "4", "--node", "4", "--degree", "3"],
+        ["macaulay", "B", "2", "--node", "1", "--degree", "3", "--twist", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_query_commands_share_format_and_out(argv, tmp_path, capsys) -> None:
+    for fmt in ("text", "json"):
+        assert cli.run([*argv, "--format", fmt]) == 0
+        printed = capsys.readouterr().out
+        path = tmp_path / f"{argv[0]}.{fmt}"
+        assert cli.run([*argv, "--format", fmt, "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == printed
+        if fmt == "json":
+            json.loads(printed)
+    assert cli.run([*argv, "--format", "csv"]) == 2
 
 
 def test_help_exits_0() -> None:

@@ -10,6 +10,9 @@ the second rule, so the table is what makes the comparison independent.
 
 from __future__ import annotations
 
+import dataclasses
+from types import MappingProxyType
+
 import pytest
 
 from flagcoh.bwb import bwb_cohomology, weyl_dim
@@ -209,6 +212,20 @@ def test_supported_pair_count_rank_8() -> None:
     assert len(seen) == 142
     for family, l, r in [("B", 3, 3), ("C", 4, 1), ("D", 4, 4), ("E", 6, 5), ("E", 6, 6), ("G", 2, 1)]:
         assert (family, l, r) not in seen
+
+
+def test_parabolic_data_is_shared_and_read_only() -> None:
+    rs = root_system("E", 7)
+    pd = parabolic_data(rs, 2)
+    assert parabolic_data(rs, 2) is pd
+    assert all(a is b for a, b in zip(konno_pairs(8), konno_pairs(8)))
+    assert isinstance(pd.levels, MappingProxyType)
+    with pytest.raises(TypeError):
+        pd.levels[1] = ()
+    with pytest.raises(TypeError):
+        del pd.levels[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pd.levels = {}
 
 
 @pytest.mark.parametrize(

@@ -39,12 +39,19 @@ ALL_TYPES_8 = all_lie_types(8)
 
 
 def test_rank_bounds():
-    for fam, bad in [("A", 0), ("B", 1), ("C", 2), ("D", 2), ("E", 5), ("E", 9), ("F", 3), ("G", 4)]:
+    too_big = rootsys.MAX_RANK + 1
+    for fam, bad in [
+        ("A", 0), ("B", 1), ("C", 2), ("D", 2), ("E", 5), ("E", 9), ("F", 3), ("G", 4),
+        ("A", too_big), ("B", too_big), ("C", too_big), ("D", too_big),
+    ]:
         with pytest.raises(ConfigError):
             LieType(Family(fam), bad)
     # boundary cases that must construct
-    for fam, ok in [("A", 1), ("B", 2), ("C", 3), ("D", 3), ("E", 6), ("F", 4), ("G", 2)]:
+    for fam, ok in [
+        ("A", 1), ("B", 2), ("C", 3), ("D", 3), ("E", 6), ("F", 4), ("G", 2), ("D", rootsys.MAX_RANK),
+    ]:
         assert LieType(Family(fam), ok).rank == ok
+    assert max(t.rank for t in all_lie_types(10**6)) == rootsys.MAX_RANK
 
 
 @pytest.mark.parametrize("t", ALL_TYPES_8, ids=str)

@@ -20,3 +20,34 @@ def test_no_assert_in_package_source() -> None:
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# the integer-only hot path: root-system build, the root-chain pass, the
+# chamber walk and the lowest-weight derivation
+INTEGER_ONLY = {
+    "_cartan_matrix",
+    "_positive_root_closure",
+    "build_root_system",
+    "_root_pairings",
+    "classify",
+    "to_dominant",
+    "weyl_dim",
+    "_derive_lowest_weights",
+}
+
+
+def test_hot_path_never_references_fraction() -> None:
+    seen = set()
+    found = []
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(fn, ast.FunctionDef) and fn.name in INTEGER_ONLY:
+                seen.add(fn.name)
+                found += [
+                    f"{path.name}:{node.lineno} in {fn.name}"
+                    for node in ast.walk(fn)
+                    if (isinstance(node, ast.Name) and node.id == "Fraction")
+                    or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+                ]
+    assert seen == INTEGER_ONLY
+    assert found == []
