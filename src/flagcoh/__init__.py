@@ -31,7 +31,6 @@ from .bwb import (  # noqa: F401
     classify,
     classify_cotangent_twist_weights,
     partial_weyl_product,
-    shape_of_table_weight,
     to_dominant,
     weyl_dim,
 )

@@ -22,15 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rootsys import (
-    ConfigError,
-    Root,
-    RootSystem,
-    Weight,
-    fundamental_weight,
-    root_to_weight_coords,
-    simple_root,
-)
+from .rootsys import ConfigError, Root, RootSystem, Weight, fundamental_weight
 
 
 @dataclass(frozen=True)
@@ -139,21 +131,22 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
 
 
 def partial_weyl_product(rs: RootSystem, lam: Weight, subset: Iterable[Root]) -> Fraction:
-    """The Weyl product restricted to a subset of the positive roots."""
+    """The Weyl product prod s_k(lam + delta) / s_k(delta) restricted to a subset of the positive roots."""
     m = lam.fw_coords
     if len(m) != rs.rank:
         raise ValueError(f"expected {rs.rank} coordinates, got {len(m)}")
     if not lam.is_dominant():
         raise ValueError(f"weight {m} is not dominant")
-    shifted = [c + 1 for c in m]
-    out = Fraction(1)
+    shifted = _root_pairings(rs, [c + 1 for c in m])
+    base = _root_pairings(rs, rs.weyl_vector.fw_coords)
+    num = den = 1
     for r in subset:
         idx = rs.root_index.get(r.sr_coords)
         if idx is None:
             raise ValueError(f"{r.sr_coords} is not a positive root of {rs.lie_type}")
-        coroot = rs.coroots[idx]
-        out *= Fraction(sum(a * b for a, b in zip(shifted, coroot)), sum(coroot))
-    return out
+        num *= shifted[idx]
+        den *= base[idx]
+    return Fraction(num, den)
 
 
 def bwb_cohomology(rs: RootSystem, lam: Weight) -> CohomologyTable:
@@ -196,15 +189,3 @@ def classify_cotangent_twist_weights(rs: RootSystem, r: int, a: int, twisted_wei
         )
     # lambda' = s + (-sr) lambda_r has r-th coordinate 0 by construction
     return classify(rs, twisted_weight + rs.weyl_vector)
-
-
-def shape_of_table_weight(rs: RootSystem, r: int, w: Weight) -> int:
-    """Shape number (1, 2 or 3) of an untwisted lowest weight w."""
-    if w == root_to_weight_coords(rs, simple_root(rs, r)):
-        return 1
-    c = w.fw_coords[r - 1]
-    if c == 1:
-        return 2
-    if c == 2:
-        return 3
-    raise ValueError(f"{w.fw_coords} is not an admissible lowest-weight shape at node {r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -28,6 +29,20 @@ from .rootsys import MAX_RANK, ConfigError, Weight, root_system
 from .verify import Report, check_lemma_studiopesi, check_theorem_lungo, emit_report
 
 __all__ = ["main", "run"]
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _strict_int(text: str) -> int:
+    """An integer written as plain ASCII digits with an optional sign.
+
+    ``int`` alone would also read ``1_0`` as 10 and the Arabic-Indic digit
+    one as 1.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer of ASCII digits, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,9 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_pair(p: argparse.ArgumentParser, node: bool = False) -> None:
         p.add_argument("family", help="family letter A-G")
-        p.add_argument("rank", type=int, help="rank of the root system")
+        p.add_argument("rank", type=_strict_int, help="rank of the root system")
         if node:
-            p.add_argument("--node", type=int, required=True, help="marked node r (1-based)")
+            p.add_argument("--node", type=_strict_int, required=True, help="marked node r (1-based)")
 
     p = sub.add_parser("info", help="root-system summary: counts and Cartan matrix", parents=[output])
     add_pair(p)
@@ -79,23 +94,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "h0-cotangent", help="sections of the twisted cotangent bundle on G/P", parents=[output]
     )
     add_pair(p, node=True)
-    p.add_argument("--twist", type=int, required=True, help="twist a >= 1")
+    p.add_argument("--twist", type=_strict_int, required=True, help="twist a >= 1")
 
     p = sub.add_parser("sigma", help="socle degree sigma = (N+1)d - 2k(Y)", parents=[output])
     add_pair(p, node=True)
-    p.add_argument("--degree", type=int, required=True, help="hypersurface degree d >= 3")
+    p.add_argument("--degree", type=_strict_int, required=True, help="hypersurface degree d >= 3")
 
     p = sub.add_parser("macaulay", help="duality-pairing exception lookup for (d, a)", parents=[output])
     add_pair(p, node=True)
-    p.add_argument("--degree", type=int, required=True, help="hypersurface degree d")
-    p.add_argument("--twist", type=int, required=True, help="twist a")
+    p.add_argument("--degree", type=_strict_int, required=True, help="hypersurface degree d")
+    p.add_argument("--twist", type=_strict_int, required=True, help="twist a")
 
     p = sub.add_parser("verify", help="run a verification sweep and emit a report")
     p.add_argument("--sweep", choices=("lungo", "studiopesi"), required=True)
-    p.add_argument("--max-rank", type=int, default=8, help=f"largest rank swept, 2 to {MAX_RANK}")
+    p.add_argument("--max-rank", type=_strict_int, default=8, help=f"largest rank swept, 2 to {MAX_RANK}")
     p.add_argument(
         "--twist",
-        type=int,
+        type=_strict_int,
         action="append",
         help="twist for the studiopesi sweep; repeatable (default 1 2 3)",
     )
@@ -106,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_weight(text: str, rank: int) -> Weight:
     try:
-        coords = tuple(int(part.strip()) for part in text.split(","))
-    except ValueError:
+        coords = tuple(_strict_int(part.strip()) for part in text.split(","))
+    except (argparse.ArgumentTypeError, ValueError):
         raise ValueError(f"--weight expects comma-separated integers, got {text!r}")
     if len(coords) != rank:
         raise ValueError(f"--weight needs {rank} coordinates, got {len(coords)}")

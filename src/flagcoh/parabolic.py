@@ -43,9 +43,11 @@ from .rootsys import (
     Root,
     RootSystem,
     Weight,
+    _require_int,
     all_lie_types,
     fundamental_weight,
     root_system,
+    root_to_weight_coords,
 )
 
 __all__ = [
@@ -138,6 +140,7 @@ def parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
 
     Results are memoized per pair and shared between callers.
     """
+    _require_int("node", r)
     rank = rs.rank
     if not 1 <= r <= rank:
         raise ConfigError(f"node {r} out of range 1..{rank}")
@@ -159,11 +162,9 @@ def _build_parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
         else:
             nilrad.append(root)
             levels.setdefault(n_r, []).append(root)
-    canonical = [0] * rank
-    for root in nilrad:
-        m = rs.root_fw[rs.root_index[root.sr_coords]]
-        for j in range(rank):
-            canonical[j] += m[j]
+    # the sum of the nilradical roots, in weight coordinates
+    summed = Root(tuple(sum(col) for col in zip(*(root.sr_coords for root in nilrad))))
+    canonical = root_to_weight_coords(rs, summed).fw_coords
     for j in range(rank):
         if j != r - 1 and canonical[j] != 0:
             raise ArithmeticError(
@@ -240,10 +241,10 @@ def _derive_lowest_weights(pd: ParabolicData) -> KonnoEntry:
     lam_r = fundamental_weight(rs.rank, r)
     weights: list[Weight] = []
     for level, roots in pd.levels.items():
-        lowest = [k for k in (index[root.sr_coords] for root in roots) if not lowerable[k] & levi_mask]
+        lowest = [root for root in roots if not lowerable[index[root.sr_coords]] & levi_mask]
         if len(lowest) != 1:
             raise ArithmeticError(f"level {level} of {pair} has {len(lowest)} lowest weights, not 1")
-        w = Weight(rs.root_fw[lowest[0]])
+        w = root_to_weight_coords(rs, lowest[0])
         c = w.fw_coords[r - 1]
         if c not in (1, 2):
             raise ArithmeticError(f"lowest weight {w.fw_coords} of {pair} has node coefficient {c}")
@@ -267,8 +268,7 @@ def h0_twisted_cotangent(pd: ParabolicData, a: int) -> tuple[int, tuple[tuple[in
     degree would contradict the classification of these twists and is an
     internal error.
     """
-    if not isinstance(a, int) or isinstance(a, bool):
-        raise TypeError(f"twist a must be an int, got {a!r}")
+    _require_int("twist a", a)
     if a < 1:
         raise ValueError(f"twist a must be >= 1, got {a}")
     entry = konno_lowest_weights(pd)
@@ -293,6 +293,7 @@ def h0_twisted_cotangent(pd: ParabolicData, a: int) -> tuple[int, tuple[tuple[in
 
 def sigma(pd: ParabolicData, d: int) -> int:
     """sigma = (N + 1) d - 2 k(Y) with N = dim Y, for hypersurface degree d >= 3."""
+    _require_int("hypersurface degree d", d)
     if d < 3:
         raise ValueError(f"hypersurface degree d must be >= 3, got {d}")
     return (pd.dim_y + 1) * d - 2 * pd.fano_index
@@ -315,6 +316,8 @@ def macaulay_exceptions(pd: ParabolicData, d: int, a: int) -> MacaulayStatus:
     Queries with d < 3 are outside the standing degree hypothesis and
     report NO_EXCEPTION.
     """
+    _require_int("hypersurface degree d", d)
+    _require_int("twist a", a)
     if d < 3:
         return MacaulayStatus.NO_EXCEPTION
     f, l, r = pd.lie_type.family, pd.lie_type.rank, pd.node

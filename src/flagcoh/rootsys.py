@@ -16,14 +16,12 @@ Conventions, fixed once for the whole package:
 
 Everything is exact and there is no floating point.  Root-system
 construction and classification use integers only: the symmetrizer is
-carried scaled by 6 (``scaled_symmetrizer``, D_i = 6 d_i in {6, 3, 2})
-and the coroots come from exact integer division.  ``Fraction`` appears
-only in ``pairing``, ``weight_to_root_coords``,
-``bwb.partial_weyl_product`` and the public ``symmetrizer`` property.
+carried scaled by 6 (``scaled_symmetrizer``, D_i = 6 d_i in {6, 3, 2}).
+``Fraction`` appears only in ``pairing``, ``weight_to_root_coords`` and
+``bwb.partial_weyl_product``.
 
-Besides the roots, their weight coordinates and their coroots, a
-``RootSystem`` keeps what the root closure learns on the way, as plain
-ints:
+Besides the roots, a ``RootSystem`` keeps what the root closure learns on
+the way, as plain ints:
 
 * ``root_chain[k] = (parent, i)``: root k is root ``parent`` plus
   alpha_i, or alpha_i itself when ``parent`` is -1.  Parents come first
@@ -31,9 +29,14 @@ ints:
   weight v = sum_j m_j lambda_j follows for every root in one pass, one
   addition each: s(beta + alpha_i) = s(beta) + m_i D_i.  The sign of
   s_k is the sign of <v, beta_k^vee>, since (beta_k, beta_k) > 0.
+* ``root_length[k] = 6 (beta_k, beta_k)``, so that
+  <v, beta_k^vee> = 2 s_k(v) / root_length[k].
 * ``weyl_denominator = prod_k s_k(delta)``, the denominator of the Weyl
   dimension formula in this scaling.
 * ``lowerable[k]``: bit i is set when beta_k - alpha_i is a root.
+
+Weight coordinates of a root and its coroot are not stored; they follow
+from ``root_to_weight_coords`` and ``copairing``.
 """
 
 from __future__ import annotations
@@ -89,12 +92,19 @@ class LieType:
     def __post_init__(self) -> None:
         if not isinstance(self.family, Family):
             object.__setattr__(self, "family", Family(str(self.family).upper()))
+        _require_int("rank", self.rank)
         lo, hi = _RANK_BOUNDS[self.family]
         if not lo <= self.rank <= hi:
             raise ConfigError(f"rank {self.rank} out of bounds {lo}..{hi} for family {self.family}")
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
+
+
+def _require_int(name: str, value: object) -> None:
+    """TypeError unless ``value`` is exactly an int: a bool or a float is refused, not coerced."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def _int_coords(coords: Iterable[int]) -> tuple[int, ...]:
@@ -220,8 +230,8 @@ def _cartan_matrix(t: LieType) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
 
 
 def _positive_root_closure(
-    cartan: Sequence[Sequence[int]],
-) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, int], int]]:
+    cartan: Sequence[Sequence[int]], d: Sequence[int]
+) -> list[tuple[tuple[int, ...], tuple[int, int], int, int]]:
     """Enumerate positive roots from the simple ones by root-string closure.
 
     For a root beta and a simple root alpha_i, the alpha_i-string through
@@ -231,34 +241,37 @@ def _positive_root_closure(
     every string is already known: p_i(beta + alpha_i) = 1 + p_i(beta),
     and p_i of a root is 0 unless some root of the previous height reaches
     it along alpha_i.  The weight coordinates follow the same steps,
-    m(beta + alpha_i) = m(beta) + column i of A.
+    m(beta + alpha_i) = m(beta) + column i of A, and so does the scaled
+    squared length L = 6 (beta, beta): L(alpha_i) = 2 D_i and
+    L(beta + alpha_i) = L(beta) + 2 D_i (m_i + 1).
 
     Returns, sorted by (height, coords), one tuple per root: its coords,
-    its weight coordinates, the (parent index, node) of the first step
-    that reached it ((-1, i) for alpha_i), and the mask of the nodes i
-    with p_i > 0, that is with beta - alpha_i a root.
+    the (parent index, node) of the first step that reached it ((-1, i)
+    for alpha_i), the mask of the nodes i with p_i > 0, that is with
+    beta - alpha_i a root, and L.
     """
     rank = len(cartan)
     columns = [tuple(row[i] for row in cartan) for i in range(rank)]
-    # per root: [weight coords, string-down lengths p, (parent, node), mask of p_i > 0]
+    # per root: [weight coords, string-down lengths p, (parent, node), mask of p_i > 0, L]
     frontier: dict[tuple[int, ...], list] = {}
     for i in range(rank):
         simple = tuple(1 if j == i else 0 for j in range(rank))
-        frontier[simple] = [columns[i], [0] * rank, (-1, i), 0]
-    roots: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, int], int]] = []
+        frontier[simple] = [columns[i], [0] * rank, (-1, i), 0, 2 * d[i]]
+    roots: list[tuple[tuple[int, ...], tuple[int, int], int, int]] = []
     while frontier:
         nxt: dict[tuple[int, ...], list] = {}
         for beta in sorted(frontier):
-            m, p, link, mask = frontier[beta]
+            m, p, link, mask, length = frontier[beta]
             k = len(roots)
-            roots.append((beta, m, link, mask))
+            roots.append((beta, link, mask, length))
             for i in range(rank):
                 if p[i] > m[i]:
                     up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
                     entry = nxt.get(up)
                     if entry is None:
                         up_m = tuple(a + b for a, b in zip(m, columns[i]))
-                        entry = nxt[up] = [up_m, [0] * rank, (k, i), 0]
+                        up_length = length + 2 * d[i] * (m[i] + 1)
+                        entry = nxt[up] = [up_m, [0] * rank, (k, i), 0, up_length]
                     entry[1][i] = p[i] + 1
                     entry[3] |= 1 << i
         frontier = nxt
@@ -269,11 +282,10 @@ def _positive_root_closure(
 class RootSystem:
     """Immutable root-system data with precomputed pairing tables.
 
-    ``coroots[k]`` holds the integer coordinates c_j of the k-th positive
-    root's coroot over the simple coroots, so the copairing of a weight m
-    with that root is the plain integer dot product sum_j m_j c_j.
-    ``root_chain``, ``weyl_denominator`` and ``lowerable`` are described
-    in the module docstring.
+    ``root_chain``, ``root_length``, ``weyl_denominator`` and
+    ``lowerable`` hold one small int (or pair) per positive root and are
+    described in the module docstring; ``root_index`` maps the
+    coordinates of each positive root to its position.
     """
 
     lie_type: LieType
@@ -281,9 +293,8 @@ class RootSystem:
     scaled_symmetrizer: tuple[int, ...]
     positive_roots: tuple[Root, ...]
     weyl_vector: Weight
-    root_fw: tuple[tuple[int, ...], ...] = field(repr=False)
-    coroots: tuple[tuple[int, ...], ...] = field(repr=False)
     root_chain: tuple[tuple[int, int], ...] = field(repr=False)
+    root_length: tuple[int, ...] = field(repr=False)
     weyl_denominator: int = field(repr=False)
     lowerable: tuple[int, ...] = field(repr=False)
     root_index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
@@ -292,31 +303,16 @@ class RootSystem:
     def rank(self) -> int:
         return self.lie_type.rank
 
-    @property
-    def symmetrizer(self) -> tuple[Fraction, ...]:
-        """d_i = (alpha_i, alpha_i) / 2, that is D_i / 6."""
-        return tuple(Fraction(x, 6) for x in self.scaled_symmetrizer)
-
     def __hash__(self) -> int:
         return hash((self.lie_type,))
 
 
 def build_root_system(t: LieType) -> RootSystem:
     cartan, d = _cartan_matrix(t)
-    coords, root_fw, root_chain, lowerable = zip(*_positive_root_closure(cartan))
-    coroot_list = []
+    coords, root_chain, lowerable, root_length = zip(*_positive_root_closure(cartan, d))
     # 6 (delta, beta) along the chain, as (delta, alpha_i) = d_i
     delta_pairings: list[int] = []
-    for n, m, (parent, i) in zip(coords, root_fw, root_chain):
-        # L = 6 (alpha, alpha), so c_j = 2 n_j d_j / (alpha, alpha) = 2 n_j D_j / L
-        length = sum(a * b * c for a, b, c in zip(m, n, d))
-        coroot = []
-        for nj, dj in zip(n, d):
-            c, rem = divmod(2 * nj * dj, length)
-            if rem:
-                raise ArithmeticError(f"{t}: coroot of {n} has a non-integer coordinate")
-            coroot.append(c)
-        coroot_list.append(tuple(coroot))
+    for parent, i in root_chain:
         delta_pairings.append(d[i] if parent < 0 else delta_pairings[parent] + d[i])
     return RootSystem(
         lie_type=t,
@@ -324,9 +320,8 @@ def build_root_system(t: LieType) -> RootSystem:
         scaled_symmetrizer=tuple(d),
         positive_roots=tuple(Root(n) for n in coords),
         weyl_vector=Weight((1,) * t.rank),
-        root_fw=root_fw,
-        coroots=tuple(coroot_list),
         root_chain=root_chain,
+        root_length=root_length,
         weyl_denominator=math.prod(delta_pairings),
         lowerable=lowerable,
         root_index={n: k for k, n in enumerate(coords)},
@@ -361,16 +356,20 @@ def copairing(rs: RootSystem, w: Weight, r: Root) -> int:
     """<w, alpha> = 2 (w, alpha) / (alpha, alpha), an integer on the weight lattice."""
     _check_len(rs, w.fw_coords)
     _check_len(rs, r.sr_coords)
-    idx = rs.root_index.get(r.sr_coords)
+    n, d = r.sr_coords, rs.scaled_symmetrizer
+    idx = rs.root_index.get(n)
+    # L = 6 (alpha, alpha), stored for a positive root
     if idx is not None:
-        return sum(m * c for m, c in zip(w.fw_coords, rs.coroots[idx]))
-    length_sq = pairing(rs, root_to_weight_coords(rs, r), r)
-    if length_sq == 0:
+        length = rs.root_length[idx]
+    else:
+        length = sum(m * c * x for m, c, x in zip(root_to_weight_coords(rs, r).fw_coords, n, d))
+    if length == 0:
         raise ValueError("copairing undefined for the zero vector")
-    val = 2 * pairing(rs, w, r) / length_sq
-    if val.denominator != 1:
-        raise ArithmeticError(f"<w, r^vee> = {val} is not an integer: {r.sr_coords} is not a root")
-    return int(val)
+    num = 2 * sum(m * c * x for m, c, x in zip(w.fw_coords, n, d))
+    val, rem = divmod(num, length)
+    if rem:
+        raise ArithmeticError(f"<w, r^vee> = {num}/{length} is not an integer: {r.sr_coords} is not a root")
+    return val
 
 
 def root_to_weight_coords(rs: RootSystem, r: Root) -> Weight:

@@ -31,7 +31,7 @@ from .parabolic import (
     konno_lowest_weights,
     konno_pairs,
 )
-from .rootsys import MAX_RANK, ConfigError, Family, fundamental_weight
+from .rootsys import MAX_RANK, ConfigError, Family, _require_int, fundamental_weight
 
 __all__ = [
     "CaseResult",
@@ -265,8 +265,7 @@ def check_lemma_studiopesi(
     """
     _check_max_rank(max_rank)
     for a in twists:
-        if not isinstance(a, int) or isinstance(a, bool):
-            raise TypeError(f"twists must be ints, got {a!r}")
+        _require_int("each twist", a)
     twists = sorted(set(twists))
     if not twists:
         raise ValueError("twists must be nonempty")

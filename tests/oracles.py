@@ -169,6 +169,39 @@ def binomial(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# closed forms for h^0(Y, Omega^1_Y(a)) on projective spaces and quadrics
+
+
+def h0_cotangent_projective_space(n: int, a: int) -> int:
+    """h^0(P^n, Omega^1(a)) = (a - 1) C(n + a - 1, a), and 0 for a <= 0.
+
+    Bott, Ann. Math. 66, 1957.
+    """
+    return (a - 1) * binomial(n + a - 1, a) if a > 0 else 0
+
+
+def h0_structure_sheaf_quadric(n: int, b: int) -> int:
+    """h^0(Q^n, O(b)) for the quadric Q^n in P^(n+1): forms of degree b modulo the quadric."""
+    return binomial(n + 1 + b, b) - binomial(n + b - 1, b - 2)
+
+
+def h0_cotangent_quadric(n: int, a: int) -> int:
+    """h^0(Q^n, Omega^1(a)), from the Euler and conormal sequences.
+
+    Restricting Omega_P(a) from P = P^(n+1) to Q adds H^1(P, Omega_P(a - 2)),
+    which is one-dimensional exactly at a = 2, and the conormal sequence
+    0 -> O_Q(a - 2) -> Omega_P|Q(a) -> Omega_Q(a) -> 0 removes
+    h^0(O_Q(a - 2)); all the H^1 terms of O on P and Q vanish.
+    """
+    return (
+        h0_cotangent_projective_space(n + 1, a)
+        - h0_cotangent_projective_space(n + 1, a - 2)
+        + (a == 2)
+        - h0_structure_sheaf_quadric(n, a - 2)
+    )
+
+
+# ---------------------------------------------------------------------------
 # the paper's table of lowest weights
 
 

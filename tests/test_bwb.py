@@ -18,7 +18,6 @@ from flagcoh.bwb import (
     classify,
     classify_cotangent_twist_weights,
     partial_weyl_product,
-    shape_of_table_weight,
     to_dominant,
     weyl_dim,
 )
@@ -331,12 +330,3 @@ def test_classify_cotangent_twist_weights_validation():
         # r-coordinate of w - a lambda_r is 0, not -1 or -2
         classify_cotangent_twist_weights(rs, 2, 1, lam2)
 
-
-def test_shape_of_table_weight():
-    rs = root_system("C", 4)
-    assert shape_of_table_weight(rs, 2, root_to_weight_coords(rs, simple_root(rs, 2))) == 1
-    assert shape_of_table_weight(rs, 2, 2 * fundamental_weight(4, 2) - 2 * fundamental_weight(4, 1)) == 3
-    rsb = root_system("B", 4)
-    assert shape_of_table_weight(rsb, 3, fundamental_weight(4, 3) - fundamental_weight(4, 1)) == 2
-    with pytest.raises(ValueError):
-        shape_of_table_weight(rsb, 3, 3 * fundamental_weight(4, 3))

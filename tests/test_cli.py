@@ -129,6 +129,46 @@ def test_weight_non_integer(capsys) -> None:
     assert "comma-separated integers" in capsys.readouterr().err
 
 
+# int() alone reads "1_0" as 10 and the Arabic-Indic digit one "\u0661" as 1
+@pytest.mark.parametrize("weight", ["1_0,0", "\u0661,0", "1,0x1", "1,+-1", "1,2.0", "1,"])
+def test_weight_needs_ascii_digits(weight, capsys) -> None:
+    assert cli.run(["bwb", "A", "2", f"--weight={weight}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --weight expects comma-separated integers") and err.count("\n") == 1
+
+
+def test_weight_accepts_signs_and_spaces(capsys) -> None:
+    assert cli.run(["bwb", "A", "2", "--weight=+1, -4"]) == 0
+    first = capsys.readouterr().out
+    assert cli.run(["bwb", "A", "2", "--weight=1,-4"]) == 0
+    assert capsys.readouterr().out == first
+    assert first.startswith("degree 2\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "A", "1_0"],
+        ["info", "A", "\u0661"],
+        ["info", "A", "3.0"],
+        ["parabolic", "A", "3", "--node", "\u0661"],
+        ["h0-cotangent", "A", "3", "--node", "1", "--twist", "2_0"],
+        ["sigma", "A", "3", "--node", "1", "--degree", "0x3"],
+        ["macaulay", "A", "3", "--node", "1", "--degree", "3", "--twist", "3.0"],
+        ["verify", "--sweep", "lungo", "--max-rank", "1_0"],
+        ["verify", "--sweep", "studiopesi", "--twist", "\u0662"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_integer_options_need_ascii_digits(argv, capsys) -> None:
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        line for line in err.splitlines() if "expected an integer of ASCII digits" in line
+    ]
+    assert err.count("error:") == 1
+
+
 def test_parabolic_json(capsys) -> None:
     assert cli.run(["parabolic", "F", "4", "--node", "4", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -11,6 +11,7 @@ the second rule, so the table is what makes the comparison independent.
 from __future__ import annotations
 
 import dataclasses
+import random
 from types import MappingProxyType
 
 import pytest
@@ -35,7 +36,14 @@ from flagcoh.rootsys import (
     root_system,
 )
 
-from oracles import binomial, epsilon_weyl_dim, konno_table_rows, table_lowest_weights
+from oracles import (
+    binomial,
+    epsilon_weyl_dim,
+    h0_cotangent_projective_space,
+    h0_cotangent_quadric,
+    konno_table_rows,
+    table_lowest_weights,
+)
 
 
 def pd_of(family: str, rank: int, node: int):
@@ -59,6 +67,15 @@ def test_node_out_of_range() -> None:
         parabolic_data(rs, 0)
     with pytest.raises(ConfigError):
         parabolic_data(rs, 4)
+
+
+def test_node_must_be_an_int() -> None:
+    # True == 1 and hashes like it: accepted, it would share the memo entry of node 1
+    rs = root_system("A", 3)
+    for bad in (True, 1.0, 2.5, "1"):
+        with pytest.raises(TypeError):
+            parabolic_data(rs, bad)
+    assert type(parabolic_data(rs, 1).to_json_dict()["node"]) is int
 
 
 def test_partition_and_purity_all_pairs() -> None:
@@ -145,6 +162,7 @@ def test_json_round_shape() -> None:
 def lowest_weights_by_levi_action(rs, r):
     """Independent recomputation: level-i roots killed by every Levi lowering."""
     pos = {root.sr_coords for root in rs.positive_roots}
+    rank, cartan = rs.rank, rs.cartan
     out: dict[int, list[tuple[int, ...]]] = {}
     for root in rs.positive_roots:
         n = root.sr_coords
@@ -160,7 +178,9 @@ def lowest_weights_by_levi_action(rs, r):
                 lowest = False
                 break
         if lowest:
-            out.setdefault(level, []).append(rs.root_fw[rs.root_index[n]])
+            # weight coordinates m = A n, m_j = sum_i a_ji n_i
+            m = tuple(sum(cartan[j][i] * n[i] for i in range(rank)) for j in range(rank))
+            out.setdefault(level, []).append(m)
     return out
 
 
@@ -395,6 +415,40 @@ def test_h0_lemma_conformance() -> None:
             assert total == sum(dim for _, _, dim in pieces)
 
 
+# Closed forms that share no code with the engine, on every small case and
+# on seeded samples up to rank 30.
+
+
+def test_h0_projective_space_matches_bott_formula() -> None:
+    rng = random.Random(61)
+    cases = [(n, a) for n in range(1, 12) for a in range(1, 7)]
+    cases += [(rng.randint(12, 30), rng.randint(1, 10)) for _ in range(24)]
+    for n, a in cases:
+        assert h0_twisted_cotangent(pd_of("A", n, 1), a)[0] == h0_cotangent_projective_space(n, a), (n, a)
+
+
+def test_h0_quadric_matches_closed_form() -> None:
+    rng = random.Random(62)
+    cases = [("B", l, a) for l in range(2, 9) for a in range(1, 9)]
+    cases += [("D", l, a) for l in range(4, 9) for a in range(1, 9)]
+    cases += [(rng.choice("BD"), rng.randint(9, 30), rng.randint(1, 10)) for _ in range(24)]
+    for family, l, a in cases:
+        n = 2 * l - 1 if family == "B" else 2 * l - 2
+        assert h0_twisted_cotangent(pd_of(family, l, 1), a)[0] == h0_cotangent_quadric(n, a), (family, l, a)
+
+
+def test_h0_grassmannian_duality() -> None:
+    # Gr(r, l + 1) and Gr(l + 1 - r, l + 1) are the same variety
+    rng = random.Random(63)
+    cases = [(l, r, a) for l in range(1, 13) for r in range(1, l + 1) for a in range(1, 6)]
+    for _ in range(24):
+        l = rng.randint(13, 30)
+        cases.append((l, rng.randint(1, l), rng.randint(1, 8)))
+    for l, r, a in cases:
+        dual = h0_twisted_cotangent(pd_of("A", l, l + 1 - r), a)[0]
+        assert h0_twisted_cotangent(pd_of("A", l, r), a)[0] == dual, (l, r, a)
+
+
 def test_h0_rejects_bad_twist() -> None:
     pd = pd_of("A", 3, 1)
     with pytest.raises(ValueError):
@@ -430,6 +484,9 @@ def test_sigma_rejects_low_degree() -> None:
         sigma(pd, 2)
     with pytest.raises(ValueError):
         sigma(pd, 0)
+    for bad in (3.5, 4.0, True, "3"):
+        with pytest.raises(TypeError):
+            sigma(pd, bad)
 
 
 def test_sigma_positive_whenever_bound_holds() -> None:
@@ -484,3 +541,10 @@ def test_macaulay_generic_no_exception() -> None:
     assert macaulay_exceptions(pd_of("G", 2, 2), 5, 4) is MacaulayStatus.NO_EXCEPTION
     # below the standing degree hypothesis nothing is reported
     assert macaulay_exceptions(pd_of("B", 4, 1), 2, 0) is MacaulayStatus.NO_EXCEPTION
+
+
+def test_macaulay_rejects_non_int_arguments() -> None:
+    pd = pd_of("B", 2, 1)
+    for d, a in ((3.0, 3), (3, 3.0), (True, 1), (3, True), (3.5, 2), (2.0, 0)):
+        with pytest.raises(TypeError):
+            macaulay_exceptions(pd, d, a)

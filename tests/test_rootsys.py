@@ -54,6 +54,16 @@ def test_rank_bounds():
     assert max(t.rank for t in all_lie_types(10**6)) == rootsys.MAX_RANK
 
 
+def test_rank_must_be_an_int():
+    # True == 1 and hashes like it: accepted, it would share the cache entry of A1
+    for bad in [True, 3.0, 2.5, "3"]:
+        with pytest.raises(TypeError):
+            LieType(Family.A, bad)
+        with pytest.raises(TypeError):
+            root_system("A", bad)
+    assert str(root_system("A", 1).lie_type) == "A1"
+
+
 @pytest.mark.parametrize("t", ALL_TYPES_8, ids=str)
 def test_positive_root_counts(t: LieType):
     rs = root_system(t.family, t.rank)
@@ -89,11 +99,11 @@ def test_cartan_invariants(t: LieType):
     n = t.rank
     for i in range(n):
         assert rs.cartan[i][i] == 2
-        assert rs.symmetrizer[i] in (Fraction(1), Fraction(1, 2), Fraction(1, 3))
+        assert rs.scaled_symmetrizer[i] in (6, 3, 2)
         for j in range(n):
             if i != j:
                 assert rs.cartan[i][j] in (0, -1, -2, -3)
-            assert rs.symmetrizer[i] * rs.cartan[i][j] == rs.symmetrizer[j] * rs.cartan[j][i]
+            assert rs.scaled_symmetrizer[i] * rs.cartan[i][j] == rs.scaled_symmetrizer[j] * rs.cartan[j][i]
 
 
 @pytest.mark.parametrize(
@@ -103,9 +113,12 @@ def test_cartan_invariants(t: LieType):
 )
 def test_symmetrizer_and_coroots_match_cartan_oracle(t: LieType):
     rs = root_system(t.family, t.rank)
-    assert rs.symmetrizer == symmetrizer_from_cartan(rs.cartan)
+    assert tuple(Fraction(x, 6) for x in rs.scaled_symmetrizer) == symmetrizer_from_cartan(rs.cartan)
     roots = [r.sr_coords for r in rs.positive_roots]
-    assert list(rs.coroots) == coroots_from_cartan(rs.cartan, roots)
+    # <lambda_j, beta^vee> is coordinate j of the coroot of beta
+    lambdas = [fundamental_weight(t.rank, j) for j in range(1, t.rank + 1)]
+    coroots = [tuple(copairing(rs, lam, r) for lam in lambdas) for r in rs.positive_roots]
+    assert coroots == coroots_from_cartan(rs.cartan, roots)
 
 
 def test_inconsistent_diagram_raises(monkeypatch):
@@ -139,7 +152,7 @@ def test_pairing_examples():
         rs = root_system(t.family, t.rank)
         for i in range(1, t.rank + 1):
             for j in range(1, t.rank + 1):
-                expect = rs.symmetrizer[j - 1] if i == j else 0
+                expect = Fraction(rs.scaled_symmetrizer[j - 1], 6) if i == j else 0
                 assert pairing(rs, fundamental_weight(t.rank, i), simple_root(rs, j)) == expect
 
 

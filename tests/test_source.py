@@ -23,7 +23,8 @@ def test_no_assert_in_package_source() -> None:
 
 
 # the integer-only hot path: root-system build, the root-chain pass, the
-# chamber walk and the lowest-weight derivation
+# chamber walk, the copairing, the parabolic partition and the
+# lowest-weight derivation
 INTEGER_ONLY = {
     "_cartan_matrix",
     "_positive_root_closure",
@@ -33,6 +34,8 @@ INTEGER_ONLY = {
     "to_dominant",
     "weyl_dim",
     "_derive_lowest_weights",
+    "copairing",
+    "_build_parabolic_data",
 }
 
 
