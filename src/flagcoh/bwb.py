@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rootsys import ConfigError, Root, RootSystem, Weight, fundamental_weight
+from .rootsys import ConfigError, Root, RootSystem, Weight, _require_int, fundamental_weight
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
 
 
 def partial_weyl_product(rs: RootSystem, lam: Weight, subset: Iterable[Root]) -> Fraction:
-    """The Weyl product prod s_k(lam + delta) / s_k(delta) restricted to a subset of the positive roots."""
+    """The Weyl product prod s_k(lam + delta) / s_k(delta) restricted to a set of distinct positive roots."""
     m = lam.fw_coords
     if len(m) != rs.rank:
         raise ValueError(f"expected {rs.rank} coordinates, got {len(m)}")
@@ -140,10 +140,14 @@ def partial_weyl_product(rs: RootSystem, lam: Weight, subset: Iterable[Root]) ->
     shifted = _root_pairings(rs, [c + 1 for c in m])
     base = _root_pairings(rs, rs.weyl_vector.fw_coords)
     num = den = 1
+    seen: set[int] = set()
     for r in subset:
         idx = rs.root_index.get(r.sr_coords)
         if idx is None:
             raise ValueError(f"{r.sr_coords} is not a positive root of {rs.lie_type}")
+        if idx in seen:
+            raise ValueError(f"{r.sr_coords} appears twice in the subset")
+        seen.add(idx)
         num *= shifted[idx]
         den *= base[idx]
     return Fraction(num, den)
@@ -176,7 +180,13 @@ def classify_cotangent_twist_weights(rs: RootSystem, r: int, a: int, twisted_wei
       (3)  -2 lambda_r + lambda' + a lambda_r
     with lambda' a weight whose r-th coordinate is 0.  Shape (1) is the
     special case of (3) with lambda' = 2 lambda_r - alpha_r.
+
+    This is a standalone, shape-checked classifier; the verification sweeps
+    no longer call it, since they read the class off the pieces of
+    ``h0_twisted_cotangent``.
     """
+    _require_int("node", r)
+    _require_int("twist a", a)
     if not 1 <= r <= rs.rank:
         raise ConfigError(f"node {r} out of range 1..{rs.rank}")
     if a < 1:

@@ -3,9 +3,11 @@
 Weights are always entered in fundamental-weight coordinates, as a
 comma-separated list with one integer per node, e.g. ``--weight 0,1,0``.
 Results go to standard output (or ``--out``); diagnostics go to standard
-error.  Exit codes: 0 success / all cases passed, 1 sweep failures,
-2 usage or configuration errors, including an ``--out`` that cannot be
-written.
+error.  Each query command returns its JSON object and its text form,
+``verify`` returns its report bytes, and ``run`` writes every result as
+bytes through the one emit path ``_emit``.  Exit codes: 0 success / all
+cases passed, 1 sweep failures, 2 usage or configuration errors, including
+an ``--out`` that cannot be written.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .parabolic import (
     sigma,
 )
 from .rootsys import MAX_RANK, ConfigError, Weight, root_system
-from .verify import Report, check_lemma_studiopesi, check_theorem_lungo, emit_report
+from .verify import Report, check_lemma_studiopesi, check_theorem_lungo, emit_report, pieces_json
 
 __all__ = ["main", "run"]
 
@@ -59,6 +61,12 @@ def _build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("text", "json"), default="text")
     output.add_argument("--out")
+    weight = argparse.ArgumentParser(add_help=False)
+    weight.add_argument(
+        "--weight",
+        required=True,
+        help="fundamental-weight coordinates, e.g. 0,1,0; write --weight=-1,0 for a leading negative",
+    )
 
     def add_pair(p: argparse.ArgumentParser, node: bool = False) -> None:
         p.add_argument("family", help="family letter A-G")
@@ -73,22 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_pair(p, node=True)
 
     p = sub.add_parser(
-        "bwb", help="cohomology table of the irreducible bundle for a weight", parents=[output]
+        "bwb", help="cohomology table of the irreducible bundle for a weight", parents=[output, weight]
     )
     add_pair(p)
-    p.add_argument(
-        "--weight",
-        required=True,
-        help="fundamental-weight coordinates, e.g. 0,1,0; write --weight=-1,0 for a leading negative",
-    )
 
-    p = sub.add_parser("dim", help="Weyl dimension of a dominant weight", parents=[output])
+    p = sub.add_parser("dim", help="Weyl dimension of a dominant weight", parents=[output, weight])
     add_pair(p)
-    p.add_argument(
-        "--weight",
-        required=True,
-        help="fundamental-weight coordinates, e.g. 0,1,0; write --weight=-1,0 for a leading negative",
-    )
 
     p = sub.add_parser(
         "h0-cotangent", help="sections of the twisted cotangent bundle on G/P", parents=[output]
@@ -129,147 +127,109 @@ def _parse_weight(text: str, rank: int) -> Weight:
     return Weight(coords)
 
 
-def _emit(payload: str, out: Optional[str]) -> None:
+def _emit(data: bytes, out: Optional[str]) -> None:
+    """The one place output is written: to standard output or to ``--out``."""
     if out is None:
-        sys.stdout.write(payload)
+        sys.stdout.buffer.write(data)
+        sys.stdout.flush()
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        with open(out, "wb") as fh:
+            fh.write(data)
 
 
-def _json_text(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+# Each query command returns its JSON object and its text form; run picks one.
 
 
-def _cmd_info(args: argparse.Namespace) -> int:
+def _info(args: argparse.Namespace) -> tuple[dict, str]:
     rs = root_system(args.family, args.rank)
-    name = f"{rs.lie_type.family.value}{rs.rank}"
-    if args.format == "json":
-        payload = _json_text(
-            {
-                "family": rs.lie_type.family.value,
-                "rank": rs.rank,
-                "positive_roots": len(rs.positive_roots),
-                "cartan": [list(row) for row in rs.cartan],
-            }
-        )
-    else:
-        lines = [
-            f"type {name}",
-            f"rank {rs.rank}",
-            f"positive roots {len(rs.positive_roots)}",
-            "Cartan matrix:",
-        ]
-        lines += ["  " + " ".join(f"{v:2d}" for v in row) for row in rs.cartan]
-        payload = "\n".join(lines) + "\n"
-    _emit(payload, args.out)
-    return 0
+    data = {
+        "family": rs.lie_type.family.value,
+        "rank": rs.rank,
+        "positive_roots": len(rs.positive_roots),
+        "cartan": [list(row) for row in rs.cartan],
+    }
+    lines = [
+        f"type {rs.lie_type}",
+        f"rank {rs.rank}",
+        f"positive roots {len(rs.positive_roots)}",
+        "Cartan matrix:",
+    ]
+    lines += ["  " + " ".join(f"{v:2d}" for v in row) for row in rs.cartan]
+    return data, "\n".join(lines) + "\n"
 
 
-def _cmd_parabolic(args: argparse.Namespace) -> int:
+def _parabolic(args: argparse.Namespace) -> tuple[dict, str]:
+    pd = parabolic_data(root_system(args.family, args.rank), args.node)
+    counts = " ".join(f"{i}:{len(pd.levels[i])}" for i in sorted(pd.levels))
+    lines = [
+        f"pair ({pd.lie_type}, node {pd.node})",
+        f"dim Y {pd.dim_y}",
+        f"Fano index {pd.fano_index}",
+        f"levels {counts}",
+    ]
+    return pd.to_json_dict(), "\n".join(lines) + "\n"
+
+
+def _bwb(args: argparse.Namespace) -> tuple[dict, str]:
     rs = root_system(args.family, args.rank)
-    pd = parabolic_data(rs, args.node)
-    if args.format == "json":
-        payload = _json_text(pd.to_json_dict())
+    table = bwb_cohomology(rs, _parse_weight(args.weight, rs.rank))
+    if table.vanishes:
+        text = "all cohomology vanishes\n"
     else:
-        name = f"{rs.lie_type.family.value}{rs.rank}"
-        counts = " ".join(f"{i}:{len(pd.levels[i])}" for i in sorted(pd.levels))
-        lines = [
-            f"pair ({name}, node {pd.node})",
-            f"dim Y {pd.dim_y}",
-            f"Fano index {pd.fano_index}",
-            f"levels {counts}",
-        ]
-        payload = "\n".join(lines) + "\n"
-    _emit(payload, args.out)
-    return 0
-
-
-def _cmd_bwb(args: argparse.Namespace) -> int:
-    rs = root_system(args.family, args.rank)
-    w = _parse_weight(args.weight, rs.rank)
-    table = bwb_cohomology(rs, w)
-    if args.format == "json":
-        payload = _json_text(table.to_json_dict())
-    elif table.vanishes:
-        payload = "all cohomology vanishes\n"
-    else:
-        payload = (
+        text = (
             f"degree {table.degree}\n"
             f"dominant weight {table.dominant_weight.fw_coords}\n"
             f"dim {table.dimension}\n"
         )
-    _emit(payload, args.out)
-    return 0
+    return table.to_json_dict(), text
 
 
-def _cmd_dim(args: argparse.Namespace) -> int:
+def _dim(args: argparse.Namespace) -> tuple[dict, str]:
     rs = root_system(args.family, args.rank)
-    w = _parse_weight(args.weight, rs.rank)
-    value = weyl_dim(rs, w)
-    payload = _json_text({"dim": str(value)}) if args.format == "json" else f"{value}\n"
-    _emit(payload, args.out)
-    return 0
+    value = weyl_dim(rs, _parse_weight(args.weight, rs.rank))
+    return {"dim": str(value)}, f"{value}\n"
 
 
-def _cmd_h0(args: argparse.Namespace) -> int:
-    rs = root_system(args.family, args.rank)
-    pd = parabolic_data(rs, args.node)
+def _h0(args: argparse.Namespace) -> tuple[dict, str]:
+    pd = parabolic_data(root_system(args.family, args.rank), args.node)
     total, pieces = h0_twisted_cotangent(pd, args.twist)
-    if args.format == "json":
-        payload = _json_text(
-            {
-                "family": rs.lie_type.family.value,
-                "rank": rs.rank,
-                "node": args.node,
-                "twist": args.twist,
-                "total": str(total),
-                "pieces": [
-                    {
-                        "level": level,
-                        "fw_coords": list(mu.fw_coords) if mu is not None else None,
-                        "dim": str(dim),
-                    }
-                    for level, mu, dim in pieces
-                ],
-            }
-        )
-    else:
-        name = f"{rs.lie_type.family.value}{rs.rank}"
-        lines = [
-            f"pair ({name}, node {args.node}), twist {args.twist}",
-            f"total {total}",
-            "breakdown " + " + ".join(str(dim) for _, _, dim in pieces),
-        ]
-        payload = "\n".join(lines) + "\n"
-    _emit(payload, args.out)
-    return 0
+    data = {
+        "family": pd.lie_type.family.value,
+        "rank": pd.lie_type.rank,
+        "node": args.node,
+        "twist": args.twist,
+        "total": str(total),
+        "pieces": pieces_json(pieces),
+    }
+    lines = [
+        f"pair ({pd.lie_type}, node {args.node}), twist {args.twist}",
+        f"total {total}",
+        "breakdown " + " + ".join(str(dim) for _, _, dim in pieces),
+    ]
+    return data, "\n".join(lines) + "\n"
 
 
-def _cmd_sigma(args: argparse.Namespace) -> int:
-    rs = root_system(args.family, args.rank)
-    pd = parabolic_data(rs, args.node)
+def _sigma(args: argparse.Namespace) -> tuple[dict, str]:
+    pd = parabolic_data(root_system(args.family, args.rank), args.node)
     value = sigma(pd, args.degree)
-    if args.format == "json":
-        payload = _json_text(
-            {"dim_y": pd.dim_y, "k": pd.fano_index, "degree": args.degree, "sigma": value}
-        )
-    else:
-        payload = f"sigma {value}\n"
-    _emit(payload, args.out)
-    return 0
+    return {"dim_y": pd.dim_y, "k": pd.fano_index, "degree": args.degree, "sigma": value}, f"sigma {value}\n"
 
 
-def _cmd_macaulay(args: argparse.Namespace) -> int:
-    rs = root_system(args.family, args.rank)
-    pd = parabolic_data(rs, args.node)
+def _macaulay(args: argparse.Namespace) -> tuple[dict, str]:
+    pd = parabolic_data(root_system(args.family, args.rank), args.node)
     status = macaulay_exceptions(pd, args.degree, args.twist)
-    if args.format == "json":
-        payload = _json_text({"degree": args.degree, "twist": args.twist, "status": status.value})
-    else:
-        payload = f"{status.value}\n"
-    _emit(payload, args.out)
-    return 0
+    return {"degree": args.degree, "twist": args.twist, "status": status.value}, f"{status.value}\n"
+
+
+_QUERIES = {
+    "info": _info,
+    "parabolic": _parabolic,
+    "bwb": _bwb,
+    "dim": _dim,
+    "h0-cotangent": _h0,
+    "sigma": _sigma,
+    "macaulay": _macaulay,
+}
 
 
 def _render_report_text(report: Report) -> str:
@@ -289,7 +249,7 @@ def _render_report_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _verify(args: argparse.Namespace) -> tuple[bytes, int]:
     if args.sweep == "lungo":
         if args.twist:
             raise ValueError("--twist applies to the studiopesi sweep only")
@@ -298,29 +258,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         twists = tuple(args.twist) if args.twist else (1, 2, 3)
         report = check_lemma_studiopesi(args.max_rank, twists)
     if args.format == "text":
-        payload = _render_report_text(report)
-        _emit(payload, args.out)
+        data = _render_report_text(report).encode("utf-8")
     else:
         data = emit_report(report, args.format)
-        if args.out is None:
-            sys.stdout.buffer.write(data)
-            sys.stdout.flush()
-        else:
-            with open(args.out, "wb") as fh:
-                fh.write(data)
-    return 0 if report.all_passed else 1
-
-
-_HANDLERS = {
-    "info": _cmd_info,
-    "parabolic": _cmd_parabolic,
-    "bwb": _cmd_bwb,
-    "dim": _cmd_dim,
-    "h0-cotangent": _cmd_h0,
-    "sigma": _cmd_sigma,
-    "macaulay": _cmd_macaulay,
-    "verify": _cmd_verify,
-}
+    return data, 0 if report.all_passed else 1
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -331,7 +272,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        return _HANDLERS[args.command](args)
+        if args.command == "verify":
+            data, code = _verify(args)
+        else:
+            obj, text = _QUERIES[args.command](args)
+            payload = json.dumps(obj, indent=2) + "\n" if args.format == "json" else text
+            data, code = payload.encode("utf-8"), 0
+        _emit(data, args.out)
+        return code
     except (ConfigError, UnsupportedPairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -160,11 +160,14 @@ class Weight:
 
 
 def zero_weight(rank: int) -> Weight:
+    _require_int("rank", rank)
     return Weight((0,) * rank)
 
 
 def fundamental_weight(rank: int, i: int) -> Weight:
     """lambda_i, 1-based; i = 0 gives the zero weight (lambda_0 := 0 convention)."""
+    _require_int("rank", rank)
+    _require_int("node", i)
     if i == 0:
         return zero_weight(rank)
     if not 1 <= i <= rank:
@@ -399,6 +402,7 @@ def weight_to_root_coords(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:
 
 def simple_reflection(rs: RootSystem, i: int, w: Weight) -> Weight:
     """sigma_i(w) = w - <w, alpha_i^vee> alpha_i, with i 1-based."""
+    _require_int("node", i)
     if not 1 <= i <= rs.rank:
         raise ConfigError(f"node {i} out of range 1..{rs.rank}")
     _check_len(rs, w.fw_coords)
@@ -410,6 +414,7 @@ def simple_reflection(rs: RootSystem, i: int, w: Weight) -> Weight:
 
 def simple_root(rs: RootSystem, i: int) -> Root:
     """alpha_i, 1-based."""
+    _require_int("node", i)
     if not 1 <= i <= rs.rank:
         raise ConfigError(f"node {i} out of range 1..{rs.rank}")
     return Root(tuple(1 if j == i - 1 else 0 for j in range(rs.rank)))
@@ -417,6 +422,7 @@ def simple_root(rs: RootSystem, i: int) -> Root:
 
 def all_lie_types(max_rank: int) -> list[LieType]:
     """Every valid LieType with rank <= max_rank, ordered by (family, rank)."""
+    _require_int("max_rank", max_rank)
     out: list[LieType] = []
     for fam in Family:
         lo, hi = _RANK_BOUNDS[fam]

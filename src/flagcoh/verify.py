@@ -8,11 +8,17 @@ Lagrangian Grassmannians, the exact value 325 for (F4, node 4)).
 ``check_lemma_studiopesi`` replays the classification of the twisted
 lowest weights: for twist a = 1 the pieces with node coefficient 2 must be
 singular and those with coefficient 1 regular of index 0; for a >= 2
-everything is regular of index 0.
+everything is regular of index 0.  The class is read off the pieces of
+``h0_twisted_cotangent``, one call per case: a vanishing piece is
+singular, any other is regular of index 0.  That is exact, because a
+piece vanishes precisely when its shifted weight is singular, and a
+regular piece outside degree 0 makes ``h0_twisted_cotangent`` raise, which
+fails the case.
 
-Failures never raise: each case carries a passed flag, its witness
-breakdown, and annotations; reports are deterministic (fixed ordering, no
-timestamps) so identical runs are byte-identical.
+Both sweeps build their cases in ``_sweep``.  Failures never raise: each
+case carries a passed flag, its witness breakdown, and annotations;
+reports are deterministic (fixed ordering, no timestamps) so identical
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,10 +27,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import __version__
-from .bwb import classify_cotangent_twist_weights, partial_weyl_product
+from .bwb import partial_weyl_product
 from .parabolic import (
     ParabolicData,
     h0_twisted_cotangent,
@@ -47,6 +53,7 @@ _DEGREE_THREE_EXCEPTIONS = {("B", 2, 1), ("D", 3, 2)}
 
 
 def _check_max_rank(max_rank: int) -> None:
+    _require_int("max_rank", max_rank)
     if max_rank < 2:
         raise ValueError(f"max_rank must be >= 2, got {max_rank}")
     if max_rank > MAX_RANK:
@@ -148,36 +155,47 @@ def _golden_checks(pd: ParabolicData, total: int, pieces) -> tuple[bool, list[st
     return ok, notes
 
 
-def _lungo_case(pd: ParabolicData) -> CaseResult:
-    t = pd.lie_type
-    annotations = _base_annotations(pd)
-    try:
-        total, pieces = h0_twisted_cotangent(pd, 2)
-        witness = tuple(
-            {
-                "level": level,
-                "fw_coords": list(mu.fw_coords) if mu is not None else None,
-                "dim": str(dim),
-            }
-            for level, mu, dim in pieces
+def pieces_json(pieces) -> list[dict]:
+    """The JSON form of ``h0_twisted_cotangent`` pieces, one dict per level."""
+    return [
+        {"level": level, "fw_coords": list(mu.fw_coords) if mu is not None else None, "dim": str(dim)}
+        for level, mu, dim in pieces
+    ]
+
+
+def _sweep(name: str, params: dict, inputs, evaluate) -> Report:
+    """One case per (pd, a) input, sorted; ``evaluate`` returns (h0, witness, passed, notes)."""
+    cases = []
+    for pd, a in inputs:
+        annotations = _base_annotations(pd)
+        try:
+            total, witness, passed, notes = evaluate(pd, a)
+            annotations.extend(notes)
+        except Exception as exc:  # failures become report entries, never aborts
+            total, witness, passed = 0, (), False
+            annotations.append(f"error: {exc}")
+        t = pd.lie_type
+        cases.append(
+            CaseResult(
+                family=t.family.value,
+                rank=t.rank,
+                node=pd.node,
+                twist=a,
+                h0=total,
+                dim_y=pd.dim_y,
+                passed=passed,
+                witness=tuple(witness),
+                annotations=tuple(annotations),
+            )
         )
-        golden_ok, notes = _golden_checks(pd, total, pieces)
-        annotations.extend(notes)
-        passed = total >= pd.dim_y and golden_ok
-    except Exception as exc:  # failures become report entries, never aborts
-        total, witness, passed = 0, (), False
-        annotations.append(f"error: {exc}")
-    return CaseResult(
-        family=t.family.value,
-        rank=t.rank,
-        node=pd.node,
-        twist=2,
-        h0=total,
-        dim_y=pd.dim_y,
-        passed=passed,
-        witness=witness,
-        annotations=tuple(annotations),
-    )
+    cases.sort(key=CaseResult.sort_key)
+    return Report(sweep=name, version=__version__, params=params, cases=tuple(cases))
+
+
+def _lungo_case(pd: ParabolicData, a: int) -> tuple[int, list[dict], bool, list[str]]:
+    total, pieces = h0_twisted_cotangent(pd, a)
+    golden_ok, notes = _golden_checks(pd, total, pieces)
+    return total, pieces_json(pieces), total >= pd.dim_y and golden_ok, notes
 
 
 def check_theorem_lungo(max_rank: int = 8) -> Report:
@@ -188,68 +206,27 @@ def check_theorem_lungo(max_rank: int = 8) -> Report:
     values where a closed form exists.
     """
     _check_max_rank(max_rank)
-    pairs = [pd for pd in konno_pairs(max_rank) if pd.dim_y >= 3]
-    cases = sorted(map(_lungo_case, pairs), key=CaseResult.sort_key)
-    return Report(
-        sweep="lungo",
-        version=__version__,
-        params={"max_rank": max_rank, "twist": 2, "min_dim_y": 3},
-        cases=tuple(cases),
-    )
+    inputs = [(pd, 2) for pd in konno_pairs(max_rank) if pd.dim_y >= 3]
+    return _sweep("lungo", {"max_rank": max_rank, "twist": 2, "min_dim_y": 3}, inputs, _lungo_case)
 
 
-def _classification_label(index: Optional[int]) -> str:
-    return "singular" if index is None else f"regular:{index}"
-
-
-def _studiopesi_case(item: tuple[ParabolicData, int]) -> CaseResult:
-    pd, a = item
-    t = pd.lie_type
-    r = pd.node
-    rs = pd.root_system
-    annotations = _base_annotations(pd)
-    try:
-        entry = konno_lowest_weights(pd)
-        lam_r = fundamental_weight(rs.rank, r)
-        witness = []
-        mismatches = 0
-        total = 0
-        for level, w in zip(entry.levels, entry.weights):
-            c = w.fw_coords[r - 1]
-            if c == 1:
-                expected = "regular:0"
-            else:
-                expected = "singular" if a == 1 else "regular:0"
-            cls = classify_cotangent_twist_weights(rs, r, a, a * lam_r - w)
-            actual = _classification_label(cls.index)
-            if actual != expected:
-                mismatches += 1
-            witness.append(
-                {
-                    "level": level,
-                    "fw_coords": list(w.fw_coords),
-                    "expected": expected,
-                    "actual": actual,
-                }
-            )
-        total, _pieces = h0_twisted_cotangent(pd, a)
-        passed = mismatches == 0
-        if mismatches:
-            annotations.append(f"{mismatches} classification mismatches")
-    except Exception as exc:
-        total, witness, passed = 0, [], False
-        annotations.append(f"error: {exc}")
-    return CaseResult(
-        family=t.family.value,
-        rank=t.rank,
-        node=r,
-        twist=a,
-        h0=total,
-        dim_y=pd.dim_y,
-        passed=passed,
-        witness=tuple(witness),
-        annotations=tuple(annotations),
-    )
+def _studiopesi_case(pd: ParabolicData, a: int) -> tuple[int, list[dict], bool, list[str]]:
+    total, pieces = h0_twisted_cotangent(pd, a)
+    witness = []
+    for (level, mu, _dim), w in zip(pieces, konno_lowest_weights(pd).weights):
+        # a piece vanishes exactly when its shifted weight is singular; a regular
+        # one outside degree 0 has already raised in h0_twisted_cotangent
+        witness.append(
+            {
+                "level": level,
+                "fw_coords": list(w.fw_coords),
+                "expected": "singular" if a == 1 and w.fw_coords[pd.node - 1] == 2 else "regular:0",
+                "actual": "singular" if mu is None else "regular:0",
+            }
+        )
+    mismatches = sum(1 for w in witness if w["expected"] != w["actual"])
+    notes = [f"{mismatches} classification mismatches"] if mismatches else []
+    return total, witness, mismatches == 0, notes
 
 
 def check_lemma_studiopesi(
@@ -260,8 +237,8 @@ def check_lemma_studiopesi(
 
     For each lowest weight the predicted class (singular exactly when the
     node coefficient is 2 and a = 1, regular of index 0 otherwise) is
-    compared against the computed one; a case passes when every weight
-    matches.
+    compared against the class read off the h0 piece; a case passes when
+    every weight matches.
     """
     _check_max_rank(max_rank)
     for a in twists:
@@ -272,13 +249,7 @@ def check_lemma_studiopesi(
     if twists[0] < 1:
         raise ValueError(f"twists must all be >= 1, got {twists[0]}")
     inputs = [(pd, a) for pd in konno_pairs(max_rank) for a in twists]
-    cases = sorted(map(_studiopesi_case, inputs), key=CaseResult.sort_key)
-    return Report(
-        sweep="studiopesi",
-        version=__version__,
-        params={"max_rank": max_rank, "twists": list(twists)},
-        cases=tuple(cases),
-    )
+    return _sweep("studiopesi", {"max_rank": max_rank, "twists": list(twists)}, inputs, _studiopesi_case)
 
 
 _CSV_HEADER = ["family", "rank", "node", "twist", "h0", "dim_y", "passed", "annotations"]

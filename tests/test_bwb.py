@@ -220,6 +220,18 @@ def test_partial_weyl_product():
         partial_weyl_product(rs, Weight((0, -2, 0, 0, 0)), subset_a)
 
 
+def test_partial_weyl_product_rejects_repeated_root():
+    # a repeated root would count its factor twice: [alpha_1, alpha_1] gave 4
+    rs = root_system("A", 2)
+    lam = fundamental_weight(2, 1)
+    alpha1 = simple_root(rs, 1)
+    assert partial_weyl_product(rs, lam, [alpha1]) == 2
+    with pytest.raises(ValueError, match="twice"):
+        partial_weyl_product(rs, lam, [alpha1, alpha1])
+    with pytest.raises(ValueError, match="twice"):
+        partial_weyl_product(rs, lam, [alpha1, Root((1, 1)), Root((1, 0))])
+
+
 def test_partial_weyl_product_monotone():
     rng = random.Random(3)
     for fam, l in [("B", 4), ("C", 4), ("F", 4)]:

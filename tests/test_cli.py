@@ -15,7 +15,7 @@ import time
 import pytest
 
 import flagcoh.cli as cli
-from flagcoh.verify import CaseResult, Report
+from flagcoh.verify import CaseResult, Report, check_theorem_lungo
 
 
 def invoke(*argv: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
@@ -250,10 +250,10 @@ def test_out_flag_for_query(tmp_path, capsys) -> None:
 
 def test_unwritable_out_exits_2(tmp_path, capsys) -> None:
     missing = str(tmp_path / "no-such-dir" / "x")
-    assert cli.run(["info", "A", "3", "--out", missing]) == 2  # text, via _emit
+    assert cli.run(["info", "A", "3", "--out", missing]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "no-such-dir" in err
-    for fmt in ("text", "json"):  # the json report is written as bytes
+    for fmt in ("text", "json"):
         argv = ["verify", "--sweep", "lungo", "--max-rank", "2", "--format", fmt, "--out", missing]
         assert cli.run(argv) == 2
         err = capsys.readouterr().err
@@ -318,6 +318,133 @@ def test_query_commands_share_format_and_out(argv, tmp_path, capsys) -> None:
         if fmt == "json":
             json.loads(printed)
     assert cli.run([*argv, "--format", "csv"]) == 2
+
+
+# The exact bytes of each query command, text and json, on one input each.
+QUERY_OUTPUT_PINS = {
+    "info": (
+        ["info", "G", "2"],
+        "type G2\nrank 2\npositive roots 6\nCartan matrix:\n   2 -3\n  -1  2\n",
+        """{
+  "family": "G",
+  "rank": 2,
+  "positive_roots": 6,
+  "cartan": [
+    [
+      2,
+      -3
+    ],
+    [
+      -1,
+      2
+    ]
+  ]
+}
+""",
+    ),
+    "parabolic": (
+        ["parabolic", "B", "2", "--node", "1"],
+        "pair (B2, node 1)\ndim Y 3\nFano index 3\nlevels 1:3\n",
+        """{
+  "family": "B",
+  "rank": 2,
+  "node": 1,
+  "dim_y": 3,
+  "k": 3,
+  "levels": {
+    "1": [
+      [
+        1,
+        0
+      ],
+      [
+        1,
+        1
+      ],
+      [
+        1,
+        2
+      ]
+    ]
+  }
+}
+""",
+    ),
+    "bwb": (
+        ["bwb", "A", "2", "--weight=1,-4"],
+        "degree 2\ndominant weight (0, 1)\ndim 3\n",
+        """{
+  "vanishes": false,
+  "degree": 2,
+  "mu_fw_coords": [
+    0,
+    1
+  ],
+  "dim": "3"
+}
+""",
+    ),
+    "dim": (
+        ["dim", "E", "6", "--weight", "1,0,0,0,0,0"],
+        "27\n",
+        '{\n  "dim": "27"\n}\n',
+    ),
+    "h0-cotangent": (
+        ["h0-cotangent", "B", "3", "--node", "2", "--twist", "1"],
+        "pair (B3, node 2), twist 1\ntotal 1\nbreakdown 0 + 1\n",
+        """{
+  "family": "B",
+  "rank": 3,
+  "node": 2,
+  "twist": 1,
+  "total": "1",
+  "pieces": [
+    {
+      "level": 1,
+      "fw_coords": null,
+      "dim": "0"
+    },
+    {
+      "level": 2,
+      "fw_coords": [
+        0,
+        0,
+        0
+      ],
+      "dim": "1"
+    }
+  ]
+}
+""",
+    ),
+    "sigma": (
+        ["sigma", "F", "4", "--node", "4", "--degree", "3"],
+        "sigma 26\n",
+        '{\n  "dim_y": 15,\n  "k": 11,\n  "degree": 3,\n  "sigma": 26\n}\n',
+    ),
+    "macaulay": (
+        ["macaulay", "B", "2", "--node", "1", "--degree", "3", "--twist", "3"],
+        "surjectivity-fails\n",
+        '{\n  "degree": 3,\n  "twist": 3,\n  "status": "surjectivity-fails"\n}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(QUERY_OUTPUT_PINS))
+def test_query_output_bytes_pinned(command, capsysbinary) -> None:
+    argv, text, as_json = QUERY_OUTPUT_PINS[command]
+    for fmt, expected in (("text", text), ("json", as_json)):
+        assert cli.run([*argv, "--format", fmt]) == 0
+        assert capsysbinary.readouterr().out == expected.encode("utf-8")
+
+
+def test_h0_cotangent_pieces_match_lungo_witness(capsys) -> None:
+    argv = ["h0-cotangent", "F", "4", "--node", "4", "--twist", "2", "--format", "json"]
+    assert cli.run(argv) == 0
+    pieces = json.loads(capsys.readouterr().out)["pieces"]
+    (f4,) = [c for c in check_theorem_lungo(4).cases if (c.family, c.rank, c.node) == ("F", 4, 4)]
+    assert pieces == list(f4.witness)
+    assert [p["dim"] for p in pieces] == ["273", "52"]
 
 
 def test_help_exits_0() -> None:

@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import pytest
 
-from flagcoh.bwb import bwb_cohomology, weyl_dim
+from flagcoh.bwb import bwb_cohomology, classify_cotangent_twist_weights, weyl_dim
 from flagcoh.parabolic import (
     MacaulayStatus,
     UnsupportedPairError,
@@ -34,6 +34,8 @@ from flagcoh.rootsys import (
     all_lie_types,
     fundamental_weight,
     root_system,
+    simple_reflection,
+    simple_root,
 )
 
 from oracles import (
@@ -72,10 +74,23 @@ def test_node_out_of_range() -> None:
 def test_node_must_be_an_int() -> None:
     # True == 1 and hashes like it: accepted, it would share the memo entry of node 1
     rs = root_system("A", 3)
+    lam2 = fundamental_weight(3, 2)
     for bad in (True, 1.0, 2.5, "1"):
         with pytest.raises(TypeError):
             parabolic_data(rs, bad)
+        with pytest.raises(TypeError):
+            fundamental_weight(3, bad)
+        with pytest.raises(TypeError):
+            simple_root(rs, bad)
+        with pytest.raises(TypeError):
+            simple_reflection(rs, bad, lam2)
+        with pytest.raises(TypeError):
+            classify_cotangent_twist_weights(rs, bad, 1, -lam2)
+        with pytest.raises(TypeError):
+            classify_cotangent_twist_weights(rs, 2, bad, -lam2)
     assert type(parabolic_data(rs, 1).to_json_dict()["node"]) is int
+    # the same calls with plain ints go through
+    assert classify_cotangent_twist_weights(rs, 2, 1, -lam2).singular
 
 
 def test_partition_and_purity_all_pairs() -> None:

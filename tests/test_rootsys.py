@@ -61,6 +61,12 @@ def test_rank_must_be_an_int():
             LieType(Family.A, bad)
         with pytest.raises(TypeError):
             root_system("A", bad)
+        with pytest.raises(TypeError):
+            zero_weight(bad)
+        with pytest.raises(TypeError):
+            fundamental_weight(bad, 1)
+        with pytest.raises(TypeError):
+            all_lie_types(bad)
     assert str(root_system("A", 1).lie_type) == "A1"
 
 

@@ -9,6 +9,8 @@ import json
 import pytest
 
 import flagcoh
+import flagcoh.cli as cli
+from flagcoh import verify
 from flagcoh.parabolic import konno_pairs
 from flagcoh.verify import (
     CaseResult,
@@ -88,6 +90,13 @@ def test_lungo_rejects_small_rank() -> None:
         check_theorem_lungo(1)
 
 
+def test_lungo_max_rank_must_be_an_int() -> None:
+    # 2.0 used to fail inside range(); True was reported as "must be >= 2"
+    for bad in (2.0, 3.5, True, "3"):
+        with pytest.raises(TypeError):
+            check_theorem_lungo(bad)
+
+
 # ---------------------------------------------------------------------------
 # classification sweep
 
@@ -137,6 +146,9 @@ def test_studiopesi_parameter_validation() -> None:
     for bad in (2.9, 2.0, True):
         with pytest.raises(TypeError):
             check_lemma_studiopesi(3, (1, bad))
+    for bad in (2.0, 3.5, True, "3"):
+        with pytest.raises(TypeError):
+            check_lemma_studiopesi(bad, (1,))
 
 
 def test_studiopesi_twists_normalized() -> None:
@@ -144,6 +156,82 @@ def test_studiopesi_twists_normalized() -> None:
     assert rep.params["twists"] == [1, 2, 3]
     twists = sorted({c.twist for c in rep.cases})
     assert twists == [1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# failure paths: a case that goes wrong fails alone and never aborts the sweep
+
+
+def _key(pd) -> tuple[str, int, int]:
+    return (pd.lie_type.family.value, pd.lie_type.rank, pd.node)
+
+
+def _raise_at(monkeypatch, key, twist) -> None:
+    real = verify.h0_twisted_cotangent
+
+    def h0(pd, a):
+        if _key(pd) == key and a == twist:
+            raise ArithmeticError("synthetic failure")
+        return real(pd, a)
+
+    monkeypatch.setattr(verify, "h0_twisted_cotangent", h0)
+
+
+@pytest.mark.parametrize(
+    "sweep, twist",
+    [(lambda: check_theorem_lungo(4), 2), (lambda: check_lemma_studiopesi(4, (1, 2)), 2)],
+    ids=["lungo", "studiopesi"],
+)
+def test_sweep_error_fails_only_its_case(sweep, twist, monkeypatch) -> None:
+    clean = sweep().cases
+    _raise_at(monkeypatch, ("B", 2, 1), twist)
+    broken = sweep().cases
+    assert [c.sort_key() for c in broken] == [c.sort_key() for c in clean]
+    for before, after in zip(clean, broken):
+        if after.sort_key() != ("B", 2, 1, twist):
+            assert after == before
+            continue
+        assert not after.passed and after.h0 == 0 and after.witness == ()
+        assert after.annotations == ("degree-3 exception", "error: synthetic failure")
+
+
+def test_studiopesi_vanishing_piece_is_a_mismatch(monkeypatch) -> None:
+    real = verify.h0_twisted_cotangent
+
+    def h0(pd, a):
+        total, pieces = real(pd, a)
+        if _key(pd) == ("F", 4, 4) and a == 2:
+            pieces = ((pieces[0][0], None, 0),) + pieces[1:]
+        return total, pieces
+
+    monkeypatch.setattr(verify, "h0_twisted_cotangent", h0)
+    rep = check_lemma_studiopesi(4, (1, 2))
+    assert rep.summary["failed"] == 1
+    (case,) = [c for c in rep.cases if not c.passed]
+    assert case.sort_key() == ("F", 4, 4, 2)
+    assert case.annotations == ("1 classification mismatches",)
+    assert [(w["expected"], w["actual"]) for w in case.witness] == [
+        ("regular:0", "singular"),
+        ("regular:0", "regular:0"),
+    ]
+
+
+def test_verify_exits_1_when_a_case_fails(monkeypatch, capsys) -> None:
+    _raise_at(monkeypatch, ("B", 2, 1), 2)
+    assert cli.run(["verify", "--sweep", "lungo", "--max-rank", "3"]) == 1
+    assert "FAIL B2 node 1 twist 2" in capsys.readouterr().out
+    assert cli.run(["verify", "--sweep", "studiopesi", "--max-rank", "3"]) == 1
+    assert "error: synthetic failure" in capsys.readouterr().out
+    monkeypatch.undo()
+    real = verify.h0_twisted_cotangent
+
+    def vanishing(pd, a):
+        total, pieces = real(pd, a)
+        return total, tuple((level, None, 0) for level, _, _ in pieces)
+
+    monkeypatch.setattr(verify, "h0_twisted_cotangent", vanishing)
+    assert cli.run(["verify", "--sweep", "studiopesi", "--max-rank", "3", "--twist", "2"]) == 1
+    assert "classification mismatches" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
