@@ -96,24 +96,43 @@ def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
     vector is fixed by that simple reflection, hence orthogonal to a root,
     hence singular.  For regular v the number of reflections equals the
     index of v.
+
+    A reflection s_k turns m_k = c < 0 into -c > 0 and changes only the
+    Dynkin neighbours j of k, by -c a_jk, so only they can become zero.
+    Every node below k was positive before the step, so the next node to
+    reflect is the lowest neighbour below k that went negative, or else the
+    first negative node above k.  The walk costs O(index x max degree)
+    after an O(rank) entry check, not O(index x rank).
     """
     m = list(v.fw_coords)
-    if len(m) != rs.rank:
-        raise ValueError(f"expected {rs.rank} coordinates, got {len(m)}")
-    steps = 0
+    rank = rs.rank
+    if len(m) != rank:
+        raise ValueError(f"expected {rank} coordinates, got {len(m)}")
+    if 0 in m:
+        return None
+    neighbours = rs.neighbours
     limit = len(rs.positive_roots)
+    steps = 0
+    k = 0
     while True:
-        if any(c == 0 for c in m):
-            return None
-        negs = [j for j, c in enumerate(m) if c < 0]
-        if not negs:
+        while k < rank and m[k] > 0:
+            k += 1
+        if k == rank:
             return steps, Weight(tuple(m))
-        k = negs[0]
-        c = m[k]
-        m = [m[j] - c * rs.cartan[j][k] for j in range(rs.rank)]
         steps += 1
         if steps > limit:
             raise ArithmeticError(f"{v.fw_coords} is not dominant after |Phi+| = {limit} reflections")
+        c = m[k]
+        m[k] = -c
+        low = k
+        for j, a in neighbours[k]:
+            x = m[j] - c * a
+            if x == 0:
+                return None
+            m[j] = x
+            if x < 0 and j < low:
+                low = j
+        k = low
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:

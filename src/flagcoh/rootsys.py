@@ -35,6 +35,11 @@ the way, as plain ints:
   dimension formula in this scaling.
 * ``lowerable[k]``: bit i is set when beta_k - alpha_i is a root.
 
+It also keeps, read off the Cartan matrix once, the Dynkin graph as
+``neighbours[k]``: the pairs (j, a_jk) with j != k and a_jk != 0.  The
+simple reflection s_k changes m_k to -m_k and m_j to m_j - m_k a_jk for
+these j only, so one reflection costs the degree of node k, at most 3.
+
 Weight coordinates of a root and its coroot are not stored; they follow
 from ``root_to_weight_coords`` and ``copairing``.
 """
@@ -288,7 +293,9 @@ class RootSystem:
     ``root_chain``, ``root_length``, ``weyl_denominator`` and
     ``lowerable`` hold one small int (or pair) per positive root and are
     described in the module docstring; ``root_index`` maps the
-    coordinates of each positive root to its position.
+    coordinates of each positive root to its position.  ``neighbours``
+    lists, per node k, the Dynkin neighbours j of k with their Cartan
+    entries a_jk, the only coordinates besides m_k that s_k changes.
     """
 
     lie_type: LieType
@@ -301,6 +308,7 @@ class RootSystem:
     weyl_denominator: int = field(repr=False)
     lowerable: tuple[int, ...] = field(repr=False)
     root_index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
+    neighbours: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -308,6 +316,14 @@ class RootSystem:
 
     def __hash__(self) -> int:
         return hash((self.lie_type,))
+
+
+def _dynkin_neighbours(cartan: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per node k, the pairs (j, a_jk) with j != k and a_jk != 0, in node order."""
+    rank = len(cartan)
+    return tuple(
+        tuple((j, cartan[j][k]) for j in range(rank) if j != k and cartan[j][k]) for k in range(rank)
+    )
 
 
 def build_root_system(t: LieType) -> RootSystem:
@@ -328,6 +344,7 @@ def build_root_system(t: LieType) -> RootSystem:
         weyl_denominator=math.prod(delta_pairings),
         lowerable=lowerable,
         root_index={n: k for k, n in enumerate(coords)},
+        neighbours=_dynkin_neighbours(cartan),
     )
 
 

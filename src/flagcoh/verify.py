@@ -27,7 +27,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable
 
 from . import __version__
 from .bwb import partial_weyl_product
@@ -231,7 +231,7 @@ def _studiopesi_case(pd: ParabolicData, a: int) -> tuple[int, list[dict], bool, 
 
 def check_lemma_studiopesi(
     max_rank: int = 8,
-    twists: Sequence[int] = (1, 2, 3),
+    twists: Iterable[int] = (1, 2, 3),
 ) -> Report:
     """Classification sweep over every supported pair and listed twist.
 
@@ -241,6 +241,9 @@ def check_lemma_studiopesi(
     every weight matches.
     """
     _check_max_rank(max_rank)
+    # one pass over the input, so that a generator is read once; the set
+    # comes after the type check, so that (1, True) is refused, not {1}
+    twists = tuple(twists)
     for a in twists:
         _require_int("each twist", a)
     twists = sorted(set(twists))

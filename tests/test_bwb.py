@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ from functools import lru_cache
 
 import pytest
 
+import flagcoh.bwb
 from flagcoh.bwb import (
     SINGULAR,
     CohomologyTable,
@@ -141,6 +143,88 @@ def test_classify_to_dominant_agreement_exhaustive(t: LieType):
             assert low[0] == cls.index == high[0]
             assert low[1].fw_coords == high[1]  # dominant representative is strategy-independent
             assert low[1].is_dominant()
+
+
+
+def _reflect(cartan, k: int, m: list[int]) -> list[int]:
+    """s_k on fundamental-weight coordinates: m - m_k (column k of the Cartan matrix)."""
+    c = m[k]
+    return [x - c * cartan[j][k] for j, x in enumerate(m)]
+
+
+LARGE_RANK_TYPES = [LieType(Family(f), 30) for f in "ABCD"] + [
+    LieType(Family.E, 8),
+    LieType(Family.F, 4),
+    LieType(Family.G, 2),
+]
+
+
+@pytest.mark.parametrize("t", LARGE_RANK_TYPES, ids=str)
+def test_to_dominant_matches_oracle_at_large_rank(t: LieType):
+    rs = root_system(t.family, t.rank)
+    n = t.rank
+    n_pos = len(rs.positive_roots)
+    rng = random.Random(f"to_dominant {t}")
+    weights = []
+    for _ in range(8):
+        # wall: a zero coordinate carried off the simple walls by a few reflections
+        m = [rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(n)]
+        m[rng.randrange(n)] = 0
+        for _ in range(rng.randint(0, 6)):
+            m = _reflect(rs.cartan, rng.randrange(n), m)
+        weights.append(("wall", tuple(m)))
+        # antidominant: -(mu + delta) with mu dominant
+        weights.append(("antidominant", tuple(-1 - rng.randint(0, 3) for _ in range(n))))
+        weights.append(("random", tuple(rng.randint(-4, 4) for _ in range(n))))
+        weights.append(("random", tuple(rng.choice((-1, 1)) * rng.randint(1, 5) for _ in range(n))))
+    weights.append(("antidominant", tuple([-1] * n)))
+    for kind, coords in weights:
+        v = Weight(coords)
+        got = to_dominant(rs, v)
+        expect = dominant_by_highest_reflection(rs.cartan, coords)
+        if expect is None:
+            assert got is None, (kind, coords)
+            assert classify(rs, v).singular
+            continue
+        assert kind != "wall", coords
+        assert got is not None, (kind, coords)
+        assert (got[0], got[1].fw_coords) == expect
+        assert got[0] == classify(rs, v).index
+        if kind == "antidominant":
+            assert got[0] == n_pos
+    assert to_dominant(rs, -rs.weyl_vector) == (n_pos, rs.weyl_vector)
+
+
+def test_to_dominant_step_bound_and_length():
+    rs = root_system("A", 2)
+    # the affine A1 Cartan matrix: s_1 and s_2 generate an infinite group, so the walk never ends
+    affine = dataclasses.replace(
+        rs,
+        cartan=((2, -2), (-2, 2)),
+        neighbours=(((1, -2),), ((0, -2),)),
+    )
+    with pytest.raises(ArithmeticError, match="after \\|Phi\\+\\| = 3 reflections"):
+        to_dominant(affine, Weight((-1, 1)))
+    for bad in ((1,), (1, 1, 1)):
+        with pytest.raises(ValueError, match="expected 2 coordinates"):
+            to_dominant(rs, Weight(bad))
+
+
+def test_bwb_cohomology_calls_to_dominant_through_the_module(monkeypatch):
+    # outside-in tracing rebinds flagcoh.bwb.to_dominant and counts reflections
+    # from its result, so bwb_cohomology must look the walk up there
+    calls = []
+
+    def spy(rs, v):
+        calls.append(v)
+        return to_dominant(rs, v)
+
+    monkeypatch.setattr(flagcoh.bwb, "to_dominant", spy)
+    rs = root_system("B", 3)
+    lam = Weight((-5, 1, 2))
+    table = bwb_cohomology(rs, lam)
+    assert calls == [lam + rs.weyl_vector]
+    assert (table.degree, table.dominant_weight) == (3, Weight((1, 0, 0)))
 
 
 def test_weyl_dim_trivial_and_f4():

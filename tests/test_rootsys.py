@@ -112,6 +112,20 @@ def test_cartan_invariants(t: LieType):
             assert rs.scaled_symmetrizer[i] * rs.cartan[i][j] == rs.scaled_symmetrizer[j] * rs.cartan[j][i]
 
 
+@pytest.mark.parametrize("t", ALL_TYPES_8 + [LieType(Family(f), 30) for f in "ABCD"], ids=str)
+def test_dynkin_neighbours_match_cartan(t: LieType):
+    rs = root_system(t.family, t.rank)
+    n = t.rank
+    assert rs.neighbours == tuple(
+        tuple((j, rs.cartan[j][k]) for j in range(n) if j != k and rs.cartan[j][k] != 0) for k in range(n)
+    )
+    edges = {frozenset((j, k)) for k in range(n) for j, _ in rs.neighbours[k]}
+    # a simple type's Dynkin diagram is a tree with branch nodes of degree 3 at most
+    assert len(edges) == n - 1
+    assert max(len(nb) for nb in rs.neighbours) <= 3
+    assert "neighbours" not in repr(rs)
+
+
 @pytest.mark.parametrize(
     "t",
     all_lie_types(12) + [LieType(Family(f), 30) for f in "ABCD"],

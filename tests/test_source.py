@@ -22,12 +22,13 @@ def test_no_assert_in_package_source() -> None:
     assert found == []
 
 
-# the integer-only hot path: root-system build, the root-chain pass, the
-# chamber walk, the copairing, the parabolic partition and the
-# lowest-weight derivation
+# the integer-only hot path: root-system build, the Dynkin neighbours, the
+# root-chain pass, the chamber walk, the copairing, the parabolic partition
+# and the lowest-weight derivation
 INTEGER_ONLY = {
     "_cartan_matrix",
     "_positive_root_closure",
+    "_dynkin_neighbours",
     "build_root_system",
     "_root_pairings",
     "classify",

@@ -151,6 +151,12 @@ def test_studiopesi_parameter_validation() -> None:
             check_lemma_studiopesi(bad, (1,))
 
 
+def test_studiopesi_twists_from_a_generator() -> None:
+    from_generator = check_lemma_studiopesi(3, (a for a in (1, 2)))
+    assert emit_report(from_generator) == emit_report(check_lemma_studiopesi(3, (1, 2)))
+    assert from_generator.params["twists"] == [1, 2]
+
+
 def test_studiopesi_twists_normalized() -> None:
     rep = check_lemma_studiopesi(3, (3, 1, 3, 2))
     assert rep.params["twists"] == [1, 2, 3]
