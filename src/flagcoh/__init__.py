@@ -36,7 +36,6 @@ from .bwb import (  # noqa: F401
 )
 
 from .parabolic import (  # noqa: F401
-    KonnoEntry,
     MacaulayStatus,
     ParabolicData,
     UnsupportedPairError,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rootsys import ConfigError, Root, RootSystem, Weight, _require_int, fundamental_weight
+from .rootsys import ConfigError, Root, RootSystem, Weight, _check_len, _require_int, fundamental_weight
 
 
 @dataclass(frozen=True)
@@ -71,21 +71,11 @@ def _root_pairings(rs: RootSystem, m: Sequence[int]) -> list[int]:
 
 def classify(rs: RootSystem, v: Weight) -> WeightClass:
     """Singular iff orthogonal to some positive root, else count negative pairings."""
-    m = v.fw_coords
-    if len(m) != rs.rank:
-        raise ValueError(f"expected {rs.rank} coordinates, got {len(m)}")
-    inc = [c * d for c, d in zip(m, rs.scaled_symmetrizer)]
-    s: list[int] = []
-    negatives = 0
-    # the pass of _root_pairings, stopping at the first zero
-    for parent, i in rs.root_chain:
-        x = inc[i] if parent < 0 else s[parent] + inc[i]
-        if x == 0:
-            return SINGULAR
-        if x < 0:
-            negatives += 1
-        s.append(x)
-    return WeightClass(negatives)
+    _check_len(rs, v.fw_coords)
+    s = _root_pairings(rs, v.fw_coords)
+    if 0 in s:
+        return SINGULAR
+    return WeightClass(sum(1 for x in s if x < 0))
 
 
 def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
@@ -106,8 +96,7 @@ def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
     """
     m = list(v.fw_coords)
     rank = rs.rank
-    if len(m) != rank:
-        raise ValueError(f"expected {rank} coordinates, got {len(m)}")
+    _check_len(rs, m)
     if 0 in m:
         return None
     neighbours = rs.neighbours
@@ -138,8 +127,7 @@ def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Weyl dimension formula, exact: prod (lam+delta, a) / (delta, a) over positive roots a."""
     m = lam.fw_coords
-    if len(m) != rs.rank:
-        raise ValueError(f"expected {rs.rank} coordinates, got {len(m)}")
+    _check_len(rs, m)
     if not lam.is_dominant():
         raise ValueError(f"weight {m} is not dominant")
     num = math.prod(_root_pairings(rs, [c + 1 for c in m]))
@@ -152,8 +140,7 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
 def partial_weyl_product(rs: RootSystem, lam: Weight, subset: Iterable[Root]) -> Fraction:
     """The Weyl product prod s_k(lam + delta) / s_k(delta) restricted to a set of distinct positive roots."""
     m = lam.fw_coords
-    if len(m) != rs.rank:
-        raise ValueError(f"expected {rs.rank} coordinates, got {len(m)}")
+    _check_len(rs, m)
     if not lam.is_dominant():
         raise ValueError(f"weight {m} is not dominant")
     shifted = _root_pairings(rs, [c + 1 for c in m])

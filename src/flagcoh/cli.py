@@ -28,7 +28,7 @@ from .parabolic import (
     sigma,
 )
 from .rootsys import MAX_RANK, ConfigError, Weight, root_system
-from .verify import Report, check_lemma_studiopesi, check_theorem_lungo, emit_report, pieces_json
+from .verify import check_lemma_studiopesi, check_theorem_lungo, emit_report, pieces_json
 
 __all__ = ["main", "run"]
 
@@ -232,23 +232,6 @@ _QUERIES = {
 }
 
 
-def _render_report_text(report: Report) -> str:
-    s = report.summary
-    params = " ".join(f"{k}={v}" for k, v in report.params.items())
-    lines = [
-        f"sweep {report.sweep} ({params})",
-        f"total {s['total']}  passed {s['passed']}  failed {s['failed']}",
-    ]
-    for c in report.cases:
-        if not c.passed:
-            notes = "; ".join(c.annotations)
-            lines.append(
-                f"FAIL {c.family}{c.rank} node {c.node} twist {c.twist}: "
-                f"h0 {c.h0}, dim Y {c.dim_y} ({notes})"
-            )
-    return "\n".join(lines) + "\n"
-
-
 def _verify(args: argparse.Namespace) -> tuple[bytes, int]:
     if args.sweep == "lungo":
         if args.twist:
@@ -257,11 +240,7 @@ def _verify(args: argparse.Namespace) -> tuple[bytes, int]:
     else:
         twists = tuple(args.twist) if args.twist else (1, 2, 3)
         report = check_lemma_studiopesi(args.max_rank, twists)
-    if args.format == "text":
-        data = _render_report_text(report).encode("utf-8")
-    else:
-        data = emit_report(report, args.format)
-    return data, 0 if report.all_passed else 1
+    return emit_report(report, args.format), 0 if report.all_passed else 1
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

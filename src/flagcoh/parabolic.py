@@ -10,9 +10,9 @@ induced structures in exact arithmetic:
   nilradical by that coefficient;
 * dim Y and the Fano index k(Y), read off from the sum of the nilradical
   roots, which is a multiple of lambda_r exactly;
-* the lowest weights of the graded pieces of the cotangent module,
-  derived from the root system (the level-i root that no Levi simple root
-  lowers), validated and memoized per pair;
+* the lowest weights of the graded pieces of the cotangent module (the
+  level-i root that no Levi simple root lowers), derived in the same pass
+  and stored on the one memoized record per pair;
 * h^0(Y, Omega^1_Y(a)) for a >= 1 as the sum of the Borel-Weil-Bott
   dimensions of the graded pieces;
 * sigma(d) = (dim Y + 1) d - 2 k(Y) and the static lookup of the pairs
@@ -20,7 +20,8 @@ induced structures in exact arithmetic:
   injective or surjective.
 
 Pairs isomorphic to a listed pair (for instance (D_l, node l) versus
-(D_l, node l-1)) are refused with an error naming the canonical form;
+(D_l, node l-1)) still get their partition, dim Y and k(Y), but no lowest
+weights: asking for them raises an error naming the canonical form;
 remapping silently would hide node-numbering mistakes.  The refusal is
 also needed for correctness: summing graded pieces is valid only when G
 is the full automorphism group of Y, which fails exactly for (B_l, l),
@@ -51,7 +52,6 @@ from .rootsys import (
 )
 
 __all__ = [
-    "KonnoEntry",
     "MacaulayStatus",
     "ParabolicData",
     "UnsupportedPairError",
@@ -83,9 +83,12 @@ class ParabolicData:
     ``phi1`` holds the positive roots of the Levi factor (coefficient of
     alpha_r equal to zero); ``phi_n_plus`` the roots of the nilradical,
     grouped by that coefficient in ``levels``, a read-only mapping since
-    ``parabolic_data`` shares one instance per pair.  ``dim_y`` is the
-    number of nilradical roots and ``fano_index`` the integer k with
-    K_Y = O(-k).
+    ``parabolic_data`` shares one instance per pair.  The levels are
+    exactly 1..depth whenever ``lowest_weights`` is set, and
+    ``lowest_weights[i - 1]`` is the lowest weight of the cotangent piece
+    at level i; it is None for a pair omitted in favour of an isomorphic
+    listed pair.  ``dim_y`` is the number of nilradical roots and
+    ``fano_index`` the integer k with K_Y = O(-k).
     """
 
     lie_type: LieType
@@ -93,6 +96,7 @@ class ParabolicData:
     phi1: tuple[Root, ...]
     phi_n_plus: tuple[Root, ...]
     levels: Mapping[int, tuple[Root, ...]] = field(repr=False)
+    lowest_weights: Optional[tuple[Weight, ...]] = field(repr=False)
     dim_y: int
     fano_index: int
     root_system: RootSystem = field(repr=False, compare=False)
@@ -119,24 +123,11 @@ class ParabolicData:
         }
 
 
-@dataclass(frozen=True)
-class KonnoEntry:
-    """Lowest weights of the graded cotangent pieces, derived from the root system.
-
-    ``weights[i]`` is the lowest weight of the piece at ``levels[i]``; the
-    levels are exactly 1..depth in increasing order, one weight per level.
-    """
-
-    pair: tuple[LieType, int]
-    weights: tuple[Weight, ...]
-    levels: tuple[int, ...]
-
-
 _PARABOLIC: dict[tuple[LieType, int], ParabolicData] = {}
 
 
 def parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
-    """Partition the positive roots at node ``r`` and extract dim Y and k(Y).
+    """Partition the positive roots at node ``r`` and extract dim Y, k(Y) and the lowest weights.
 
     Results are memoized per pair and shared between callers.
     """
@@ -152,16 +143,21 @@ def parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
 
 def _build_parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
     rank = rs.rank
+    # bit j of lowerable[k]: root k minus alpha_{j+1} is a root
+    levi_mask = ((1 << rank) - 1) ^ (1 << (r - 1))
     phi1: list[Root] = []
     nilrad: list[Root] = []
     levels: dict[int, list[Root]] = {}
-    for root in rs.positive_roots:
+    lowest: dict[int, list[Root]] = {}
+    for root, down in zip(rs.positive_roots, rs.lowerable):
         n_r = root.sr_coords[r - 1]
         if n_r == 0:
             phi1.append(root)
         else:
             nilrad.append(root)
             levels.setdefault(n_r, []).append(root)
+            if not down & levi_mask:
+                lowest.setdefault(n_r, []).append(root)
     # the sum of the nilradical roots, in weight coordinates
     summed = Root(tuple(sum(col) for col in zip(*(root.sr_coords for root in nilrad))))
     canonical = root_to_weight_coords(rs, summed).fw_coords
@@ -174,16 +170,49 @@ def _build_parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
     k = canonical[r - 1]
     if k <= 0:
         raise ArithmeticError(f"Fano index {k} at node {r} is not positive")
+    graded = {i: tuple(v) for i, v in sorted(levels.items())}
+    omitted = _canonical_form(rs.lie_type, r) is not None
     return ParabolicData(
         lie_type=rs.lie_type,
         node=r,
         phi1=tuple(phi1),
         phi_n_plus=tuple(nilrad),
-        levels=MappingProxyType({i: tuple(v) for i, v in sorted(levels.items())}),
+        levels=MappingProxyType(graded),
+        lowest_weights=None if omitted else _derive_lowest_weights(rs, r, tuple(graded), lowest),
         dim_y=len(nilrad),
         fano_index=k,
         root_system=rs,
     )
+
+
+def _derive_lowest_weights(
+    rs: RootSystem, r: int, levels: tuple[int, ...], lowest: Mapping[int, list[Root]]
+) -> tuple[Weight, ...]:
+    """One weight per level, from ``lowest[level]``: the level's roots that no Levi simple root lowers.
+
+    Each level must have exactly one such root, of node coefficient c in
+    {1, 2} with c*lambda_r - w dominant and zero at r, and the levels must
+    be exactly 1..depth.
+    """
+    pair = f"({rs.lie_type}, node {r})"
+    lam_r = fundamental_weight(rs.rank, r)
+    weights: list[Weight] = []
+    for level in levels:
+        candidates = lowest.get(level, ())
+        if len(candidates) != 1:
+            raise ArithmeticError(f"level {level} of {pair} has {len(candidates)} lowest weights, not 1")
+        w = root_to_weight_coords(rs, candidates[0])
+        c = w.fw_coords[r - 1]
+        if c not in (1, 2):
+            raise ArithmeticError(f"lowest weight {w.fw_coords} of {pair} has node coefficient {c}")
+        prime = c * lam_r - w
+        if not prime.is_dominant() or prime.fw_coords[r - 1] != 0:
+            raise ArithmeticError(f"{c}*lambda_{r} - {w.fw_coords} is not dominant with 0 at node {r}")
+        weights.append(w)
+    depth = max(levels)
+    if levels != tuple(range(1, depth + 1)):
+        raise ArithmeticError(f"levels {levels} of {pair} do not cover 1..{depth}")
+    return tuple(weights)
 
 
 def _canonical_form(t: LieType, r: int) -> Optional[tuple[str, int, int]]:
@@ -204,58 +233,23 @@ def _canonical_form(t: LieType, r: int) -> Optional[tuple[str, int, int]]:
     return None
 
 
-_LOWEST_WEIGHTS: dict[tuple[LieType, int], KonnoEntry] = {}
-
-
-def konno_lowest_weights(pd: ParabolicData) -> KonnoEntry:
-    """Lowest weights of the graded pieces of the cotangent module of ``pd``.
+def konno_lowest_weights(pd: ParabolicData) -> tuple[Weight, ...]:
+    """Lowest weights of the graded pieces of the cotangent module of ``pd``, in level order.
 
     The level-i piece is irreducible under the Levi factor, and its lowest
     weight is the unique level-i root that no Levi simple root lowers
-    (Kostant, Ann. Math. 74, 1961).  Each weight is checked to have node
-    coefficient c in {1, 2} with c*lambda_r - w dominant and zero at r, and
-    the levels must be exactly 1..depth.  Results are memoized per pair.
-    Raises UnsupportedPairError for pairs omitted in favour of an
+    (Kostant, Ann. Math. 74, 1961); ``parabolic_data`` derives and checks
+    them.  Raises UnsupportedPairError for pairs omitted in favour of an
     isomorphic listed pair.
     """
-    t, r = pd.lie_type, pd.node
-    entry = _LOWEST_WEIGHTS.get((t, r))
-    if entry is None:
-        target = _canonical_form(t, r)
-        if target is not None:
-            tf, tl, tr = target
-            raise UnsupportedPairError(
-                f"pair ({t.family.value}{t.rank}, node {r}) is not in the lowest-weight table; "
-                f"it is isomorphic to the listed pair ({tf}{tl}, node {tr})"
-            )
-        entry = _LOWEST_WEIGHTS[(t, r)] = _derive_lowest_weights(pd)
-    return entry
-
-
-def _derive_lowest_weights(pd: ParabolicData) -> KonnoEntry:
-    rs, r = pd.root_system, pd.node
-    pair = f"({rs.lie_type}, node {r})"
-    index, lowerable = rs.root_index, rs.lowerable
-    # bit j of lowerable[k]: root k minus alpha_{j+1} is a root
-    levi_mask = ((1 << rs.rank) - 1) ^ (1 << (r - 1))
-    lam_r = fundamental_weight(rs.rank, r)
-    weights: list[Weight] = []
-    for level, roots in pd.levels.items():
-        lowest = [root for root in roots if not lowerable[index[root.sr_coords]] & levi_mask]
-        if len(lowest) != 1:
-            raise ArithmeticError(f"level {level} of {pair} has {len(lowest)} lowest weights, not 1")
-        w = root_to_weight_coords(rs, lowest[0])
-        c = w.fw_coords[r - 1]
-        if c not in (1, 2):
-            raise ArithmeticError(f"lowest weight {w.fw_coords} of {pair} has node coefficient {c}")
-        prime = c * lam_r - w
-        if not prime.is_dominant() or prime.fw_coords[r - 1] != 0:
-            raise ArithmeticError(f"{c}*lambda_{r} - {w.fw_coords} is not dominant with 0 at node {r}")
-        weights.append(w)
-    levels = tuple(pd.levels)
-    if levels != tuple(range(1, pd.depth + 1)):
-        raise ArithmeticError(f"levels {levels} of {pair} do not cover 1..{pd.depth}")
-    return KonnoEntry(pair=(rs.lie_type, r), weights=tuple(weights), levels=levels)
+    if pd.lowest_weights is None:
+        t, r = pd.lie_type, pd.node
+        tf, tl, tr = _canonical_form(t, r)
+        raise UnsupportedPairError(
+            f"pair ({t.family.value}{t.rank}, node {r}) is not in the lowest-weight table; "
+            f"it is isomorphic to the listed pair ({tf}{tl}, node {tr})"
+        )
+    return pd.lowest_weights
 
 
 def h0_twisted_cotangent(pd: ParabolicData, a: int) -> tuple[int, tuple[tuple[int, Optional[Weight], int], ...]]:
@@ -271,12 +265,12 @@ def h0_twisted_cotangent(pd: ParabolicData, a: int) -> tuple[int, tuple[tuple[in
     _require_int("twist a", a)
     if a < 1:
         raise ValueError(f"twist a must be >= 1, got {a}")
-    entry = konno_lowest_weights(pd)
+    weights = konno_lowest_weights(pd)
     rs = pd.root_system
     lam_r = fundamental_weight(rs.rank, pd.node)
     pieces: list[tuple[int, Optional[Weight], int]] = []
     total = 0
-    for level, w in zip(entry.levels, entry.weights):
+    for level, w in zip(pd.levels, weights):
         table = bwb_cohomology(rs, a * lam_r - w)
         if table.vanishes:
             pieces.append((level, None, 0))
@@ -341,17 +335,16 @@ def macaulay_exceptions(pd: ParabolicData, d: int, a: int) -> MacaulayStatus:
 def konno_pairs(max_rank: int) -> list[ParabolicData]:
     """All supported pairs, for every type up to ``max_rank``.
 
-    Pairs omitted as isomorphic duplicates are skipped, so each
-    isomorphism class appears exactly once.
+    Only the pairs that the lowest-weight table files under an isomorphic
+    twin are skipped; other isomorphic presentations stay, for instance
+    (A3, 1) and (A3, 3), both P^3, or (D4, 1) and (D4, 3), both the
+    six-dimensional quadric by triality.
     """
     out: list[ParabolicData] = []
     for t in all_lie_types(max_rank):
         rs = root_system(t.family, t.rank)
         for r in range(1, t.rank + 1):
             pd = parabolic_data(rs, r)
-            try:
-                konno_lowest_weights(pd)
-            except UnsupportedPairError:
-                continue
-            out.append(pd)
+            if pd.lowest_weights is not None:
+                out.append(pd)
     return out

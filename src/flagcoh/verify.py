@@ -31,12 +31,7 @@ from typing import Iterable
 
 from . import __version__
 from .bwb import partial_weyl_product
-from .parabolic import (
-    ParabolicData,
-    h0_twisted_cotangent,
-    konno_lowest_weights,
-    konno_pairs,
-)
+from .parabolic import ParabolicData, h0_twisted_cotangent, konno_pairs
 from .rootsys import MAX_RANK, ConfigError, Family, _require_int, fundamental_weight
 
 __all__ = [
@@ -127,7 +122,6 @@ def _base_annotations(pd: ParabolicData) -> list[str]:
 def _golden_checks(pd: ParabolicData, total: int, pieces) -> tuple[bool, list[str]]:
     """Closed-form subcases of the twist-2 sweep; returns (ok, annotations)."""
     f, l, r = pd.lie_type.family, pd.lie_type.rank, pd.node
-    rs = pd.root_system
     notes: list[str] = []
     ok = True
     if r == 1 and f in (Family.B, Family.D):
@@ -141,8 +135,7 @@ def _golden_checks(pd: ParabolicData, total: int, pieces) -> tuple[bool, list[st
         # The proof bounds h0 from below by the Weyl product restricted to
         # the Levi roots, which equals dim Y = l(l+1)/2 exactly.
         lam = 2 * fundamental_weight(l, l - 1)
-        levi = [root for root in rs.positive_roots if root.sr_coords[l - 1] == 0]
-        restricted = partial_weyl_product(rs, lam, levi)
+        restricted = partial_weyl_product(pd.root_system, lam, pd.phi1)
         notes.append("golden: restricted product equality")
         if restricted != pd.dim_y or pd.dim_y != l * (l + 1) // 2:
             ok = False
@@ -213,7 +206,7 @@ def check_theorem_lungo(max_rank: int = 8) -> Report:
 def _studiopesi_case(pd: ParabolicData, a: int) -> tuple[int, list[dict], bool, list[str]]:
     total, pieces = h0_twisted_cotangent(pd, a)
     witness = []
-    for (level, mu, _dim), w in zip(pieces, konno_lowest_weights(pd).weights):
+    for (level, mu, _dim), w in zip(pieces, pd.lowest_weights):
         # a piece vanishes exactly when its shifted weight is singular; a regular
         # one outside degree 0 has already raised in h0_twisted_cotangent
         witness.append(
@@ -259,7 +252,24 @@ _CSV_HEADER = ["family", "rank", "node", "twist", "h0", "dim_y", "passed", "anno
 
 
 def emit_report(report: Report, fmt: str = "json") -> bytes:
-    """Serialize a report as canonical JSON or CSV bytes (deterministic)."""
+    """Serialize a report as canonical JSON, CSV or text bytes (deterministic).
+
+    The text form is the summary and one line per failed case.
+    """
+    if fmt == "text":
+        s = report.summary
+        params = " ".join(f"{k}={v}" for k, v in report.params.items())
+        lines = [
+            f"sweep {report.sweep} ({params})",
+            f"total {s['total']}  passed {s['passed']}  failed {s['failed']}",
+        ]
+        lines += [
+            f"FAIL {c.family}{c.rank} node {c.node} twist {c.twist}: "
+            f"h0 {c.h0}, dim Y {c.dim_y} ({'; '.join(c.annotations)})"
+            for c in report.cases
+            if not c.passed
+        ]
+        return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
         return (json.dumps(report.to_json_dict(), indent=2) + "\n").encode("utf-8")
     if fmt == "csv":

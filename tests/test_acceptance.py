@@ -281,12 +281,12 @@ def _check_table_validity() -> bool:
         for r in range(1, t.rank + 1):
             pd = parabolic_data(rs, r)
             try:
-                entry = konno_lowest_weights(pd)
+                weights = konno_lowest_weights(pd)
             except UnsupportedPairError:
                 continue
             seen += 1
             root_set = {root.sr_coords for root in pd.phi_n_plus}
-            for level, w in zip(entry.levels, entry.weights):
+            for level, w in zip(pd.levels, weights):
                 coords = weight_to_root_coords(rs, w)
                 if any(c.denominator != 1 for c in coords):
                     return False

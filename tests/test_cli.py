@@ -7,6 +7,7 @@ exit codes); the remaining handlers are exercised in-process through
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -239,6 +240,23 @@ def test_verify_csv_to_file(tmp_path) -> None:
     lines = out.read_text().splitlines()
     assert lines[0] == "family,rank,node,twist,h0,dim_y,passed,annotations"
     assert len(lines) >= 10
+
+
+# sha256 of the text and CSV report bytes of two rank-6 sweeps
+VERIFY_OUTPUT_PINS = {
+    ("studiopesi", "text"): "6a701667a9df0ed52b0f48e8835decd6ba5aaf84fdb47cde9e2d49a9a322ed57",
+    ("studiopesi", "csv"): "fcf9ad773763531596c435eb4c935349f47bed2f8f2db1f27b364abd5c1270cb",
+    ("lungo", "text"): "d58e22216dfed9de3e1bb51322f1204d24043b2c5307238f79c4227a4630c57a",
+    ("lungo", "csv"): "1b8ee92eaf66ebeedcdf729336976bfb8de23f60e063280bc657213a123a22cb",
+}
+
+
+@pytest.mark.parametrize("sweep,fmt", sorted(VERIFY_OUTPUT_PINS))
+def test_verify_output_bytes_pinned(sweep, fmt, capsysbinary) -> None:
+    argv = ["verify", "--sweep", sweep, "--max-rank", "6", "--format", fmt]
+    assert cli.run(argv) == 0
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == VERIFY_OUTPUT_PINS[sweep, fmt]
 
 
 def test_out_flag_for_query(tmp_path, capsys) -> None:

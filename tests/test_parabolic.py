@@ -16,6 +16,7 @@ from types import MappingProxyType
 
 import pytest
 
+from flagcoh import parabolic
 from flagcoh.bwb import bwb_cohomology, classify_cotangent_twist_weights, weyl_dim
 from flagcoh.parabolic import (
     MacaulayStatus,
@@ -216,28 +217,27 @@ def test_table_matches_levi_lowest_weights_everywhere() -> None:
         assert {lv: len(v) for lv, v in truth.items()} == {lv: 1 for lv in truth}
         assert sorted(truth) == list(range(1, pd.depth + 1))
         levi = [truth[lv][0] for lv in sorted(truth)]
-        entry = konno_lowest_weights(pd)
-        assert entry.levels == tuple(sorted(truth))
-        assert table == levi == [w.fw_coords for w in entry.weights]
+        weights = konno_lowest_weights(pd)
+        assert tuple(pd.levels) == tuple(sorted(truth))
+        assert table == levi == [w.fw_coords for w in weights]
     assert checked == {8: 142, 14: 400}
 
 
 def test_table_levels_cover_grading() -> None:
     for pd in all_pairs(8):
         try:
-            entry = konno_lowest_weights(pd)
+            weights = konno_lowest_weights(pd)
         except UnsupportedPairError:
             continue
-        assert entry.levels == tuple(range(1, pd.depth + 1))
-        assert len(entry.weights) == pd.depth
+        assert tuple(pd.levels) == tuple(range(1, pd.depth + 1))
+        assert len(weights) == pd.depth
 
 
 def test_lambda_zero_convention_at_node_two() -> None:
     # the second-level entry lambda_r - lambda_{r-2} degenerates to lambda_2
     for family, l in [("B", 4), ("B", 6), ("D", 5), ("D", 6)]:
         pd = pd_of(family, l, 2)
-        entry = konno_lowest_weights(pd)
-        assert entry.weights[1] == fundamental_weight(l, 2)
+        assert konno_lowest_weights(pd)[1] == fundamental_weight(l, 2)
 
 
 def test_supported_pair_count_rank_8() -> None:
@@ -276,9 +276,16 @@ def test_parabolic_data_is_shared_and_read_only() -> None:
     ],
 )
 def test_unsupported_pairs_name_canonical_form(family, l, r, canonical) -> None:
+    # the pair builds, but derives no lowest weights: (G2, node 1) would
+    # fail the node coefficient check
+    pd = pd_of(family, l, r)
+    assert pd.lowest_weights is None
     with pytest.raises(UnsupportedPairError) as err:
-        konno_lowest_weights(pd_of(family, l, r))
-    assert canonical in str(err.value)
+        konno_lowest_weights(pd)
+    assert str(err.value) == (
+        f"pair ({family}{l}, node {r}) is not in the lowest-weight table; "
+        f"it is isomorphic to the listed pair {canonical}"
+    )
 
 
 def h0_from_levi_pieces(pd, a: int) -> tuple[int, list[int]]:
@@ -414,10 +421,10 @@ def test_h0_lemma_conformance() -> None:
     """At a = 1 the pieces with node coefficient 2 vanish and those with
     coefficient 1 survive; at a >= 2 nothing vanishes."""
     for pd in konno_pairs(6):
-        entry = konno_lowest_weights(pd)
+        weights = konno_lowest_weights(pd)
         r = pd.node
         total1, pieces1 = h0_twisted_cotangent(pd, 1)
-        for w, (level, mu, dim) in zip(entry.weights, pieces1):
+        for w, (level, mu, dim) in zip(weights, pieces1):
             c = w.fw_coords[r - 1]
             assert c in (1, 2)
             if c == 2:
@@ -464,6 +471,16 @@ def test_h0_grassmannian_duality() -> None:
         assert h0_twisted_cotangent(pd_of("A", l, r), a)[0] == dual, (l, r, a)
 
 
+def test_h0_d4_triality() -> None:
+    # (D4, node 1) and (D4, node 3) are both the six-dimensional quadric;
+    # konno_pairs lists both presentations, and they must agree
+    q1, q3 = pd_of("D", 4, 1), pd_of("D", 4, 3)
+    assert {q1, q3} <= set(konno_pairs(4))
+    assert (q1.dim_y, q1.fano_index) == (q3.dim_y, q3.fano_index) == (6, 6)
+    for a in (1, 2, 3):
+        assert h0_twisted_cotangent(q1, a)[0] == h0_twisted_cotangent(q3, a)[0] == h0_cotangent_quadric(6, a)
+
+
 def test_h0_rejects_bad_twist() -> None:
     pd = pd_of("A", 3, 1)
     with pytest.raises(ValueError):
@@ -478,6 +495,22 @@ def test_h0_rejects_bad_twist() -> None:
 def test_h0_unsupported_pair_propagates() -> None:
     with pytest.raises(UnsupportedPairError):
         h0_twisted_cotangent(pd_of("G", 2, 1), 2)
+
+
+def test_h0_calls_konno_lowest_weights_through_the_module(monkeypatch) -> None:
+    # the benchmark tracer rebinds flagcoh.parabolic.konno_lowest_weights and
+    # counts its calls per pair; h0_twisted_cotangent must look it up there
+    calls = []
+    real = parabolic.konno_lowest_weights
+
+    def spy(pd):
+        calls.append((pd.lie_type, pd.node))
+        return real(pd)
+
+    monkeypatch.setattr(parabolic, "konno_lowest_weights", spy)
+    pd = pd_of("F", 4, 4)
+    assert h0_twisted_cotangent(pd, 2)[0] == 325
+    assert calls == [(pd.lie_type, 4)]
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,13 @@ def test_rank_must_be_an_int():
         with pytest.raises(TypeError):
             all_lie_types(bad)
     assert str(root_system("A", 1).lie_type) == "A1"
+    # a rank below 1 is refused, not read as the empty weight
+    for rank in (0, -3):
+        with pytest.raises(ConfigError):
+            zero_weight(rank)
+        for node in (0, 1, -2):
+            with pytest.raises(ConfigError):
+                fundamental_weight(rank, node)
 
 
 @pytest.mark.parametrize("t", ALL_TYPES_8, ids=str)
@@ -327,6 +334,10 @@ def test_coordinates_must_be_ints(cls):
 def test_weight_arithmetic_keeps_int_check():
     with pytest.raises(TypeError):
         Fraction(1, 2) * Weight((2, 4))
+    # a bool or a float scalar is refused, not read as 1, 0 or truncated
+    for bad in (True, False, 2.0):
+        with pytest.raises(TypeError):
+            bad * Weight((1, 2))
     assert 3 * Weight((1, -1)) == Weight((3, -3))
 
 
