@@ -145,10 +145,11 @@ def partial_weyl_product(rs: RootSystem, lam: Weight, subset: Iterable[Root]) ->
         raise ValueError(f"weight {m} is not dominant")
     shifted = _root_pairings(rs, [c + 1 for c in m])
     base = _root_pairings(rs, rs.weyl_vector.fw_coords)
+    position = {root.sr_coords: k for k, root in enumerate(rs.positive_roots)}
     num = den = 1
     seen: set[int] = set()
     for r in subset:
-        idx = rs.root_index.get(r.sr_coords)
+        idx = position.get(r.sr_coords)
         if idx is None:
             raise ValueError(f"{r.sr_coords} is not a positive root of {rs.lie_type}")
         if idx in seen:

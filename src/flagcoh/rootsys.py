@@ -29,8 +29,6 @@ the way, as plain ints:
   weight v = sum_j m_j lambda_j follows for every root in one pass, one
   addition each: s(beta + alpha_i) = s(beta) + m_i D_i.  The sign of
   s_k is the sign of <v, beta_k^vee>, since (beta_k, beta_k) > 0.
-* ``root_length[k] = 6 (beta_k, beta_k)``, so that
-  <v, beta_k^vee> = 2 s_k(v) / root_length[k].
 * ``weyl_denominator = prod_k s_k(delta)``, the denominator of the Weyl
   dimension formula in this scaling.
 * ``lowerable[k]``: bit i is set when beta_k - alpha_i is a root.
@@ -40,8 +38,9 @@ It also keeps, read off the Cartan matrix once, the Dynkin graph as
 simple reflection s_k changes m_k to -m_k and m_j to m_j - m_k a_jk for
 these j only, so one reflection costs the degree of node k, at most 3.
 
-Weight coordinates of a root and its coroot are not stored; they follow
-from ``root_to_weight_coords`` and ``copairing``.
+Weight coordinates, squared lengths and coroots of roots are not stored:
+``root_to_weight_coords`` reads m = A n off the Dynkin graph, and
+``copairing`` derives 6 (beta, beta) = sum_j n_j m_j D_j from it.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -72,7 +72,7 @@ class Family(Enum):
 
 # Largest rank accepted for the unbounded families A-D, so that a typo
 # cannot hang the command line: on a 2-vCPU VM with Python 3.11 building
-# A100 takes about 0.2 s and B100, C100 or D100 about 0.4 s, and the cost
+# A100 takes 0.15-0.21 s and B100, C100 or D100 0.34-0.43 s, and the cost
 # grows with the cube of the rank.
 MAX_RANK = 100
 
@@ -129,10 +129,6 @@ class Root:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sr_coords", _int_coords(self.sr_coords))
-
-    @property
-    def height(self) -> int:
-        return sum(self.sr_coords)
 
 
 @dataclass(frozen=True)
@@ -240,9 +236,7 @@ def _cartan_matrix(t: LieType) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     return tuple(tuple(row) for row in rows), d
 
 
-def _positive_root_closure(
-    cartan: Sequence[Sequence[int]], d: Sequence[int]
-) -> list[tuple[tuple[int, ...], tuple[int, int], int, int]]:
+def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], tuple[int, int], int]]:
     """Enumerate positive roots from the simple ones by root-string closure.
 
     For a root beta and a simple root alpha_i, the alpha_i-string through
@@ -252,37 +246,34 @@ def _positive_root_closure(
     every string is already known: p_i(beta + alpha_i) = 1 + p_i(beta),
     and p_i of a root is 0 unless some root of the previous height reaches
     it along alpha_i.  The weight coordinates follow the same steps,
-    m(beta + alpha_i) = m(beta) + column i of A, and so does the scaled
-    squared length L = 6 (beta, beta): L(alpha_i) = 2 D_i and
-    L(beta + alpha_i) = L(beta) + 2 D_i (m_i + 1).
+    m(beta + alpha_i) = m(beta) + column i of A.
 
     Returns, sorted by (height, coords), one tuple per root: its coords,
     the (parent index, node) of the first step that reached it ((-1, i)
-    for alpha_i), the mask of the nodes i with p_i > 0, that is with
-    beta - alpha_i a root, and L.
+    for alpha_i), and the mask of the nodes i with p_i > 0, that is with
+    beta - alpha_i a root.
     """
     rank = len(cartan)
     columns = [tuple(row[i] for row in cartan) for i in range(rank)]
-    # per root: [weight coords, string-down lengths p, (parent, node), mask of p_i > 0, L]
+    # per root: [weight coords, string-down lengths p, (parent, node), mask of p_i > 0]
     frontier: dict[tuple[int, ...], list] = {}
     for i in range(rank):
         simple = tuple(1 if j == i else 0 for j in range(rank))
-        frontier[simple] = [columns[i], [0] * rank, (-1, i), 0, 2 * d[i]]
-    roots: list[tuple[tuple[int, ...], tuple[int, int], int, int]] = []
+        frontier[simple] = [columns[i], [0] * rank, (-1, i), 0]
+    roots: list[tuple[tuple[int, ...], tuple[int, int], int]] = []
     while frontier:
         nxt: dict[tuple[int, ...], list] = {}
         for beta in sorted(frontier):
-            m, p, link, mask, length = frontier[beta]
+            m, p, link, mask = frontier[beta]
             k = len(roots)
-            roots.append((beta, link, mask, length))
+            roots.append((beta, link, mask))
             for i in range(rank):
                 if p[i] > m[i]:
                     up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
                     entry = nxt.get(up)
                     if entry is None:
                         up_m = tuple(a + b for a, b in zip(m, columns[i]))
-                        up_length = length + 2 * d[i] * (m[i] + 1)
-                        entry = nxt[up] = [up_m, [0] * rank, (k, i), 0, up_length]
+                        entry = nxt[up] = [up_m, [0] * rank, (k, i), 0]
                     entry[1][i] = p[i] + 1
                     entry[3] |= 1 << i
         frontier = nxt
@@ -293,10 +284,9 @@ def _positive_root_closure(
 class RootSystem:
     """Immutable root-system data with precomputed pairing tables.
 
-    ``root_chain``, ``root_length``, ``weyl_denominator`` and
-    ``lowerable`` hold one small int (or pair) per positive root and are
-    described in the module docstring; ``root_index`` maps the
-    coordinates of each positive root to its position.  ``neighbours``
+    ``root_chain`` and ``lowerable`` hold one small int (or pair) per
+    positive root, and ``weyl_denominator`` one int for the whole system;
+    all three are described in the module docstring.  ``neighbours``
     lists, per node k, the Dynkin neighbours j of k with their Cartan
     entries a_jk, the only coordinates besides m_k that s_k changes.
     """
@@ -307,10 +297,8 @@ class RootSystem:
     positive_roots: tuple[Root, ...]
     weyl_vector: Weight
     root_chain: tuple[tuple[int, int], ...] = field(repr=False)
-    root_length: tuple[int, ...] = field(repr=False)
     weyl_denominator: int = field(repr=False)
     lowerable: tuple[int, ...] = field(repr=False)
-    root_index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
     neighbours: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
 
     @property
@@ -331,7 +319,7 @@ def _dynkin_neighbours(cartan: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int
 
 def build_root_system(t: LieType) -> RootSystem:
     cartan, d = _cartan_matrix(t)
-    coords, root_chain, lowerable, root_length = zip(*_positive_root_closure(cartan, d))
+    coords, root_chain, lowerable = zip(*_positive_root_closure(cartan))
     # 6 (delta, beta) along the chain, as (delta, alpha_i) = d_i
     delta_pairings: list[int] = []
     for parent, i in root_chain:
@@ -343,10 +331,8 @@ def build_root_system(t: LieType) -> RootSystem:
         positive_roots=tuple(Root(n) for n in coords),
         weyl_vector=Weight((1,) * t.rank),
         root_chain=root_chain,
-        root_length=root_length,
         weyl_denominator=math.prod(delta_pairings),
         lowerable=lowerable,
-        root_index={n: k for k, n in enumerate(coords)},
         neighbours=_dynkin_neighbours(cartan),
     )
 
@@ -356,7 +342,7 @@ _CACHE: dict[LieType, RootSystem] = {}
 
 def root_system(family: Family | str, rank: int) -> RootSystem:
     """Cached constructor; root systems are immutable so sharing is safe."""
-    t = LieType(family if isinstance(family, Family) else Family(str(family).upper()), rank)
+    t = LieType(family, rank)
     rs = _CACHE.get(t)
     if rs is None:
         rs = _CACHE[t] = build_root_system(t)
@@ -379,27 +365,32 @@ def copairing(rs: RootSystem, w: Weight, r: Root) -> int:
     """<w, alpha> = 2 (w, alpha) / (alpha, alpha), an integer on the weight lattice."""
     _check_len(rs, w.fw_coords)
     _check_len(rs, r.sr_coords)
-    n, d = r.sr_coords, rs.scaled_symmetrizer
-    idx = rs.root_index.get(n)
-    # L = 6 (alpha, alpha), stored for a positive root
-    if idx is not None:
-        length = rs.root_length[idx]
-    else:
-        length = sum(m * c * x for m, c, x in zip(root_to_weight_coords(rs, r).fw_coords, n, d))
+    scaled = [c * x for c, x in zip(r.sr_coords, rs.scaled_symmetrizer)]
+    # L = 6 (alpha, alpha) = sum_j n_j m_j D_j with m = A n
+    length = sum(map(mul, _weight_coords(rs, r.sr_coords), scaled))
     if length == 0:
         raise ValueError("copairing undefined for the zero vector")
-    num = 2 * sum(m * c * x for m, c, x in zip(w.fw_coords, n, d))
+    num = 2 * sum(map(mul, w.fw_coords, scaled))
     val, rem = divmod(num, length)
     if rem:
         raise ArithmeticError(f"<w, r^vee> = {num}/{length} is not an integer: {r.sr_coords} is not a root")
     return val
 
 
+def _weight_coords(rs: RootSystem, n: Sequence[int]) -> list[int]:
+    """m = A n, with m_j = 2 n_j + sum a_ji n_i over the Dynkin neighbours i of j."""
+    m = [2 * c for c in n]
+    for i, c in enumerate(n):
+        if c:
+            for j, a in rs.neighbours[i]:
+                m[j] += a * c
+    return m
+
+
 def root_to_weight_coords(rs: RootSystem, r: Root) -> Weight:
-    """m = A n, with m_j = sum_i a_ji n_i."""
+    """The weight coordinates m = A n of a root-lattice vector, read off the Dynkin graph."""
     _check_len(rs, r.sr_coords)
-    n = r.sr_coords
-    return Weight(tuple(sum(rs.cartan[j][i] * n[i] for i in range(rs.rank)) for j in range(rs.rank)))
+    return Weight(tuple(_weight_coords(rs, r.sr_coords)))
 
 
 def weight_to_root_coords(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:

@@ -31,7 +31,7 @@ from typing import Iterable
 
 from . import __version__
 from .bwb import partial_weyl_product
-from .parabolic import ParabolicData, h0_twisted_cotangent, konno_pairs
+from .parabolic import ParabolicData, _is_quadric, h0_twisted_cotangent, konno_pairs
 from .rootsys import MAX_RANK, ConfigError, Family, _require_int, fundamental_weight
 
 __all__ = [
@@ -124,7 +124,7 @@ def _golden_checks(pd: ParabolicData, total: int, pieces) -> tuple[bool, list[st
     f, l, r = pd.lie_type.family, pd.lie_type.rank, pd.node
     notes: list[str] = []
     ok = True
-    if r == 1 and f in (Family.B, Family.D):
+    if _is_quadric(pd):
         n = pd.dim_y
         expected = (n + 2) * (n + 1) // 2
         notes.append("golden: quadric binomial")

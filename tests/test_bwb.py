@@ -23,6 +23,7 @@ from flagcoh.bwb import (
     to_dominant,
     weyl_dim,
 )
+from flagcoh.parabolic import parabolic_data
 from flagcoh.rootsys import (
     Family,
     LieType,
@@ -314,6 +315,32 @@ def test_partial_weyl_product_rejects_repeated_root():
         partial_weyl_product(rs, lam, [alpha1, alpha1])
     with pytest.raises(ValueError, match="twice"):
         partial_weyl_product(rs, lam, [alpha1, Root((1, 1)), Root((1, 0))])
+
+
+@pytest.mark.parametrize("t", all_lie_types(8), ids=str)
+def test_partial_weyl_product_levi_and_nilradical_split_weyl_dim(t: LieType):
+    # phi1 and phi_n_plus partition the positive roots at every node, omitted
+    # pairs included, so their restricted products multiply to the Weyl
+    # dimension; the nilradical is passed reversed, off the root order
+    rs = root_system(t.family, t.rank)
+    rng = random.Random(f"partial product {t}")
+    weights = [zero_weight(t.rank)] + [Weight(tuple(rng.randint(0, 3) for _ in range(t.rank))) for _ in range(3)]
+    for r in range(1, t.rank + 1):
+        pd = parabolic_data(rs, r)
+        for lam in weights:
+            levi = partial_weyl_product(rs, lam, pd.phi1)
+            assert partial_weyl_product(rs, lam, reversed(pd.phi_n_plus)) * levi == weyl_dim(rs, lam)
+    # one root at a time: <lam + delta, beta^vee> / <delta, beta^vee>, from the oracle's coroots
+    lam = weights[-1]
+    for n, c in zip(*cartan_oracle(t)):
+        expected = Fraction(sum((a + 1) * x for a, x in zip(lam.fw_coords, c)), sum(c))
+        assert partial_weyl_product(rs, lam, [Root(n)]) == expected
+    for beta in rs.positive_roots:
+        negative = Root(tuple(-c for c in beta.sr_coords))
+        with pytest.raises(ValueError, match="is not a positive root"):
+            partial_weyl_product(rs, lam, [negative])
+        with pytest.raises(ValueError, match="is not a positive root"):
+            partial_weyl_product(rs, lam, [Root(beta.sr_coords + (0,))])
 
 
 def test_partial_weyl_product_monotone():

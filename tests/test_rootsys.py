@@ -144,8 +144,23 @@ def test_symmetrizer_and_coroots_match_cartan_oracle(t: LieType):
     roots = [r.sr_coords for r in rs.positive_roots]
     # <lambda_j, beta^vee> is coordinate j of the coroot of beta
     lambdas = [fundamental_weight(t.rank, j) for j in range(1, t.rank + 1)]
+    expected = coroots_from_cartan(rs.cartan, roots)
     coroots = [tuple(copairing(rs, lam, r) for lam in lambdas) for r in rs.positive_roots]
-    assert coroots == coroots_from_cartan(rs.cartan, roots)
+    assert coroots == expected
+    # the coroot of -beta is -beta^vee
+    negatives = [Root(tuple(-c for c in n)) for n in roots]
+    negated = [tuple(-copairing(rs, lam, r) for lam in lambdas) for r in negatives]
+    assert negated == expected
+
+
+@pytest.mark.parametrize("t", ALL_TYPES_8 + [LieType(Family(f), 30) for f in "ABCD"], ids=str)
+def test_root_to_weight_coords_matches_dense_product(t: LieType):
+    rs = root_system(t.family, t.rank)
+    rng = random.Random(f"A n {t}")
+    for _ in range(40):
+        n = [rng.choice((-3, -1, 0, 0, 1, 2, 5)) for _ in range(t.rank)]
+        dense = tuple(sum(rs.cartan[j][i] * n[i] for i in range(t.rank)) for j in range(t.rank))
+        assert root_to_weight_coords(rs, Root(n)) == Weight(dense)
 
 
 def test_inconsistent_diagram_raises(monkeypatch):
@@ -254,7 +269,7 @@ def test_copairing_integrality_random():
 
 
 def test_copairing_off_lattice_root():
-    # a negative root is not in the positive-root index; the generic path must agree
+    # a negative root pairs to minus its positive root
     rs = root_system("B", 3)
     w = Weight((2, -1, 3))
     for r in rs.positive_roots:

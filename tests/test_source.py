@@ -23,8 +23,8 @@ def test_no_assert_in_package_source() -> None:
 
 
 # the integer-only hot path: root-system build, the Dynkin neighbours, the
-# root-chain pass, the chamber walk, the copairing, the parabolic partition
-# and the lowest-weight derivation
+# root-chain pass, the chamber walk, the copairing, the root-to-weight
+# conversion, the parabolic partition and the lowest-weight derivation
 INTEGER_ONLY = {
     "_cartan_matrix",
     "_positive_root_closure",
@@ -36,6 +36,8 @@ INTEGER_ONLY = {
     "weyl_dim",
     "_derive_lowest_weights",
     "copairing",
+    "root_to_weight_coords",
+    "_weight_coords",
     "_build_parabolic_data",
 }
 
