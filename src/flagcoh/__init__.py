@@ -12,15 +12,10 @@ from .rootsys import (  # noqa: F401
     Weight,
     all_lie_types,
     build_root_system,
-    copairing,
     fundamental_weight,
-    pairing,
     root_system,
     root_to_weight_coords,
-    simple_reflection,
-    simple_root,
     weight_to_root_coords,
-    zero_weight,
 )
 
 from .bwb import (  # noqa: F401

@@ -51,14 +51,6 @@ class CohomologyTable:
     dominant_weight: Weight | None = None
     dimension: int | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vanishes": self.vanishes,
-            "degree": self.degree,
-            "mu_fw_coords": None if self.dominant_weight is None else list(self.dominant_weight.fw_coords),
-            "dim": None if self.dimension is None else str(self.dimension),
-        }
-
 
 def _root_pairings(rs: RootSystem, m: Sequence[int]) -> list[int]:
     """s_k = 6 (v, beta_k) for every positive root, in root order, one addition each."""

@@ -160,6 +160,14 @@ def _info(args: argparse.Namespace) -> tuple[dict, str]:
 
 def _parabolic(args: argparse.Namespace) -> tuple[dict, str]:
     pd = parabolic_data(root_system(args.family, args.rank), args.node)
+    data = {
+        "family": pd.lie_type.family.value,
+        "rank": pd.lie_type.rank,
+        "node": pd.node,
+        "dim_y": pd.dim_y,
+        "k": pd.fano_index,
+        "levels": {str(i): [list(r.sr_coords) for r in pd.levels[i]] for i in sorted(pd.levels)},
+    }
     counts = " ".join(f"{i}:{len(pd.levels[i])}" for i in sorted(pd.levels))
     lines = [
         f"pair ({pd.lie_type}, node {pd.node})",
@@ -167,21 +175,18 @@ def _parabolic(args: argparse.Namespace) -> tuple[dict, str]:
         f"Fano index {pd.fano_index}",
         f"levels {counts}",
     ]
-    return pd.to_json_dict(), "\n".join(lines) + "\n"
+    return data, "\n".join(lines) + "\n"
 
 
 def _bwb(args: argparse.Namespace) -> tuple[dict, str]:
     rs = root_system(args.family, args.rank)
     table = bwb_cohomology(rs, _parse_weight(args.weight, rs.rank))
     if table.vanishes:
-        text = "all cohomology vanishes\n"
-    else:
-        text = (
-            f"degree {table.degree}\n"
-            f"dominant weight {table.dominant_weight.fw_coords}\n"
-            f"dim {table.dimension}\n"
-        )
-    return table.to_json_dict(), text
+        data = {"vanishes": True, "degree": None, "mu_fw_coords": None, "dim": None}
+        return data, "all cohomology vanishes\n"
+    mu = table.dominant_weight.fw_coords
+    data = {"vanishes": False, "degree": table.degree, "mu_fw_coords": list(mu), "dim": str(table.dimension)}
+    return data, f"degree {table.degree}\ndominant weight {mu}\ndim {table.dimension}\n"
 
 
 def _dim(args: argparse.Namespace) -> tuple[dict, str]:

@@ -21,12 +21,13 @@ induced structures in exact arithmetic:
 
 Pairs isomorphic to a listed pair (for instance (D_l, node l) versus
 (D_l, node l-1)) still get their partition, dim Y and k(Y), but no lowest
-weights: asking for them raises an error naming the canonical form;
-remapping silently would hide node-numbering mistakes.  The refusal is
-also needed for correctness: summing graded pieces is valid only when G
-is the full automorphism group of Y, which fails exactly for (B_l, l),
-(C_l, 1) and (G2, 1) (Demazure, Invent. Math. 39, 1977).  At (G2, 1) the
-pieces give a wrong h^0 and an H^1 that the quadric (B3, 1) does not have.
+weights and no exception lookup: asking for either raises an error naming
+the canonical form; remapping silently would hide node-numbering
+mistakes.  The refusal is also needed for correctness: summing graded
+pieces is valid only when G is the full automorphism group of Y, which
+fails exactly for (B_l, l), (C_l, 1) and (G2, 1) (Demazure, Invent.
+Math. 39, 1977).  At (G2, 1) the pieces give a wrong h^0 and an H^1 that
+the quadric (B3, 1) does not have.
 """
 
 from __future__ import annotations
@@ -108,19 +109,6 @@ class ParabolicData:
     def depth(self) -> int:
         """Largest grading level, i.e. the coefficient n_r of the highest root."""
         return max(self.levels)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.lie_type.family.value,
-            "rank": self.lie_type.rank,
-            "node": self.node,
-            "dim_y": self.dim_y,
-            "k": self.fano_index,
-            "levels": {
-                str(i): [list(r.sr_coords) for r in self.levels[i]]
-                for i in sorted(self.levels)
-            },
-        }
 
 
 _PARABOLIC: dict[tuple[LieType, int], ParabolicData] = {}
@@ -243,13 +231,17 @@ def konno_lowest_weights(pd: ParabolicData) -> tuple[Weight, ...]:
     isomorphic listed pair.
     """
     if pd.lowest_weights is None:
-        t, r = pd.lie_type, pd.node
-        tf, tl, tr = _canonical_form(t, r)
-        raise UnsupportedPairError(
-            f"pair ({t.family.value}{t.rank}, node {r}) is not in the lowest-weight table; "
-            f"it is isomorphic to the listed pair ({tf}{tl}, node {tr})"
-        )
+        raise _omitted_pair_error(pd, "lowest-weight")
     return pd.lowest_weights
+
+
+def _omitted_pair_error(pd: ParabolicData, table: str) -> UnsupportedPairError:
+    """The refusal of a pair omitted from ``table`` in favour of its canonical form."""
+    tf, tl, tr = _canonical_form(pd.lie_type, pd.node)
+    return UnsupportedPairError(
+        f"pair ({pd.lie_type}, node {pd.node}) is not in the {table} table; "
+        f"it is isomorphic to the listed pair ({tf}{tl}, node {tr})"
+    )
 
 
 def h0_twisted_cotangent(pd: ParabolicData, a: int) -> tuple[int, tuple[tuple[int, Optional[Weight], int], ...]]:
@@ -298,6 +290,23 @@ def _is_quadric(pd: ParabolicData) -> bool:
     return pd.node == 1 and f in (Family.B, Family.D)
 
 
+def _listed_twin(t: LieType, r: int) -> tuple[Family, int, int]:
+    """The one presentation the exception table uses for the variety of a listed pair (t, r).
+
+    Gr(r, l+1) = Gr(l+1-r, l+1) under the flip of the A_l diagram, A3 = D3
+    makes (A3, 2) the quadric (D3, 1), and triality makes (D4, 3) the
+    quadric (D4, 1).
+    """
+    f, l = t.family, t.rank
+    if (f, l, r) == (Family.A, 3, 2):
+        return Family.D, 3, 1
+    if f is Family.A and 2 * r > l + 1:
+        return f, l, l + 1 - r
+    if (f, l, r) == (Family.D, 4, 3):
+        return f, l, 1
+    return f, l, r
+
+
 def macaulay_exceptions(pd: ParabolicData, d: int, a: int) -> MacaulayStatus:
     """Look up (Y, d, a) in the static exception table of the duality pairing.
 
@@ -309,15 +318,22 @@ def macaulay_exceptions(pd: ParabolicData, d: int, a: int) -> MacaulayStatus:
     reported as such rather than as its simultaneous injectivity failure.
     Queries with d < 3 are outside the standing degree hypothesis and
     report NO_EXCEPTION.
+
+    Every presentation of a variety gets the same answer: a listed pair is
+    looked up as its ``_listed_twin``, and an omitted pair raises
+    UnsupportedPairError naming its canonical form.
     """
     _require_int("hypersurface degree d", d)
     _require_int("twist a", a)
+    if _canonical_form(pd.lie_type, pd.node) is not None:
+        raise _omitted_pair_error(pd, "duality-exception")
     if d < 3:
         return MacaulayStatus.NO_EXCEPTION
-    f, l, r = pd.lie_type.family, pd.lie_type.rank, pd.node
+    f, l, r = _listed_twin(pd.lie_type, pd.node)
     if f is Family.B and l == 2 and r == 1 and (d, a) == (3, 3):
         return MacaulayStatus.SURJECTIVITY_FAILS
-    if _is_quadric(pd):
+    # the quadrics; _listed_twin has moved (A3, 2) and (D4, 3) to node 1
+    if r == 1 and f in (Family.B, Family.D):
         if a == d - 2 or (d, a) in ((3, 2), (3, 3), (4, 4)):
             return MacaulayStatus.INJECTIVITY_FAILS
     if (f, l, r) in ((Family.A, 5, 2), (Family.E, 6, 1)):

@@ -17,7 +17,7 @@ Conventions, fixed once for the whole package:
 Everything is exact and there is no floating point.  Root-system
 construction and classification use integers only: the symmetrizer is
 carried scaled by 6 (``scaled_symmetrizer``, D_i = 6 d_i in {6, 3, 2}).
-``Fraction`` appears only in ``pairing``, ``weight_to_root_coords`` and
+``Fraction`` appears only in ``weight_to_root_coords`` and
 ``bwb.partial_weyl_product``.
 
 Besides the roots, a ``RootSystem`` keeps what the root closure learns on
@@ -38,9 +38,8 @@ It also keeps, read off the Cartan matrix once, the Dynkin graph as
 simple reflection s_k changes m_k to -m_k and m_j to m_j - m_k a_jk for
 these j only, so one reflection costs the degree of node k, at most 3.
 
-Weight coordinates, squared lengths and coroots of roots are not stored:
-``root_to_weight_coords`` reads m = A n off the Dynkin graph, and
-``copairing`` derives 6 (beta, beta) = sum_j n_j m_j D_j from it.
+Weight coordinates, squared lengths and coroots of roots are not stored;
+``root_to_weight_coords`` reads m = A n off the Dynkin graph.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -161,20 +159,13 @@ class Weight:
         return all(c >= 0 for c in self.fw_coords)
 
 
-def zero_weight(rank: int) -> Weight:
-    _require_int("rank", rank)
-    if rank < 1:
-        raise ConfigError(f"rank must be >= 1, got {rank}")
-    return Weight((0,) * rank)
-
-
 def fundamental_weight(rank: int, i: int) -> Weight:
     """lambda_i, 1-based; i = 0 gives the zero weight (lambda_0 := 0 convention)."""
     _require_int("rank", rank)
     _require_int("node", i)
-    if i == 0:
-        return zero_weight(rank)
-    if not 1 <= i <= rank:
+    if rank < 1:
+        raise ConfigError(f"rank must be >= 1, got {rank}")
+    if not 0 <= i <= rank:
         raise ConfigError(f"node {i} out of range 1..{rank}")
     return Weight(tuple(1 if j == i - 1 else 0 for j in range(rank)))
 
@@ -354,43 +345,19 @@ def _check_len(rs: RootSystem, coords: Sequence[int]) -> None:
         raise ValueError(f"expected {rs.rank} coordinates, got {len(coords)}")
 
 
-def pairing(rs: RootSystem, w: Weight, r: Root) -> Fraction:
-    """Invariant form (w, alpha) = sum_j n_j m_j d_j."""
-    _check_len(rs, w.fw_coords)
-    _check_len(rs, r.sr_coords)
-    return Fraction(sum(m * n * d for m, n, d in zip(w.fw_coords, r.sr_coords, rs.scaled_symmetrizer)), 6)
+def root_to_weight_coords(rs: RootSystem, r: Root) -> Weight:
+    """The weight coordinates m = A n of a root-lattice vector, read off the Dynkin graph.
 
-
-def copairing(rs: RootSystem, w: Weight, r: Root) -> int:
-    """<w, alpha> = 2 (w, alpha) / (alpha, alpha), an integer on the weight lattice."""
-    _check_len(rs, w.fw_coords)
-    _check_len(rs, r.sr_coords)
-    scaled = [c * x for c, x in zip(r.sr_coords, rs.scaled_symmetrizer)]
-    # L = 6 (alpha, alpha) = sum_j n_j m_j D_j with m = A n
-    length = sum(map(mul, _weight_coords(rs, r.sr_coords), scaled))
-    if length == 0:
-        raise ValueError("copairing undefined for the zero vector")
-    num = 2 * sum(map(mul, w.fw_coords, scaled))
-    val, rem = divmod(num, length)
-    if rem:
-        raise ArithmeticError(f"<w, r^vee> = {num}/{length} is not an integer: {r.sr_coords} is not a root")
-    return val
-
-
-def _weight_coords(rs: RootSystem, n: Sequence[int]) -> list[int]:
-    """m = A n, with m_j = 2 n_j + sum a_ji n_i over the Dynkin neighbours i of j."""
+    m_j = 2 n_j + sum a_ji n_i over the Dynkin neighbours i of j.
+    """
+    n = r.sr_coords
+    _check_len(rs, n)
     m = [2 * c for c in n]
     for i, c in enumerate(n):
         if c:
             for j, a in rs.neighbours[i]:
                 m[j] += a * c
-    return m
-
-
-def root_to_weight_coords(rs: RootSystem, r: Root) -> Weight:
-    """The weight coordinates m = A n of a root-lattice vector, read off the Dynkin graph."""
-    _check_len(rs, r.sr_coords)
-    return Weight(tuple(_weight_coords(rs, r.sr_coords)))
+    return Weight(tuple(m))
 
 
 def weight_to_root_coords(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:
@@ -409,26 +376,6 @@ def weight_to_root_coords(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:
                 f = a[r][k] / pivot[k]
                 a[r] = [x - f * y for x, y in zip(a[r], pivot)]
     return tuple(a[i][l] / a[i][i] for i in range(l))
-
-
-def simple_reflection(rs: RootSystem, i: int, w: Weight) -> Weight:
-    """sigma_i(w) = w - <w, alpha_i^vee> alpha_i, with i 1-based."""
-    _require_int("node", i)
-    if not 1 <= i <= rs.rank:
-        raise ConfigError(f"node {i} out of range 1..{rs.rank}")
-    _check_len(rs, w.fw_coords)
-    k = i - 1
-    m = w.fw_coords
-    c = m[k]
-    return Weight(tuple(m[j] - c * rs.cartan[j][k] for j in range(rs.rank)))
-
-
-def simple_root(rs: RootSystem, i: int) -> Root:
-    """alpha_i, 1-based."""
-    _require_int("node", i)
-    if not 1 <= i <= rs.rank:
-        raise ConfigError(f"node {i} out of range 1..{rs.rank}")
-    return Root(tuple(1 if j == i - 1 else 0 for j in range(rs.rank)))
 
 
 def all_lie_types(max_rank: int) -> list[LieType]:

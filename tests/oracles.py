@@ -314,6 +314,18 @@ def symmetrizer_from_cartan(cartan) -> tuple[Fraction, ...]:
     return tuple(x / top for x in d)
 
 
+def invariant_form(cartan, fw: tuple[int, ...], sr: tuple[int, ...]) -> Fraction:
+    """(w, beta) = sum_j m_j n_j d_j for a weight m and a root-lattice vector n.
+
+    The fundamental weights are dual to the simple coroots, so
+    (lambda_i, alpha_j) = delta_ij d_j with d from ``symmetrizer_from_cartan``.
+    """
+    if not len(fw) == len(sr) == len(cartan):
+        raise ValueError(f"expected {len(cartan)} coordinates, got {len(fw)} and {len(sr)}")
+    d = symmetrizer_from_cartan(cartan)
+    return sum((m * n * x for m, n, x in zip(fw, sr, d)), Fraction(0))
+
+
 def coroots_from_cartan(cartan, roots) -> list[tuple[int, ...]]:
     """Coroot coordinates n_j d_j / d_alpha of each root n over the simple coroots."""
     d = symmetrizer_from_cartan(cartan)

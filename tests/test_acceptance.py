@@ -47,7 +47,6 @@ from flagcoh.rootsys import (
     root_system,
     root_to_weight_coords,
     weight_to_root_coords,
-    zero_weight,
 )
 from flagcoh.verify import check_lemma_studiopesi, check_theorem_lungo
 
@@ -265,7 +264,7 @@ def _check_purity() -> bool:
         rs = root_system(t.family, t.rank)
         for r in range(1, t.rank + 1):
             pd = parabolic_data(rs, r)  # purity asserted internally
-            total = zero_weight(rs.rank)
+            total = fundamental_weight(rs.rank, 0)
             for root in pd.phi_n_plus:
                 total = total + root_to_weight_coords(rs, root)
             expected = pd.fano_index * fundamental_weight(rs.rank, r)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from functools import lru_cache
 import pytest
 
 import flagcoh.bwb
+import flagcoh.cli as cli
 from flagcoh.bwb import (
     SINGULAR,
     CohomologyTable,
@@ -33,9 +35,6 @@ from flagcoh.rootsys import (
     fundamental_weight,
     root_system,
     root_to_weight_coords,
-    simple_reflection,
-    simple_root,
-    zero_weight,
 )
 
 from oracles import (
@@ -114,7 +113,8 @@ def test_classify_lemma_singular_shape():
     for fam, l in [("A", 3), ("B", 4), ("F", 4), ("G", 2)]:
         rs = root_system(fam, l)
         for r in range(1, l + 1):
-            v = fundamental_weight(l, r) - root_to_weight_coords(rs, simple_root(rs, r)) + rs.weyl_vector
+            alpha_r = Root(tuple(int(j == r) for j in range(1, l + 1)))
+            v = fundamental_weight(l, r) - root_to_weight_coords(rs, alpha_r) + rs.weyl_vector
             assert classify(rs, v).singular
 
 
@@ -123,7 +123,9 @@ def test_to_dominant_spot():
         rs = root_system(fam, l)
         assert to_dominant(rs, rs.weyl_vector) == (0, rs.weyl_vector)
         for i in range(1, l + 1):
-            assert to_dominant(rs, simple_reflection(rs, i, rs.weyl_vector)) == (1, rs.weyl_vector)
+            # s_i(delta) = delta - alpha_i
+            alpha_i = Root(tuple(int(j == i) for j in range(1, l + 1)))
+            assert to_dominant(rs, rs.weyl_vector - root_to_weight_coords(rs, alpha_i)) == (1, rs.weyl_vector)
     rs1 = root_system("A", 1)
     assert to_dominant(rs1, Weight((-1,))) == (1, Weight((1,)))
     assert to_dominant(rs1, Weight((0,))) is None
@@ -231,9 +233,9 @@ def test_bwb_cohomology_calls_to_dominant_through_the_module(monkeypatch):
 def test_weyl_dim_trivial_and_f4():
     for t in all_lie_types(6):
         rs = root_system(t.family, t.rank)
-        assert weyl_dim(rs, zero_weight(t.rank)) == 1
+        assert weyl_dim(rs, Weight((0,) * t.rank)) == 1
     rs = root_system("F", 4)
-    lam = 2 * fundamental_weight(4, 4) - root_to_weight_coords(rs, simple_root(rs, 4))
+    lam = 2 * fundamental_weight(4, 4) - root_to_weight_coords(rs, Root((0, 0, 0, 1)))
     assert lam == fundamental_weight(4, 3)
     assert weyl_dim(rs, lam) == 273
     assert weyl_dim(rs, fundamental_weight(4, 1)) == 52
@@ -309,7 +311,7 @@ def test_partial_weyl_product_rejects_repeated_root():
     # a repeated root would count its factor twice: [alpha_1, alpha_1] gave 4
     rs = root_system("A", 2)
     lam = fundamental_weight(2, 1)
-    alpha1 = simple_root(rs, 1)
+    alpha1 = Root((1, 0))
     assert partial_weyl_product(rs, lam, [alpha1]) == 2
     with pytest.raises(ValueError, match="twice"):
         partial_weyl_product(rs, lam, [alpha1, alpha1])
@@ -324,7 +326,7 @@ def test_partial_weyl_product_levi_and_nilradical_split_weyl_dim(t: LieType):
     # dimension; the nilradical is passed reversed, off the root order
     rs = root_system(t.family, t.rank)
     rng = random.Random(f"partial product {t}")
-    weights = [zero_weight(t.rank)] + [Weight(tuple(rng.randint(0, 3) for _ in range(t.rank))) for _ in range(3)]
+    weights = [Weight((0,) * t.rank)] + [Weight(tuple(rng.randint(0, 3) for _ in range(t.rank))) for _ in range(3)]
     for r in range(1, t.rank + 1):
         pd = parabolic_data(rs, r)
         for lam in weights:
@@ -382,7 +384,7 @@ def test_bwb_projective_line():
 
 def test_bwb_f4_example():
     rs = root_system("F", 4)
-    lam = 2 * fundamental_weight(4, 4) - root_to_weight_coords(rs, simple_root(rs, 4))
+    lam = 2 * fundamental_weight(4, 4) - root_to_weight_coords(rs, Root((0, 0, 0, 1)))
     table = bwb_cohomology(rs, lam)
     assert (table.vanishes, table.degree, table.dimension) == (False, 0, 273)
 
@@ -391,41 +393,47 @@ def test_bwb_projective_space_cotangent():
     # h0 of the cotangent bundle twisted by 2 on projective n-space
     for n in range(1, 7):
         rs = root_system("A", n)
-        lam = 2 * fundamental_weight(n, 1) - root_to_weight_coords(rs, simple_root(rs, 1))
+        lam = 2 * fundamental_weight(n, 1) - root_to_weight_coords(rs, Root((1,) + (0,) * (n - 1)))
         table = bwb_cohomology(rs, lam)
         assert (table.vanishes, table.degree) == (False, 0)
         assert table.dimension == n * (n + 1) // 2
 
 
-def test_bwb_degree_bound_and_consistency():
+def test_bwb_degree_bound_and_consistency(capsys):
     rng = random.Random(23)
+    shapes = set()
     for fam, l in [("A", 4), ("B", 3), ("D", 4), ("G", 2)]:
         rs = root_system(fam, l)
-        for _ in range(200):
+        for k in range(200):
             lam = Weight(tuple(rng.randint(-4, 4) for _ in range(l)))
             table = bwb_cohomology(rs, lam)
             cls = classify(rs, lam + rs.weyl_vector)
             if table.vanishes:
                 assert cls.singular
-                assert table.to_json_dict() == {
-                    "vanishes": True,
-                    "degree": None,
-                    "mu_fw_coords": None,
-                    "dim": None,
-                }
+                expected = {"vanishes": True, "degree": None, "mu_fw_coords": None, "dim": None}
             else:
                 assert table.degree == cls.index <= len(rs.positive_roots)
                 assert table.dominant_weight.is_dominant()
                 assert table.dimension == weyl_dim(rs, table.dominant_weight)
-                d = table.to_json_dict()
-                assert d["dim"] == str(table.dimension)
-                assert d["mu_fw_coords"] == list(table.dominant_weight.fw_coords)
+                expected = {
+                    "vanishes": False,
+                    "degree": table.degree,
+                    "mu_fw_coords": list(table.dominant_weight.fw_coords),
+                    "dim": str(table.dimension),
+                }
+            # the command line's JSON form, on a sample: each run costs a parser build
+            if k < 10:
+                weight = ",".join(map(str, lam.fw_coords))
+                assert cli.run(["bwb", fam, str(l), f"--weight={weight}", "--format", "json"]) == 0
+                assert json.loads(capsys.readouterr().out) == expected
+                shapes.add(table.vanishes)
+    assert shapes == {False, True}
 
 
 def test_classify_cotangent_twist_weights_shapes():
     rs = root_system("F", 4)
     lam4 = fundamental_weight(4, 4)
-    alpha4 = root_to_weight_coords(rs, simple_root(rs, 4))
+    alpha4 = root_to_weight_coords(rs, Root((0, 0, 0, 1)))
     # shape 1: -alpha_r + a lambda_r
     assert classify_cotangent_twist_weights(rs, 4, 1, lam4 - alpha4).singular
     for a in (2, 3, 4):
@@ -436,7 +444,7 @@ def test_classify_cotangent_twist_weights_shapes():
     for a in (2, 3):
         assert classify_cotangent_twist_weights(rs, 4, a, (a - 2) * lam4 + lam1) == WeightClass(0)
     # shape 2: -lambda_r + lambda' + a lambda_r always regular of index 0
-    for fam, l, r, lamp in [("B", 4, 3, fundamental_weight(4, 1)), ("G", 2, 2, zero_weight(2))]:
+    for fam, l, r, lamp in [("B", 4, 3, fundamental_weight(4, 1)), ("G", 2, 2, Weight((0, 0)))]:
         rsx = root_system(fam, l)
         lr = fundamental_weight(l, r)
         for a in (1, 2, 3):

@@ -206,6 +206,21 @@ def test_sigma_and_macaulay(capsys) -> None:
     assert json.loads(capsys.readouterr().out)["status"] == "no-exception"
 
 
+def test_macaulay_twins(capsys) -> None:
+    # the Grassmannian Gr(4, 6) answers as its listed twin Gr(2, 6)
+    assert cli.run(["macaulay", "A", "5", "--node", "4", "--degree", "3", "--twist", "3"]) == 0
+    assert capsys.readouterr().out == "injectivity-fails\n"
+    # omitted pairs are refused and named after their listed twin
+    for argv, twin in (
+        (["E", "6", "--node", "6"], "(E6, node 1)"),
+        (["G", "2", "--node", "1"], "(B3, node 1)"),
+    ):
+        assert cli.run(["macaulay", *argv, "--degree", "3", "--twist", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and f"isomorphic to the listed pair {twin}" in captured.err
+
+
 def test_verify_text_summary(capsys) -> None:
     assert cli.run(["verify", "--sweep", "lungo", "--max-rank", "4"]) == 0
     out = capsys.readouterr().out
@@ -399,6 +414,17 @@ QUERY_OUTPUT_PINS = {
     1
   ],
   "dim": "3"
+}
+""",
+    ),
+    "bwb-vanishing": (
+        ["bwb", "A", "1", "--weight=-1"],
+        "all cohomology vanishes\n",
+        """{
+  "vanishes": true,
+  "degree": null,
+  "mu_fw_coords": null,
+  "dim": null
 }
 """,
     ),

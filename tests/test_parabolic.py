@@ -11,11 +11,13 @@ the second rule, so the table is what makes the comparison independent.
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from types import MappingProxyType
 
 import pytest
 
+import flagcoh.cli as cli
 from flagcoh import parabolic
 from flagcoh.bwb import bwb_cohomology, classify_cotangent_twist_weights, weyl_dim
 from flagcoh.parabolic import (
@@ -35,8 +37,6 @@ from flagcoh.rootsys import (
     all_lie_types,
     fundamental_weight,
     root_system,
-    simple_reflection,
-    simple_root,
 )
 
 from oracles import (
@@ -72,7 +72,7 @@ def test_node_out_of_range() -> None:
         parabolic_data(rs, 4)
 
 
-def test_node_must_be_an_int() -> None:
+def test_node_must_be_an_int(capsys) -> None:
     # True == 1 and hashes like it: accepted, it would share the memo entry of node 1
     rs = root_system("A", 3)
     lam2 = fundamental_weight(3, 2)
@@ -82,14 +82,11 @@ def test_node_must_be_an_int() -> None:
         with pytest.raises(TypeError):
             fundamental_weight(3, bad)
         with pytest.raises(TypeError):
-            simple_root(rs, bad)
-        with pytest.raises(TypeError):
-            simple_reflection(rs, bad, lam2)
-        with pytest.raises(TypeError):
             classify_cotangent_twist_weights(rs, bad, 1, -lam2)
         with pytest.raises(TypeError):
             classify_cotangent_twist_weights(rs, 2, bad, -lam2)
-    assert type(parabolic_data(rs, 1).to_json_dict()["node"]) is int
+    assert cli.run(["parabolic", "A", "3", "--node", "1", "--format", "json"]) == 0
+    assert type(json.loads(capsys.readouterr().out)["node"]) is int
     # the same calls with plain ints go through
     assert classify_cotangent_twist_weights(rs, 2, 1, -lam2).singular
 
@@ -159,9 +156,9 @@ def test_fano_index_spot_values() -> None:
     assert pd_of("G", 2, 2).fano_index == 3
 
 
-def test_json_round_shape() -> None:
-    pd = pd_of("F", 4, 4)
-    d = pd.to_json_dict()
+def test_json_round_shape(capsys) -> None:
+    assert cli.run(["parabolic", "F", "4", "--node", "4", "--format", "json"]) == 0
+    d = json.loads(capsys.readouterr().out)
     assert d["family"] == "F" and d["rank"] == 4 and d["node"] == 4
     assert d["dim_y"] == 15 and d["k"] == 11
     assert set(d["levels"]) == {"1", "2"}
@@ -596,3 +593,33 @@ def test_macaulay_rejects_non_int_arguments() -> None:
     for d, a in ((3.0, 3), (3, 3.0), (True, 1), (3, True), (3.5, 2), (2.0, 0)):
         with pytest.raises(TypeError):
             macaulay_exceptions(pd, d, a)
+
+
+# Isomorphic varieties that the lowest-weight table lists under two presentations.
+LISTED_TWINS = [
+    (("A", 5, 4), ("A", 5, 2)),  # Gr(4, 6) = Gr(2, 6)
+    (("D", 4, 3), ("D", 4, 1)),  # triality: both are the quadric Q^6
+    (("A", 3, 2), ("D", 3, 1)),  # A3 = D3: Gr(2, 4) is the quadric Q^4
+]
+
+
+@pytest.mark.parametrize("twin, listed", LISTED_TWINS, ids=lambda p: "".join(map(str, p)))
+def test_macaulay_same_answer_on_listed_twins(twin, listed) -> None:
+    grid = [(d, a) for d in range(3, 9) for a in range(0, 9)]
+    expected = [macaulay_exceptions(pd_of(*listed), d, a) for d, a in grid]
+    assert [macaulay_exceptions(pd_of(*twin), d, a) for d, a in grid] == expected
+    assert MacaulayStatus.INJECTIVITY_FAILS in expected
+
+
+def test_macaulay_refuses_omitted_pairs() -> None:
+    omitted = [pd for pd in all_pairs(8) if pd.lowest_weights is None]
+    assert len(omitted) == 22
+    for pd in omitted:
+        tf, tl, tr = _canonical_form(pd.lie_type, pd.node)
+        for d in range(3, 9):
+            for a in range(0, 9):
+                with pytest.raises(UnsupportedPairError, match=rf"listed pair \({tf}{tl}, node {tr}\)"):
+                    macaulay_exceptions(pd, d, a)
+    # the listed twins answer: the Cayley plane at (3, 3), the quadric Q^5 at a = d - 2
+    assert macaulay_exceptions(pd_of("E", 6, 1), 3, 3) is MacaulayStatus.INJECTIVITY_FAILS
+    assert macaulay_exceptions(pd_of("B", 3, 1), 5, 3) is MacaulayStatus.INJECTIVITY_FAILS

@@ -7,7 +7,12 @@ from pathlib import Path
 
 import flagcoh
 
-SOURCES = sorted(Path(flagcoh.__file__).parent.glob("*.py"))
+PACKAGE = Path(flagcoh.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def test_no_assert_in_package_source() -> None:
@@ -16,15 +21,15 @@ def test_no_assert_in_package_source() -> None:
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for node in ast.walk(_parse(path))
         if isinstance(node, ast.Assert)
     ]
     assert found == []
 
 
 # the integer-only hot path: root-system build, the Dynkin neighbours, the
-# root-chain pass, the chamber walk, the copairing, the root-to-weight
-# conversion, the parabolic partition and the lowest-weight derivation
+# root-chain pass, the chamber walk, the root-to-weight conversion, the
+# parabolic partition and the lowest-weight derivation
 INTEGER_ONLY = {
     "_cartan_matrix",
     "_positive_root_closure",
@@ -35,9 +40,7 @@ INTEGER_ONLY = {
     "to_dominant",
     "weyl_dim",
     "_derive_lowest_weights",
-    "copairing",
     "root_to_weight_coords",
-    "_weight_coords",
     "_build_parabolic_data",
 }
 
@@ -46,7 +49,7 @@ def test_hot_path_never_references_fraction() -> None:
     seen = set()
     found = []
     for path in SOURCES:
-        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        for fn in ast.walk(_parse(path)):
             if isinstance(fn, ast.FunctionDef) and fn.name in INTEGER_ONLY:
                 seen.add(fn.name)
                 found += [
@@ -57,3 +60,73 @@ def test_hot_path_never_references_fraction() -> None:
                 ]
     assert seen == INTEGER_ONLY
     assert found == []
+
+
+def test_engine_modules_leave_the_wire_format_to_the_front_end() -> None:
+    # every JSON shape lives in verify and cli
+    for name in ("rootsys.py", "bwb.py", "parabolic.py"):
+        tree = _parse(PACKAGE / name)
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+        assert "to_json_dict" not in defined, name
+        assert "json" not in imported, name
+
+
+# every public name of the package, so that unused API cannot grow back unseen
+PUBLIC_NAMES = [
+    "CaseResult",
+    "CohomologyTable",
+    "ConfigError",
+    "Family",
+    "LieType",
+    "MAX_RANK",
+    "MacaulayStatus",
+    "ParabolicData",
+    "Report",
+    "Root",
+    "RootSystem",
+    "SINGULAR",
+    "UnsupportedPairError",
+    "Weight",
+    "WeightClass",
+    "all_lie_types",
+    "build_root_system",
+    "bwb_cohomology",
+    "check_lemma_studiopesi",
+    "check_theorem_lungo",
+    "classify",
+    "classify_cotangent_twist_weights",
+    "emit_report",
+    "fundamental_weight",
+    "h0_twisted_cotangent",
+    "konno_lowest_weights",
+    "konno_pairs",
+    "macaulay_exceptions",
+    "parabolic_data",
+    "partial_weyl_product",
+    "root_system",
+    "root_to_weight_coords",
+    "sigma",
+    "to_dominant",
+    "weight_to_root_coords",
+    "weyl_dim",
+]
+
+
+def test_public_names_are_the_listed_ones() -> None:
+    names = set()
+    for node in _parse(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert sorted(n for n in names if not n.startswith("_")) == PUBLIC_NAMES
+    assert all(hasattr(flagcoh, n) for n in PUBLIC_NAMES)
