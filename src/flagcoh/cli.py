@@ -100,8 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("macaulay", help="duality-pairing exception lookup for (d, a)", parents=[output])
     add_pair(p, node=True)
-    p.add_argument("--degree", type=_strict_int, required=True, help="hypersurface degree d")
-    p.add_argument("--twist", type=_strict_int, required=True, help="twist a")
+    p.add_argument("--degree", type=_strict_int, required=True, help="hypersurface degree d >= 3")
+    p.add_argument("--twist", type=_strict_int, required=True, help="twist a >= 0")
 
     p = sub.add_parser("verify", help="run a verification sweep and emit a report")
     p.add_argument("--sweep", choices=("lungo", "studiopesi"), required=True)

@@ -280,31 +280,19 @@ def h0_twisted_cotangent(pd: ParabolicData, a: int) -> tuple[int, tuple[tuple[in
 def sigma(pd: ParabolicData, d: int) -> int:
     """sigma = (N + 1) d - 2 k(Y) with N = dim Y, for hypersurface degree d >= 3."""
     _require_int("hypersurface degree d", d)
+    _check_degree(d)
+    return (pd.dim_y + 1) * d - 2 * pd.fano_index
+
+
+def _check_degree(d: int) -> None:
+    """The standing degree hypothesis of ``sigma`` and ``macaulay_exceptions``."""
     if d < 3:
         raise ValueError(f"hypersurface degree d must be >= 3, got {d}")
-    return (pd.dim_y + 1) * d - 2 * pd.fano_index
 
 
 def _is_quadric(pd: ParabolicData) -> bool:
     f = pd.lie_type.family
     return pd.node == 1 and f in (Family.B, Family.D)
-
-
-def _listed_twin(t: LieType, r: int) -> tuple[Family, int, int]:
-    """The one presentation the exception table uses for the variety of a listed pair (t, r).
-
-    Gr(r, l+1) = Gr(l+1-r, l+1) under the flip of the A_l diagram, A3 = D3
-    makes (A3, 2) the quadric (D3, 1), and triality makes (D4, 3) the
-    quadric (D4, 1).
-    """
-    f, l = t.family, t.rank
-    if (f, l, r) == (Family.A, 3, 2):
-        return Family.D, 3, 1
-    if f is Family.A and 2 * r > l + 1:
-        return f, l, l + 1 - r
-    if (f, l, r) == (Family.D, 4, 3):
-        return f, l, 1
-    return f, l, r
 
 
 def macaulay_exceptions(pd: ParabolicData, d: int, a: int) -> MacaulayStatus:
@@ -316,27 +304,28 @@ def macaulay_exceptions(pd: ParabolicData, d: int, a: int) -> MacaulayStatus:
     recorded here verbatim.  Surjectivity fails only for the
     three-dimensional quadric with (d, a) = (3, 3), and that case is
     reported as such rather than as its simultaneous injectivity failure.
-    Queries with d < 3 are outside the standing degree hypothesis and
-    report NO_EXCEPTION.
+    The degree must be d >= 3, as for ``sigma``, and the twist a >= 0.
 
-    Every presentation of a variety gets the same answer: a listed pair is
-    looked up as its ``_listed_twin``, and an omitted pair raises
+    Every presentation of a variety gets the same answer: each row names
+    every listed presentation, and an omitted pair raises
     UnsupportedPairError naming its canonical form.
     """
     _require_int("hypersurface degree d", d)
     _require_int("twist a", a)
-    if _canonical_form(pd.lie_type, pd.node) is not None:
+    _check_degree(d)
+    if a < 0:
+        raise ValueError(f"twist a must be >= 0, got {a}")
+    if pd.lowest_weights is None:
         raise _omitted_pair_error(pd, "duality-exception")
-    if d < 3:
-        return MacaulayStatus.NO_EXCEPTION
-    f, l, r = _listed_twin(pd.lie_type, pd.node)
-    if f is Family.B and l == 2 and r == 1 and (d, a) == (3, 3):
+    f, l, r = pd.lie_type.family, pd.lie_type.rank, pd.node
+    if (f, l, r) == (Family.B, 2, 1) and (d, a) == (3, 3):
         return MacaulayStatus.SURJECTIVITY_FAILS
-    # the quadrics; _listed_twin has moved (A3, 2) and (D4, 3) to node 1
-    if r == 1 and f in (Family.B, Family.D):
+    # the quadrics; A3 = D3 makes (A3, 2) the quadric Q^4, and triality makes (D4, 3) the quadric Q^6
+    if _is_quadric(pd) or (f, l, r) in ((Family.A, 3, 2), (Family.D, 4, 3)):
         if a == d - 2 or (d, a) in ((3, 2), (3, 3), (4, 4)):
             return MacaulayStatus.INJECTIVITY_FAILS
-    if (f, l, r) in ((Family.A, 5, 2), (Family.E, 6, 1)):
+    # Gr(2, 6) = Gr(4, 6) under the flip of the A5 diagram, and the Cayley plane
+    if (f, l, r) in ((Family.A, 5, 2), (Family.A, 5, 4), (Family.E, 6, 1)):
         if (d, a) == (3, 3):
             return MacaulayStatus.INJECTIVITY_FAILS
     if (f, l, r) in ((Family.C, 3, 2), (Family.F, 4, 4)):

@@ -170,6 +170,29 @@ def test_integer_options_need_ascii_digits(argv, capsys) -> None:
     assert err.count("error:") == 1
 
 
+# Integers of the right syntax outside their domain: one error line, exit 2.
+OUT_OF_DOMAIN = [
+    ["info", "A", "0"],
+    ["parabolic", "A", "3", "--node", "0"],
+    ["h0-cotangent", "A", "3", "--node", "1", "--twist", "0"],
+    ["sigma", "A", "3", "--node", "1", "--degree", "2"],
+    ["macaulay", "A", "3", "--node", "1", "--degree", "2", "--twist", "1"],
+    ["macaulay", "B", "2", "--node", "1", "--degree=-4", "--twist=0"],
+    ["macaulay", "B", "2", "--node", "1", "--degree=3", "--twist=-7"],
+    ["verify", "--sweep", "lungo", "--max-rank", "1"],
+    ["verify", "--sweep", "studiopesi", "--max-rank", "3", "--twist", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_DOMAIN, ids=" ".join)
+def test_out_of_domain_integers_exit_2(argv, capsys) -> None:
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.count("error:") == 1
+
+
 def test_parabolic_json(capsys) -> None:
     assert cli.run(["parabolic", "F", "4", "--node", "4", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -584,8 +584,11 @@ def test_macaulay_generic_no_exception() -> None:
     assert macaulay_exceptions(pd_of("A", 4, 2), 4, 2) is MacaulayStatus.NO_EXCEPTION
     assert macaulay_exceptions(pd_of("E", 8, 4), 3, 3) is MacaulayStatus.NO_EXCEPTION
     assert macaulay_exceptions(pd_of("G", 2, 2), 5, 4) is MacaulayStatus.NO_EXCEPTION
-    # below the standing degree hypothesis nothing is reported
-    assert macaulay_exceptions(pd_of("B", 4, 1), 2, 0) is MacaulayStatus.NO_EXCEPTION
+    # below the standing degree hypothesis the lookup refuses, as sigma does
+    with pytest.raises(ValueError, match="hypersurface degree d must be >= 3"):
+        macaulay_exceptions(pd_of("B", 4, 1), 2, 0)
+    with pytest.raises(ValueError, match="twist a must be >= 0"):
+        macaulay_exceptions(pd_of("B", 4, 1), 3, -1)
 
 
 def test_macaulay_rejects_non_int_arguments() -> None:
@@ -595,12 +598,17 @@ def test_macaulay_rejects_non_int_arguments() -> None:
             macaulay_exceptions(pd, d, a)
 
 
-# Isomorphic varieties that the lowest-weight table lists under two presentations.
+# Isomorphic varieties that the lowest-weight table lists under two
+# presentations, every one up to rank 8.
 LISTED_TWINS = [
-    (("A", 5, 4), ("A", 5, 2)),  # Gr(4, 6) = Gr(2, 6)
-    (("D", 4, 3), ("D", 4, 1)),  # triality: both are the quadric Q^6
+    # Gr(r, l+1) = Gr(l+1-r, l+1) under the flip of the A_l diagram
+    *((("A", l, r), ("A", l, l + 1 - r)) for l in range(2, 9) for r in range((l + 1) // 2 + 1, l + 1)),
+    (("D", 3, 2), ("A", 3, 1)),  # A3 = D3: both are P^3
     (("A", 3, 2), ("D", 3, 1)),  # A3 = D3: Gr(2, 4) is the quadric Q^4
+    (("D", 4, 3), ("D", 4, 1)),  # triality: both are the quadric Q^6
 ]
+# the listed twins whose variety has a row in the exception table
+WITH_EXCEPTIONS = {("A", 5, 2), ("D", 3, 1), ("D", 4, 1)}
 
 
 @pytest.mark.parametrize("twin, listed", LISTED_TWINS, ids=lambda p: "".join(map(str, p)))
@@ -608,7 +616,7 @@ def test_macaulay_same_answer_on_listed_twins(twin, listed) -> None:
     grid = [(d, a) for d in range(3, 9) for a in range(0, 9)]
     expected = [macaulay_exceptions(pd_of(*listed), d, a) for d, a in grid]
     assert [macaulay_exceptions(pd_of(*twin), d, a) for d, a in grid] == expected
-    assert MacaulayStatus.INJECTIVITY_FAILS in expected
+    assert (MacaulayStatus.INJECTIVITY_FAILS in expected) == (listed in WITH_EXCEPTIONS)
 
 
 def test_macaulay_refuses_omitted_pairs() -> None:
@@ -623,3 +631,41 @@ def test_macaulay_refuses_omitted_pairs() -> None:
     # the listed twins answer: the Cayley plane at (3, 3), the quadric Q^5 at a = d - 2
     assert macaulay_exceptions(pd_of("E", 6, 1), 3, 3) is MacaulayStatus.INJECTIVITY_FAILS
     assert macaulay_exceptions(pd_of("B", 3, 1), 5, 3) is MacaulayStatus.INJECTIVITY_FAILS
+
+
+# ---------------------------------------------------------------------------
+# duality and vanishing theorems: the Fano index, the chamber walk, weyl_dim
+# and the lowest weights checked against one another
+
+
+def test_serre_duality_and_kodaira_vanishing_for_line_bundles() -> None:
+    # K_Y = O(-k): H^N(O(-k-a)) is dual to H^0(O(a)), and O(-a) is acyclic for 0 < a < k
+    for pd in all_pairs(8):
+        rs, k = pd.root_system, pd.fano_index
+        lam = fundamental_weight(rs.rank, pd.node)
+        for a in range(3):
+            table = bwb_cohomology(rs, -(k + a) * lam)
+            assert (table.degree, table.dimension) == (pd.dim_y, weyl_dim(rs, a * lam))
+        for a in range(1, k):
+            assert bwb_cohomology(rs, -a * lam).vanishes
+
+
+def test_picard_rank_one_h11_is_one() -> None:
+    # H^1(Y, Omega^1_Y) = C: exactly one graded piece has cohomology at twist 0
+    for pd in konno_pairs(8):
+        tables = [bwb_cohomology(pd.root_system, -w) for w in pd.lowest_weights]
+        assert [(t.degree, t.dimension) for t in tables if not t.vanishes] == [(1, 1)]
+
+
+def test_akizuki_nakano_on_hermitian_symmetric_pairs() -> None:
+    # at depth 1 Omega^1_Y is irreducible, so BWB on its one piece is all of
+    # H^q(Y, Omega^1_Y(-a)), which vanishes for q < dim Y - 1 and a >= 1
+    depth_one = [pd for pd in konno_pairs(8) if pd.depth == 1]
+    assert depth_one
+    for pd in depth_one:
+        rs = pd.root_system
+        lam = fundamental_weight(rs.rank, pd.node)
+        (w,) = pd.lowest_weights
+        for a in range(1, 6):
+            table = bwb_cohomology(rs, -a * lam - w)
+            assert table.vanishes or table.degree >= pd.dim_y - 1

@@ -222,6 +222,71 @@ def test_studiopesi_vanishing_piece_is_a_mismatch(monkeypatch) -> None:
     ]
 
 
+def _lungo_fails_alone(monkeypatch, name, wrap, key) -> CaseResult:
+    """Rebind ``verify.<name>`` to ``wrap`` of itself; only ``key`` at twist 2 may fail."""
+    clean = check_theorem_lungo(4)
+    monkeypatch.setattr(verify, name, wrap(getattr(verify, name)))
+    broken = check_theorem_lungo(4)
+    assert broken.summary["failed"] == 1
+    assert [c.sort_key() for c in broken.cases] == [c.sort_key() for c in clean.cases]
+    for before, after in zip(clean.cases, broken.cases):
+        if after.sort_key() != (*key, 2):
+            assert after == before
+    (case,) = [c for c in broken.cases if not c.passed]
+    assert case.sort_key() == (*key, 2)
+    return case
+
+
+def _h0_changed_at(key, change):
+    def wrap(real):
+        def h0(pd, a):
+            total, pieces = real(pd, a)
+            return change(total, pieces) if _key(pd) == key else (total, pieces)
+
+        return h0
+
+    return wrap
+
+
+def test_lungo_quadric_total_is_a_golden_mismatch(monkeypatch) -> None:
+    wrap = _h0_changed_at(("B", 3, 1), lambda total, pieces: (total + 1, pieces))
+    case = _lungo_fails_alone(monkeypatch, "h0_twisted_cotangent", wrap, ("B", 3, 1))
+    assert case.annotations == ("golden: quadric binomial", "golden value mismatch: h0 22 != 21")
+
+
+def test_lungo_f4_breakdown_is_a_golden_mismatch(monkeypatch) -> None:
+    # the total stays 325, so only the breakdown can fail the case
+    wrap = _h0_changed_at(("F", 4, 4), lambda total, pieces: (total, ((1, pieces[0][1], 274),) + pieces[1:]))
+    case = _lungo_fails_alone(monkeypatch, "h0_twisted_cotangent", wrap, ("F", 4, 4))
+    assert case.h0 == 325
+    assert case.annotations == (
+        "golden: exact value 325",
+        "golden value mismatch: h0 325, breakdown [274, 52]",
+    )
+
+
+def test_lungo_c3_restricted_product_is_a_golden_mismatch(monkeypatch) -> None:
+    def wrap(real):
+        def product(rs, lam, roots):
+            value = real(rs, lam, roots)
+            return value + 1 if str(rs.lie_type) == "C3" else value
+
+        return product
+
+    case = _lungo_fails_alone(monkeypatch, "partial_weyl_product", wrap, ("C", 3, 3))
+    assert case.annotations == (
+        "golden: restricted product equality",
+        "golden value mismatch: restricted product 7 != 6",
+    )
+
+
+def test_lungo_h0_below_dim_y_fails(monkeypatch) -> None:
+    # Gr(2, 5) has no golden value: only h0 >= dim Y can fail it
+    wrap = _h0_changed_at(("A", 4, 2), lambda total, pieces: (5, pieces))
+    case = _lungo_fails_alone(monkeypatch, "h0_twisted_cotangent", wrap, ("A", 4, 2))
+    assert (case.h0, case.dim_y, case.annotations) == (5, 6, ())
+
+
 def test_verify_exits_1_when_a_case_fails(monkeypatch, capsys) -> None:
     _raise_at(monkeypatch, ("B", 2, 1), 2)
     assert cli.run(["verify", "--sweep", "lungo", "--max-rank", "3"]) == 1
