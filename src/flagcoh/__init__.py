@@ -15,13 +15,10 @@ from .rootsys import (  # noqa: F401
     fundamental_weight,
     root_system,
     root_to_weight_coords,
-    weight_to_root_coords,
 )
 
 from .bwb import (  # noqa: F401
-    SINGULAR,
     CohomologyTable,
-    WeightClass,
     bwb_cohomology,
     classify,
     classify_cotangent_twist_weights,

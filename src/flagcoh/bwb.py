@@ -26,30 +26,16 @@ from .rootsys import ConfigError, Root, RootSystem, Weight, _check_len, _require
 
 
 @dataclass(frozen=True)
-class WeightClass:
-    """Singular (index None) or regular with a non-negative index."""
-
-    index: int | None
-
-    @property
-    def singular(self) -> bool:
-        return self.index is None
-
-    def __str__(self) -> str:
-        return "Singular" if self.singular else f"Regular({self.index})"
-
-
-SINGULAR = WeightClass(None)
-
-
-@dataclass(frozen=True)
 class CohomologyTable:
-    """All cohomology of one irreducible bundle: nothing, or one group."""
+    """All cohomology of one irreducible bundle: nothing (``degree`` None), or one group."""
 
-    vanishes: bool
     degree: int | None = None
     dominant_weight: Weight | None = None
     dimension: int | None = None
+
+    @property
+    def vanishes(self) -> bool:
+        return self.degree is None
 
 
 def _root_pairings(rs: RootSystem, m: Sequence[int]) -> list[int]:
@@ -61,13 +47,13 @@ def _root_pairings(rs: RootSystem, m: Sequence[int]) -> list[int]:
     return s
 
 
-def classify(rs: RootSystem, v: Weight) -> WeightClass:
-    """Singular iff orthogonal to some positive root, else count negative pairings."""
+def classify(rs: RootSystem, v: Weight) -> int | None:
+    """The index of v, the number of negative pairings, or None when v is orthogonal to a positive root."""
     _check_len(rs, v.fw_coords)
     s = _root_pairings(rs, v.fw_coords)
     if 0 in s:
-        return SINGULAR
-    return WeightClass(sum(1 for x in s if x < 0))
+        return None
+    return sum(1 for x in s if x < 0)
 
 
 def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
@@ -157,19 +143,18 @@ def bwb_cohomology(rs: RootSystem, lam: Weight) -> CohomologyTable:
     v = lam + rs.weyl_vector
     result = to_dominant(rs, v)
     if result is None:
-        return CohomologyTable(vanishes=True)
+        return CohomologyTable()
     steps, dom = result
     mu = dom - rs.weyl_vector
     return CohomologyTable(
-        vanishes=False,
         degree=steps,
         dominant_weight=mu,
         dimension=weyl_dim(rs, mu),
     )
 
 
-def classify_cotangent_twist_weights(rs: RootSystem, r: int, a: int, twisted_weight: Weight) -> WeightClass:
-    """Classify twisted_weight + delta after validating its twisted shape.
+def classify_cotangent_twist_weights(rs: RootSystem, r: int, a: int, twisted_weight: Weight) -> int | None:
+    """The index of twisted_weight + delta (None when singular) after validating its twisted shape.
 
     ``twisted_weight`` is the already-shifted input a*lambda_r - w for a
     lowest weight w of a graded cotangent piece.  The admissible shapes at

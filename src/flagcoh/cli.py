@@ -27,7 +27,7 @@ from .parabolic import (
     parabolic_data,
     sigma,
 )
-from .rootsys import MAX_RANK, ConfigError, Weight, root_system
+from .rootsys import MAX_RANK, Weight, root_system
 from .verify import check_lemma_studiopesi, check_theorem_lungo, emit_report, pieces_json
 
 __all__ = ["main", "run"]
@@ -264,7 +264,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             data, code = payload.encode("utf-8"), 0
         _emit(data, args.out)
         return code
-    except (ConfigError, UnsupportedPairError, ValueError, OSError) as exc:
+    except (UnsupportedPairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

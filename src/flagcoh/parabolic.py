@@ -82,20 +82,19 @@ class ParabolicData:
     """Root-theoretic data of Y = G/P for the maximal parabolic at ``node``.
 
     ``phi1`` holds the positive roots of the Levi factor (coefficient of
-    alpha_r equal to zero); ``phi_n_plus`` the roots of the nilradical,
-    grouped by that coefficient in ``levels``, a read-only mapping since
-    ``parabolic_data`` shares one instance per pair.  The levels are
-    exactly 1..depth whenever ``lowest_weights`` is set, and
-    ``lowest_weights[i - 1]`` is the lowest weight of the cotangent piece
-    at level i; it is None for a pair omitted in favour of an isomorphic
-    listed pair.  ``dim_y`` is the number of nilradical roots and
-    ``fano_index`` the integer k with K_Y = O(-k).
+    alpha_r equal to zero); ``levels`` the roots of the nilradical, grouped
+    by that coefficient, a read-only mapping since ``parabolic_data``
+    shares one instance per pair.  The levels are exactly 1..depth
+    whenever ``lowest_weights`` is set, and ``lowest_weights[i - 1]`` is
+    the lowest weight of the cotangent piece at level i; it is None for a
+    pair omitted in favour of an isomorphic listed pair.  ``dim_y`` is the
+    number of nilradical roots and ``fano_index`` the integer k with
+    K_Y = O(-k).
     """
 
     lie_type: LieType
     node: int
     phi1: tuple[Root, ...]
-    phi_n_plus: tuple[Root, ...]
     levels: Mapping[int, tuple[Root, ...]] = field(repr=False)
     lowest_weights: Optional[tuple[Weight, ...]] = field(repr=False)
     dim_y: int
@@ -164,7 +163,6 @@ def _build_parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
         lie_type=rs.lie_type,
         node=r,
         phi1=tuple(phi1),
-        phi_n_plus=tuple(nilrad),
         levels=MappingProxyType(graded),
         lowest_weights=None if omitted else _derive_lowest_weights(rs, r, tuple(graded), lowest),
         dim_y=len(nilrad),

@@ -17,8 +17,7 @@ Conventions, fixed once for the whole package:
 Everything is exact and there is no floating point.  Root-system
 construction and classification use integers only: the symmetrizer is
 carried scaled by 6 (``scaled_symmetrizer``, D_i = 6 d_i in {6, 3, 2}).
-``Fraction`` appears only in ``weight_to_root_coords`` and
-``bwb.partial_weyl_product``.
+``Fraction`` appears only in ``bwb.partial_weyl_product``.
 
 Besides the roots, a ``RootSystem`` keeps what the root closure learns on
 the way, as plain ints:
@@ -47,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -358,24 +356,6 @@ def root_to_weight_coords(rs: RootSystem, r: Root) -> Weight:
             for j, a in rs.neighbours[i]:
                 m[j] += a * c
     return Weight(tuple(m))
-
-
-def weight_to_root_coords(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:
-    """Exact rational coordinates of w in the simple-root basis, solving A n = m.
-
-    A = D^-1 S with S positive definite, so every leading minor of A is
-    positive and elimination in order never meets a zero pivot.
-    """
-    _check_len(rs, w.fw_coords)
-    l = rs.rank
-    a = [[Fraction(x) for x in row] + [Fraction(c)] for row, c in zip(rs.cartan, w.fw_coords)]
-    for k in range(l):
-        pivot = a[k]
-        for r in range(l):
-            if r != k and a[r][k]:
-                f = a[r][k] / pivot[k]
-                a[r] = [x - f * y for x, y in zip(a[r], pivot)]
-    return tuple(a[i][l] / a[i][i] for i in range(l))
 
 
 def all_lie_types(max_rank: int) -> list[LieType]:

@@ -41,12 +41,12 @@ from flagcoh.parabolic import (
     sigma,
 )
 from flagcoh.rootsys import (
+    Root,
     Weight,
     all_lie_types,
     fundamental_weight,
     root_system,
     root_to_weight_coords,
-    weight_to_root_coords,
 )
 from flagcoh.verify import check_lemma_studiopesi, check_theorem_lungo
 
@@ -200,12 +200,12 @@ def _check_root_counts() -> bool:
 def _check_delta_identity() -> bool:
     for f, l in _REPRESENTATIVE_TYPES:
         rs = root_system(f, l)
-        delta_coords = weight_to_root_coords(rs, rs.weyl_vector)
         total = [0] * rs.rank
         for root in rs.positive_roots:
             for j, c in enumerate(root.sr_coords):
                 total[j] += c
-        if [2 * v for v in delta_coords] != total:
+        # the positive roots sum to 2 delta; A is invertible, so weight coordinates decide it
+        if root_to_weight_coords(rs, Root(tuple(total))) != 2 * rs.weyl_vector:
             return False
     return True
 
@@ -226,11 +226,11 @@ def _check_classify_agreement() -> bool:
         rs = root_system(t.family, t.rank)
         for coords in iproduct(range(-3, 4), repeat=rs.rank):
             v = Weight(coords)
-            cls = classify(rs, v)
+            index = classify(rs, v)
             res = to_dominant(rs, v)
-            if cls.singular != (res is None):
+            if (index is None) != (res is None):
                 return False
-            if res is not None and cls.index != res[0]:
+            if res is not None and index != res[0]:
                 return False
     return True
 
@@ -265,8 +265,9 @@ def _check_purity() -> bool:
         for r in range(1, t.rank + 1):
             pd = parabolic_data(rs, r)  # purity asserted internally
             total = fundamental_weight(rs.rank, 0)
-            for root in pd.phi_n_plus:
-                total = total + root_to_weight_coords(rs, root)
+            for roots in pd.levels.values():
+                for root in roots:
+                    total = total + root_to_weight_coords(rs, root)
             expected = pd.fano_index * fundamental_weight(rs.rank, r)
             if total != expected:
                 return False
@@ -284,13 +285,9 @@ def _check_table_validity() -> bool:
             except UnsupportedPairError:
                 continue
             seen += 1
-            root_set = {root.sr_coords for root in pd.phi_n_plus}
+            # w is the weight coordinates of a root of its level; A is invertible, so of one root only
             for level, w in zip(pd.levels, weights):
-                coords = weight_to_root_coords(rs, w)
-                if any(c.denominator != 1 for c in coords):
-                    return False
-                sr = tuple(int(c) for c in coords)
-                if sr not in root_set or sr[r - 1] != level:
+                if not any(root_to_weight_coords(rs, root) == w for root in pd.levels[level]):
                     return False
     return seen == 142
 

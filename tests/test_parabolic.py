@@ -88,14 +88,13 @@ def test_node_must_be_an_int(capsys) -> None:
     assert cli.run(["parabolic", "A", "3", "--node", "1", "--format", "json"]) == 0
     assert type(json.loads(capsys.readouterr().out)["node"]) is int
     # the same calls with plain ints go through
-    assert classify_cotangent_twist_weights(rs, 2, 1, -lam2).singular
+    assert classify_cotangent_twist_weights(rs, 2, 1, -lam2) is None
 
 
 def test_partition_and_purity_all_pairs() -> None:
     for pd in all_pairs(8):
         rs = pd.root_system
-        assert len(pd.phi1) + len(pd.phi_n_plus) == len(rs.positive_roots)
-        assert pd.dim_y == len(pd.phi_n_plus)
+        assert len(pd.phi1) + pd.dim_y == len(rs.positive_roots)
         assert sum(len(v) for v in pd.levels.values()) == pd.dim_y
         assert all(root.sr_coords[pd.node - 1] == 0 for root in pd.phi1)
         for level, roots in pd.levels.items():
@@ -635,12 +634,24 @@ def test_macaulay_refuses_omitted_pairs() -> None:
 
 # ---------------------------------------------------------------------------
 # duality and vanishing theorems: the Fano index, the chamber walk, weyl_dim
-# and the lowest weights checked against one another
+# and the lowest weights checked against one another, on every pair up to
+# rank 8 and on seeded samples up to rank 30
+
+
+def sampled_pairs() -> list:
+    """Four seeded nodes of each of A-D at ranks 12, 16 and 30, omitted pairs included."""
+    rng = random.Random(64)
+    out = []
+    for l in (12, 16, 30):
+        for family in "ABCD":
+            rs = root_system(family, l)
+            out += [parabolic_data(rs, r) for r in sorted(rng.sample(range(1, l + 1), 4))]
+    return out
 
 
 def test_serre_duality_and_kodaira_vanishing_for_line_bundles() -> None:
     # K_Y = O(-k): H^N(O(-k-a)) is dual to H^0(O(a)), and O(-a) is acyclic for 0 < a < k
-    for pd in all_pairs(8):
+    for pd in [*all_pairs(8), *sampled_pairs()]:
         rs, k = pd.root_system, pd.fano_index
         lam = fundamental_weight(rs.rank, pd.node)
         for a in range(3):
@@ -652,7 +663,9 @@ def test_serre_duality_and_kodaira_vanishing_for_line_bundles() -> None:
 
 def test_picard_rank_one_h11_is_one() -> None:
     # H^1(Y, Omega^1_Y) = C: exactly one graded piece has cohomology at twist 0
-    for pd in konno_pairs(8):
+    listed = [pd for pd in sampled_pairs() if pd.lowest_weights is not None]
+    assert len(listed) > 40
+    for pd in konno_pairs(8) + listed:
         tables = [bwb_cohomology(pd.root_system, -w) for w in pd.lowest_weights]
         assert [(t.degree, t.dimension) for t in tables if not t.vanishes] == [(1, 1)]
 
@@ -669,3 +682,21 @@ def test_akizuki_nakano_on_hermitian_symmetric_pairs() -> None:
         for a in range(1, 6):
             table = bwb_cohomology(rs, -a * lam - w)
             assert table.vanishes or table.degree >= pd.dim_y - 1
+
+
+def test_observed_per_piece_akizuki_nakano_on_deeper_pairs() -> None:
+    # an observed property, not a theorem: at depth > 1 Omega^1_Y is only
+    # filtered by its graded pieces, so a piece with cohomology below degree
+    # dim Y - 1 would not contradict Akizuki-Nakano; on these pairs none has
+    checks = 0
+    for pd in konno_pairs(8):
+        if pd.depth == 1:
+            continue
+        rs = pd.root_system
+        lam = fundamental_weight(rs.rank, pd.node)
+        for w in pd.lowest_weights:
+            for a in range(1, 6):
+                table = bwb_cohomology(rs, -a * lam - w)
+                assert table.vanishes or table.degree >= pd.dim_y - 1, (str(pd.lie_type), pd.node, a)
+                checks += 1
+    assert checks == 895

@@ -6,8 +6,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from flagcoh import rootsys
 from flagcoh.rootsys import (
@@ -20,7 +18,6 @@ from flagcoh.rootsys import (
     fundamental_weight,
     root_system,
     root_to_weight_coords,
-    weight_to_root_coords,
 )
 
 from oracles import (
@@ -141,9 +138,9 @@ def test_symmetrizer_and_coroots_match_cartan_oracle(t: LieType):
 def test_root_to_weight_coords_matches_dense_product(t: LieType):
     rs = root_system(t.family, t.rank)
     rng = random.Random(f"A n {t}")
-    for _ in range(40):
-        n = [rng.choice((-3, -1, 0, 0, 1, 2, 5)) for _ in range(t.rank)]
-        dense = tuple(sum(rs.cartan[j][i] * n[i] for i in range(t.rank)) for j in range(t.rank))
+    samples = [[rng.choice((-3, -1, 0, 0, 1, 2, 5)) for _ in range(t.rank)] for _ in range(40)]
+    for n in samples + [list(r.sr_coords) for r in rs.positive_roots]:
+        dense = tuple(sum(a * c for a, c in zip(row, n)) for row in rs.cartan)
         assert root_to_weight_coords(rs, Root(n)) == Weight(dense)
 
 
@@ -218,49 +215,36 @@ def test_copairing_examples():
 
 @pytest.mark.parametrize("t", ALL_TYPES_8, ids=str)
 def test_delta_double_identity(t: LieType):
+    # the sum of the positive roots is 2 delta; the Cartan matrix is invertible,
+    # so comparing weight coordinates compares the roots themselves
     rs = root_system(t.family, t.rank)
-    delta_in_root_basis = weight_to_root_coords(rs, rs.weyl_vector)
     total = [0] * t.rank
     for r in rs.positive_roots:
         for j, n in enumerate(r.sr_coords):
             total[j] += n
-    assert [2 * c for c in delta_in_root_basis] == total
+    assert root_to_weight_coords(rs, Root(total)) == 2 * rs.weyl_vector
     for alpha in _simple_roots(t.rank):
         assert _copairing(rs.cartan, rs.weyl_vector, alpha) == 1
 
 
 @pytest.mark.parametrize("t", ALL_TYPES_8, ids=str)
 def test_conversion_round_trip(t: LieType):
+    # A is invertible, so every root, positive or negative, comes back from its weight coordinates
     rs = root_system(t.family, t.rank)
-    for r in rs.positive_roots:
-        w = root_to_weight_coords(rs, r)
-        back = weight_to_root_coords(rs, w)
-        assert all(f.denominator == 1 for f in back)
-        assert tuple(int(f) for f in back) == r.sr_coords
+    roots = list(rs.positive_roots) + [Root(tuple(-c for c in r.sr_coords)) for r in rs.positive_roots]
+    back = {root_to_weight_coords(rs, r): r for r in roots}
+    assert len(back) == len(roots)
 
 
 def test_conversion_spot_values():
     rs = root_system("A", 2)
     assert root_to_weight_coords(rs, Root((1, 0))) == Weight((2, -1))
-    assert weight_to_root_coords(rs, Weight((2, -1))) == (Fraction(1), Fraction(0))
     assert root_to_weight_coords(rs, Root((0, 0))) == Weight((0, 0))
     rs1 = root_system("A", 1)
-    assert weight_to_root_coords(rs1, fundamental_weight(1, 1)) == (Fraction(1, 2),)
+    assert root_to_weight_coords(rs1, Root((1,))) == 2 * fundamental_weight(1, 1)
+    # 2 delta of F4 in the simple-root basis: every coordinate positive
     rsf = root_system("F", 4)
-    assert all(c > 0 for c in weight_to_root_coords(rsf, rsf.weyl_vector))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    data=st.data(),
-    t=st.sampled_from([("A", 2), ("B", 3), ("C", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)]),
-)
-def test_round_trip_on_root_lattice(data, t):
-    fam, l = t
-    rs = root_system(fam, l)
-    n = data.draw(st.tuples(*[st.integers(-6, 6)] * l))
-    w = root_to_weight_coords(rs, Root(n))
-    assert tuple(weight_to_root_coords(rs, w)) == tuple(Fraction(c) for c in n)
+    assert root_to_weight_coords(rsf, Root((16, 30, 42, 22))) == 2 * rsf.weyl_vector
 
 
 def test_pairing_symmetry_on_roots():
@@ -301,7 +285,7 @@ def test_length_validation():
     with pytest.raises(ValueError):
         root_to_weight_coords(rs, Root((1, 0)))
     with pytest.raises(ValueError):
-        weight_to_root_coords(rs, Weight((1, 0, 0, 0)))
+        root_to_weight_coords(rs, Root((1, 0, 0, 0)))
 
 
 def test_all_lie_types_enumeration():
