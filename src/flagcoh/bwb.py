@@ -165,9 +165,7 @@ def classify_cotangent_twist_weights(rs: RootSystem, r: int, a: int, twisted_wei
     with lambda' a weight whose r-th coordinate is 0.  Shape (1) is the
     special case of (3) with lambda' = 2 lambda_r - alpha_r.
 
-    This is a standalone, shape-checked classifier; the verification sweeps
-    no longer call it, since they read the class off the pieces of
-    ``h0_twisted_cotangent``.
+    This is a standalone, shape-checked classifier.
     """
     _require_int("node", r)
     _require_int("twist a", a)

@@ -77,17 +77,18 @@ class MacaulayStatus(Enum):
     SURJECTIVITY_FAILS = "surjectivity-fails"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParabolicData:
     """Root-theoretic data of Y = G/P for the maximal parabolic at ``node``.
 
     ``phi1`` holds the positive roots of the Levi factor (coefficient of
     alpha_r equal to zero); ``levels`` the roots of the nilradical, grouped
     by that coefficient, a read-only mapping since ``parabolic_data``
-    shares one instance per pair.  The levels are exactly 1..depth
-    whenever ``lowest_weights`` is set, and ``lowest_weights[i - 1]`` is
-    the lowest weight of the cotangent piece at level i; it is None for a
-    pair omitted in favour of an isomorphic listed pair.  ``dim_y`` is the
+    shares one instance per pair; records compare by identity.  The
+    levels are exactly 1..depth whenever ``lowest_weights`` is set, and
+    ``lowest_weights[i - 1]`` is the lowest weight of the cotangent piece
+    at level i; it is None for a pair omitted in favour of an isomorphic
+    listed pair.  ``dim_y`` is the
     number of nilradical roots and ``fano_index`` the integer k with
     K_Y = O(-k).
     """
@@ -99,10 +100,7 @@ class ParabolicData:
     lowest_weights: Optional[tuple[Weight, ...]] = field(repr=False)
     dim_y: int
     fano_index: int
-    root_system: RootSystem = field(repr=False, compare=False)
-
-    def __hash__(self) -> int:
-        return hash((self.lie_type, self.node))
+    root_system: RootSystem = field(repr=False)
 
     @property
     def depth(self) -> int:
@@ -288,11 +286,6 @@ def _check_degree(d: int) -> None:
         raise ValueError(f"hypersurface degree d must be >= 3, got {d}")
 
 
-def _is_quadric(pd: ParabolicData) -> bool:
-    f = pd.lie_type.family
-    return pd.node == 1 and f in (Family.B, Family.D)
-
-
 def macaulay_exceptions(pd: ParabolicData, d: int, a: int) -> MacaulayStatus:
     """Look up (Y, d, a) in the static exception table of the duality pairing.
 
@@ -304,8 +297,10 @@ def macaulay_exceptions(pd: ParabolicData, d: int, a: int) -> MacaulayStatus:
     reported as such rather than as its simultaneous injectivity failure.
     The degree must be d >= 3, as for ``sigma``, and the twist a >= 0.
 
-    Every presentation of a variety gets the same answer: each row names
-    every listed presentation, and an omitted pair raises
+    Every presentation of a variety gets the same answer: the quadric rows
+    are keyed by k(Y) = dim Y, which holds exactly on quadrics
+    (Kobayashi-Ochiai, J. Math. Kyoto Univ. 13, 1973), the other rows
+    name every listed presentation, and an omitted pair raises
     UnsupportedPairError naming its canonical form.
     """
     _require_int("hypersurface degree d", d)
@@ -315,13 +310,12 @@ def macaulay_exceptions(pd: ParabolicData, d: int, a: int) -> MacaulayStatus:
         raise ValueError(f"twist a must be >= 0, got {a}")
     if pd.lowest_weights is None:
         raise _omitted_pair_error(pd, "duality-exception")
-    f, l, r = pd.lie_type.family, pd.lie_type.rank, pd.node
-    if (f, l, r) == (Family.B, 2, 1) and (d, a) == (3, 3):
-        return MacaulayStatus.SURJECTIVITY_FAILS
-    # the quadrics; A3 = D3 makes (A3, 2) the quadric Q^4, and triality makes (D4, 3) the quadric Q^6
-    if _is_quadric(pd) or (f, l, r) in ((Family.A, 3, 2), (Family.D, 4, 3)):
+    if pd.fano_index == pd.dim_y:  # a quadric
+        if pd.dim_y == 3 and (d, a) == (3, 3):
+            return MacaulayStatus.SURJECTIVITY_FAILS
         if a == d - 2 or (d, a) in ((3, 2), (3, 3), (4, 4)):
             return MacaulayStatus.INJECTIVITY_FAILS
+    f, l, r = pd.lie_type.family, pd.lie_type.rank, pd.node
     # Gr(2, 6) = Gr(4, 6) under the flip of the A5 diagram, and the Cayley plane
     if (f, l, r) in ((Family.A, 5, 2), (Family.A, 5, 4), (Family.E, 6, 1)):
         if (d, a) == (3, 3):

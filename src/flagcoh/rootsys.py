@@ -9,6 +9,8 @@ Conventions, fixed once for the whole package:
 * The Cartan matrix is a_ij = 2(alpha_i, alpha_j) / (alpha_i, alpha_i).
 * The invariant form is normalized so long roots have squared length 2;
   the symmetrizer d_i = (alpha_i, alpha_i) / 2 then lies in {1, 1/2, 1/3}.
+* On a Dynkin edge (i, j) the longer root sees the shorter one as -1, so
+  (alpha_i, alpha_j) = -max(d_i, d_j): a diagram is its d and its edges.
 * Roots are stored by integer coordinates in the simple-root basis
   (``sr_coords``), weights by integer coordinates in the fundamental-weight
   basis (``fw_coords``).  The two bases are related by m = A n, that is
@@ -36,9 +38,6 @@ It also keeps, read off the Cartan matrix once, the Dynkin graph as
 ``neighbours[k]``: the pairs (j, a_jk) with j != k and a_jk != 0.  The
 simple reflection s_k changes m_k to -m_k and m_j to m_j - m_k a_jk for
 these j only, so one reflection costs the degree of node k, at most 3.
-
-Weight coordinates, squared lengths and coroots of roots are not stored;
-``root_to_weight_coords`` reads m = A n off the Dynkin graph.
 """
 
 from __future__ import annotations
@@ -137,11 +136,15 @@ class Weight:
         object.__setattr__(self, "fw_coords", _int_coords(self.fw_coords))
 
     def __add__(self, other: "Weight") -> "Weight":
+        if not isinstance(other, Weight):
+            return NotImplemented
         if len(self.fw_coords) != len(other.fw_coords):
             raise ValueError("weight length mismatch")
         return Weight(tuple(a + b for a, b in zip(self.fw_coords, other.fw_coords)))
 
     def __sub__(self, other: "Weight") -> "Weight":
+        if not isinstance(other, Weight):
+            return NotImplemented
         if len(self.fw_coords) != len(other.fw_coords):
             raise ValueError("weight length mismatch")
         return Weight(tuple(a - b for a, b in zip(self.fw_coords, other.fw_coords)))
@@ -168,53 +171,35 @@ def fundamental_weight(rank: int, i: int) -> Weight:
     return Weight(tuple(1 if j == i - 1 else 0 for j in range(rank)))
 
 
-def _diagram(t: LieType) -> tuple[list[int], dict[tuple[int, int], int]]:
-    """Scaled symmetrizer D_i = 6 d_i and off-diagonal 6 (alpha_i, alpha_j), 0-based."""
+def _diagram(t: LieType) -> tuple[list[int], list[tuple[int, int]]]:
+    """Scaled symmetrizer D_i = 6 d_i and the Dynkin edges (i, j), 0-based.
+
+    No inner product is listed: 6 (alpha_i, alpha_j) = -max(D_i, D_j) on an edge.
+    """
     l = t.rank
-    d: list[int]
-    edges: dict[tuple[int, int], int] = {}
     chain = [(i, i + 1) for i in range(l - 1)]
     if t.family is Family.A:
-        d = [6] * l
-        for e in chain:
-            edges[e] = -6
-    elif t.family is Family.B:
-        d = [6] * (l - 1) + [3]
-        for e in chain:
-            edges[e] = -6
-    elif t.family is Family.C:
-        d = [3] * (l - 1) + [6]
-        for e in chain[:-1]:
-            edges[e] = -3
-        edges[chain[-1]] = -6
-    elif t.family is Family.D:
-        d = [6] * l
-        for e in chain[:-1]:
-            edges[e] = -6
-        edges[(l - 3, l - 1)] = -6
-    elif t.family is Family.E:
-        d = [6] * l
-        for e in [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, l - 1)]:
-            edges[e] = -6
-    elif t.family is Family.F:
-        d = [6, 6, 3, 3]
-        edges[(0, 1)] = -6
-        edges[(1, 2)] = -6
-        edges[(2, 3)] = -3
-    else:  # G2
-        d = [2, 6]
-        edges[(0, 1)] = -6
-    return d, edges
+        return [6] * l, chain
+    if t.family is Family.B:
+        return [6] * (l - 1) + [3], chain
+    if t.family is Family.C:
+        return [3] * (l - 1) + [6], chain
+    if t.family is Family.D:
+        return [6] * l, chain[:-1] + [(l - 3, l - 1)]
+    if t.family is Family.E:
+        return [6] * l, [(0, 2), (1, 3)] + chain[2:]
+    if t.family is Family.F:
+        return [6, 6, 3, 3], chain
+    return [2, 6], chain  # G2
 
 
 def _cartan_matrix(t: LieType) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """Cartan matrix a_ij = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i) and the scaled symmetrizer."""
     d, edges = _diagram(t)
     l = t.rank
-    rows = [[0] * l for _ in range(l)]
-    for i in range(l):
-        rows[i][i] = 2
-    for (i, j), v in edges.items():
+    rows = [[2 if a == b else 0 for b in range(l)] for a in range(l)]
+    for i, j in edges:
+        v = -max(d[i], d[j])
         for a, b in ((i, j), (j, i)):
             q, r = divmod(v, d[a])
             if r or q not in (0, -1, -2, -3):
@@ -269,7 +254,7 @@ def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> list[tuple[tuple[
     return roots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
     """Immutable root-system data with precomputed pairing tables.
 
@@ -278,6 +263,7 @@ class RootSystem:
     all three are described in the module docstring.  ``neighbours``
     lists, per node k, the Dynkin neighbours j of k with their Cartan
     entries a_jk, the only coordinates besides m_k that s_k changes.
+    ``root_system`` shares one instance per type; they compare by identity.
     """
 
     lie_type: LieType
@@ -293,9 +279,6 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return self.lie_type.rank
-
-    def __hash__(self) -> int:
-        return hash((self.lie_type,))
 
 
 def _dynkin_neighbours(cartan: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -31,7 +31,7 @@ from typing import Iterable
 
 from . import __version__
 from .bwb import partial_weyl_product
-from .parabolic import ParabolicData, _is_quadric, h0_twisted_cotangent, konno_pairs
+from .parabolic import ParabolicData, h0_twisted_cotangent, konno_pairs
 from .rootsys import MAX_RANK, ConfigError, Family, _require_int, fundamental_weight
 
 __all__ = [
@@ -117,6 +117,11 @@ class Report:
 def _base_annotations(pd: ParabolicData) -> list[str]:
     key = (pd.lie_type.family.value, pd.lie_type.rank, pd.node)
     return ["degree-3 exception"] if key in _DEGREE_THREE_EXCEPTIONS else []
+
+
+def _is_quadric(pd: ParabolicData) -> bool:
+    f = pd.lie_type.family
+    return pd.node == 1 and f in (Family.B, Family.D)
 
 
 def _golden_checks(pd: ParabolicData, total: int, pieces) -> tuple[bool, list[str]]:

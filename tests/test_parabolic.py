@@ -155,6 +155,29 @@ def test_fano_index_spot_values() -> None:
     assert pd_of("G", 2, 2).fano_index == 3
 
 
+def is_projective_space(family: str, l: int, r: int) -> bool:
+    return (family, r) in (("A", 1), ("A", l), ("C", 1)) or (family, l, r) in (
+        ("B", 2, 2), ("D", 3, 2), ("D", 3, 3),
+    )
+
+
+def is_quadric(family: str, l: int, r: int) -> bool:
+    return (family, r) in (("B", 1), ("D", 1)) or (family, l, r) in (
+        ("A", 3, 2), ("D", 4, 3), ("D", 4, 4), ("B", 3, 3), ("G", 2, 1),
+    )
+
+
+def test_kobayashi_ochiai_on_every_presentation() -> None:
+    # k(Y) <= dim Y + 1, with equality exactly on P^n and k(Y) = dim Y exactly
+    # on quadrics (Kobayashi-Ochiai, J. Math. Kyoto Univ. 13, 1973); the
+    # presentations are listed by hand, omitted pairs included
+    for pd in all_pairs(12):
+        key = (pd.lie_type.family.value, pd.lie_type.rank, pd.node)
+        assert pd.fano_index <= pd.dim_y + 1
+        assert (pd.fano_index == pd.dim_y + 1) == is_projective_space(*key), key
+        assert (pd.fano_index == pd.dim_y) == is_quadric(*key), key
+
+
 def test_json_round_shape(capsys) -> None:
     assert cli.run(["parabolic", "F", "4", "--node", "4", "--format", "json"]) == 0
     d = json.loads(capsys.readouterr().out)

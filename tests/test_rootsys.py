@@ -145,13 +145,13 @@ def test_root_to_weight_coords_matches_dense_product(t: LieType):
 
 
 def test_inconsistent_diagram_raises(monkeypatch):
-    # 6 (alpha_1, alpha_2) = -6 is not a multiple of D_2 = 4
-    monkeypatch.setattr(rootsys, "_diagram", lambda t: ([6, 4], {(0, 1): -6}))
-    with pytest.raises(ArithmeticError):
+    # 6 (alpha_1, alpha_2) = -max(6, 4) = -6 is not a multiple of D_2 = 4
+    monkeypatch.setattr(rootsys, "_diagram", lambda t: ([6, 4], [(0, 1)]))
+    with pytest.raises(ArithmeticError, match="-6/4"):
         rootsys.build_root_system(LieType(Family.A, 2))
-    # -12 / 3 = -4 is not a Cartan entry
-    monkeypatch.setattr(rootsys, "_diagram", lambda t: ([6, 3], {(0, 1): -12}))
-    with pytest.raises(ArithmeticError):
+    # -max(12, 3) / 3 = -4 is not a Cartan entry
+    monkeypatch.setattr(rootsys, "_diagram", lambda t: ([12, 3], [(0, 1)]))
+    with pytest.raises(ArithmeticError, match="-12/3"):
         rootsys.build_root_system(LieType(Family.A, 2))
 
 
@@ -278,6 +278,19 @@ def test_weight_arithmetic_keeps_int_check():
         with pytest.raises(TypeError):
             bad * Weight((1, 2))
     assert 3 * Weight((1, -1)) == Weight((3, -3))
+
+
+def test_weight_arithmetic_refuses_other_operands():
+    w = Weight((1, 2))
+    for other in (Root((1, 0)), (1, 2), 1):
+        with pytest.raises(TypeError):
+            w + other
+        with pytest.raises(TypeError):
+            w - other
+    with pytest.raises(ValueError, match="length mismatch"):
+        w + Weight((1, 2, 3))
+    with pytest.raises(ValueError, match="length mismatch"):
+        w - Weight((1,))
 
 
 def test_length_validation():
