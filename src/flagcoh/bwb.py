@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .rootsys import ConfigError, Root, RootSystem, Weight, _check_len, _require_int, fundamental_weight
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,10 @@ class CohomologyTable:
     @property
     def vanishes(self) -> bool:
         return self.degree is None
+
+
+# the one result of every vanishing computation; frozen, so safe to share
+_VANISHES = CohomologyTable()
 
 
 def _root_pairings(rs: RootSystem, m: Sequence[int]) -> list[int]:
@@ -85,7 +91,7 @@ def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
         while k < rank and m[k] > 0:
             k += 1
         if k == rank:
-            return steps, Weight(tuple(m))
+            return steps, Weight._of(tuple(m))
         steps += 1
         if steps > limit:
             raise ArithmeticError(f"{v.fw_coords} is not dominant after |Phi+| = {limit} reflections")
@@ -117,6 +123,8 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
 
 def partial_weyl_product(rs: RootSystem, lam: Weight, subset: Iterable[Root]) -> Fraction:
     """The Weyl product prod s_k(lam + delta) / s_k(delta) restricted to a set of distinct positive roots."""
+    from fractions import Fraction  # imported here so that no other path pays for fractions and decimal
+
     m = lam.fw_coords
     _check_len(rs, m)
     if not lam.is_dominant():
@@ -143,7 +151,7 @@ def bwb_cohomology(rs: RootSystem, lam: Weight) -> CohomologyTable:
     v = lam + rs.weyl_vector
     result = to_dominant(rs, v)
     if result is None:
-        return CohomologyTable()
+        return _VANISHES
     steps, dom = result
     mu = dom - rs.weyl_vector
     return CohomologyTable(

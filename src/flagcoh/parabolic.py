@@ -144,7 +144,7 @@ def _build_parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
             if not down & levi_mask:
                 lowest.setdefault(n_r, []).append(root)
     # the sum of the nilradical roots, in weight coordinates
-    summed = Root(tuple(sum(col) for col in zip(*(root.sr_coords for root in nilrad))))
+    summed = Root._of(tuple(sum(col) for col in zip(*(root.sr_coords for root in nilrad))))
     canonical = root_to_weight_coords(rs, summed).fw_coords
     for j in range(rank):
         if j != r - 1 and canonical[j] != 0:
@@ -255,11 +255,14 @@ def h0_twisted_cotangent(pd: ParabolicData, a: int) -> tuple[int, tuple[tuple[in
         raise ValueError(f"twist a must be >= 1, got {a}")
     weights = konno_lowest_weights(pd)
     rs = pd.root_system
-    lam_r = fundamental_weight(rs.rank, pd.node)
+    node = pd.node - 1
     pieces: list[tuple[int, Optional[Weight], int]] = []
     total = 0
     for level, w in zip(pd.levels, weights):
-        table = bwb_cohomology(rs, a * lam_r - w)
+        # a lambda_r - w: negate w, then add a at node r
+        m = [-c for c in w.fw_coords]
+        m[node] += a
+        table = bwb_cohomology(rs, Weight._of(tuple(m)))
         if table.vanishes:
             pieces.append((level, None, 0))
             continue
@@ -340,8 +343,6 @@ def konno_pairs(max_rank: int) -> list[ParabolicData]:
     out: list[ParabolicData] = []
     for t in all_lie_types(max_rank):
         rs = root_system(t.family, t.rank)
-        for r in range(1, t.rank + 1):
-            pd = parabolic_data(rs, r)
-            if pd.lowest_weights is not None:
-                out.append(pd)
+        # an omitted pair is dropped before it is built
+        out += [parabolic_data(rs, r) for r in range(1, t.rank + 1) if _canonical_form(t, r) is None]
     return out

@@ -21,6 +21,15 @@ construction and classification use integers only: the symmetrizer is
 carried scaled by 6 (``scaled_symmetrizer``, D_i = 6 d_i in {6, 3, 2}).
 ``Fraction`` appears only in ``bwb.partial_weyl_product``.
 
+Validation happens once, at the boundary.  The public constructors
+``LieType``, ``Weight`` and ``Root`` and the public entry points check
+what they are given: a bool, float or Fraction rank or coordinate is a
+TypeError, never coerced, and a bad family, rank or node is a
+ConfigError.  Engine arithmetic (the ``Weight`` operators, the chamber
+walk, basis conversion, the root-system build) derives its values from
+values already checked and builds them with the private trusted
+constructors ``Weight._of`` and ``Root._of``, which do not re-check.
+
 Besides the roots, a ``RootSystem`` keeps what the root closure learns on
 the way, as plain ints:
 
@@ -45,6 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import add, neg, sub
 from typing import Iterable, Sequence
 
 
@@ -125,6 +135,13 @@ class Root:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sr_coords", _int_coords(self.sr_coords))
 
+    @classmethod
+    def _of(cls, coords: tuple[int, ...]) -> "Root":
+        """A root from a tuple of ints the engine derived from checked values; no re-check."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "sr_coords", coords)
+        return r
+
 
 @dataclass(frozen=True)
 class Weight:
@@ -135,26 +152,33 @@ class Weight:
     def __post_init__(self) -> None:
         object.__setattr__(self, "fw_coords", _int_coords(self.fw_coords))
 
+    @classmethod
+    def _of(cls, coords: tuple[int, ...]) -> "Weight":
+        """A weight from a tuple of ints the engine derived from checked values; no re-check."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "fw_coords", coords)
+        return w
+
     def __add__(self, other: "Weight") -> "Weight":
         if not isinstance(other, Weight):
             return NotImplemented
         if len(self.fw_coords) != len(other.fw_coords):
             raise ValueError("weight length mismatch")
-        return Weight(tuple(a + b for a, b in zip(self.fw_coords, other.fw_coords)))
+        return Weight._of(tuple(map(add, self.fw_coords, other.fw_coords)))
 
     def __sub__(self, other: "Weight") -> "Weight":
         if not isinstance(other, Weight):
             return NotImplemented
         if len(self.fw_coords) != len(other.fw_coords):
             raise ValueError("weight length mismatch")
-        return Weight(tuple(a - b for a, b in zip(self.fw_coords, other.fw_coords)))
+        return Weight._of(tuple(map(sub, self.fw_coords, other.fw_coords)))
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.fw_coords))
+        return Weight._of(tuple(map(neg, self.fw_coords)))
 
     def __rmul__(self, k: int) -> "Weight":
         _require_int("scalar", k)
-        return Weight(tuple(k * a for a in self.fw_coords))
+        return Weight._of(tuple(map(k.__mul__, self.fw_coords)))
 
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.fw_coords)
@@ -168,7 +192,7 @@ def fundamental_weight(rank: int, i: int) -> Weight:
         raise ConfigError(f"rank must be >= 1, got {rank}")
     if not 0 <= i <= rank:
         raise ConfigError(f"node {i} out of range 1..{rank}")
-    return Weight(tuple(1 if j == i - 1 else 0 for j in range(rank)))
+    return Weight._of(tuple(1 if j == i - 1 else 0 for j in range(rank)))
 
 
 def _diagram(t: LieType) -> tuple[list[int], list[tuple[int, int]]]:
@@ -300,8 +324,8 @@ def build_root_system(t: LieType) -> RootSystem:
         lie_type=t,
         cartan=cartan,
         scaled_symmetrizer=tuple(d),
-        positive_roots=tuple(Root(n) for n in coords),
-        weyl_vector=Weight((1,) * t.rank),
+        positive_roots=tuple(Root._of(n) for n in coords),
+        weyl_vector=Weight._of((1,) * t.rank),
         root_chain=root_chain,
         weyl_denominator=math.prod(delta_pairings),
         lowerable=lowerable,
@@ -309,15 +333,31 @@ def build_root_system(t: LieType) -> RootSystem:
     )
 
 
-_CACHE: dict[LieType, RootSystem] = {}
+# One instance per type, filed under (Family, rank) and under every
+# (family, rank) a caller has spelled it with, such as ("b", 3).
+_CACHE: dict[tuple[Family | str, int], RootSystem] = {}
 
 
 def root_system(family: Family | str, rank: int) -> RootSystem:
-    """Cached constructor; root systems are immutable so sharing is safe."""
+    """Cached constructor; root systems are immutable so sharing is safe.
+
+    A hit is one dict lookup on the arguments as given.  It is tried only
+    for a plain int rank and a str or Family family: True == 1 and
+    hash(1.0) == hash(1), so a bool or float rank would otherwise hit the
+    entry of rank 1.  Anything else, and every miss, goes through LieType.
+    """
+    key = (family, rank)
+    trusted = type(rank) is int and (type(family) is str or type(family) is Family)
+    if trusted:
+        rs = _CACHE.get(key)
+        if rs is not None:
+            return rs
     t = LieType(family, rank)
-    rs = _CACHE.get(t)
+    rs = _CACHE.get((t.family, t.rank))
     if rs is None:
-        rs = _CACHE[t] = build_root_system(t)
+        rs = _CACHE[(t.family, t.rank)] = build_root_system(t)
+    if trusted:
+        _CACHE[key] = rs
     return rs
 
 
@@ -338,7 +378,7 @@ def root_to_weight_coords(rs: RootSystem, r: Root) -> Weight:
         if c:
             for j, a in rs.neighbours[i]:
                 m[j] += a * c
-    return Weight(tuple(m))
+    return Weight._of(tuple(m))
 
 
 def all_lie_types(max_rank: int) -> list[LieType]:

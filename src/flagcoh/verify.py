@@ -23,7 +23,6 @@ runs are byte-identical.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass, field
@@ -278,6 +277,8 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
     if fmt == "json":
         return (json.dumps(report.to_json_dict(), indent=2) + "\n").encode("utf-8")
     if fmt == "csv":
+        import csv  # imported here so that JSON and text output do not pay for it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_HEADER)

@@ -23,7 +23,7 @@ from flagcoh.bwb import (
     to_dominant,
     weyl_dim,
 )
-from flagcoh.parabolic import parabolic_data
+from flagcoh.parabolic import h0_twisted_cotangent, konno_lowest_weights, parabolic_data
 from flagcoh.rootsys import (
     Family,
     LieType,
@@ -382,6 +382,57 @@ def test_bwb_projective_line():
             assert not table.vanishes
             assert table.degree == 1
             assert table.dimension == -a - 1
+
+
+def test_vanishing_result_is_the_empty_frozen_table():
+    rs = root_system("B", 3)
+    for _ in range(2):
+        table = bwb_cohomology(rs, Weight((-1, 0, 0)))
+        assert table == CohomologyTable()
+        assert table.vanishes
+        for name in ("degree", "dominant_weight", "dimension"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(table, name, 1)
+
+
+def _plain_ints(coords) -> bool:
+    return all(type(c) is int for c in coords)
+
+
+def test_engine_builds_plain_int_coordinates():
+    # engine values are built without a re-check, so their coordinates are checked here
+    rng = random.Random(15)
+    for t in all_lie_types(8):
+        rs = root_system(t.family, t.rank)
+        l = t.rank
+        assert _plain_ints(rs.weyl_vector.fw_coords)
+        for root in rs.positive_roots:
+            assert _plain_ints(root.sr_coords)
+            assert _plain_ints(root_to_weight_coords(rs, root).fw_coords)
+        for i in range(l + 1):
+            lam = fundamental_weight(l, i)
+            for w in (lam, lam + rs.weyl_vector, lam - rs.weyl_vector, -lam, 3 * lam):
+                assert _plain_ints(w.fw_coords)
+        for _ in range(20):
+            lam = Weight(tuple(rng.randint(-4, 3) for _ in range(l)))
+            walked = to_dominant(rs, lam)
+            if walked is not None:
+                assert type(walked[0]) is int and _plain_ints(walked[1].fw_coords)
+            table = bwb_cohomology(rs, lam)
+            if not table.vanishes:
+                assert type(table.degree) is int and type(table.dimension) is int
+                assert _plain_ints(table.dominant_weight.fw_coords)
+        for r in range(1, l + 1):
+            pd = parabolic_data(rs, r)
+            if pd.lowest_weights is None:
+                continue
+            assert all(_plain_ints(w.fw_coords) for w in konno_lowest_weights(pd))
+            for a in (1, 2, 3):
+                total, pieces = h0_twisted_cotangent(pd, a)
+                assert type(total) is int
+                for _, mu, dim in pieces:
+                    assert type(dim) is int
+                    assert mu is None or _plain_ints(mu.fw_coords)
 
 
 def test_bwb_f4_example():

@@ -268,6 +268,23 @@ def test_supported_pair_count_rank_8() -> None:
         assert (family, l, r) not in seen
 
 
+def test_konno_pairs_builds_no_omitted_pair(monkeypatch) -> None:
+    # an omitted pair is dropped before parabolic_data builds it
+    built = []
+    real = parabolic._build_parabolic_data
+
+    def spy(rs, r):
+        built.append((rs.lie_type, r))
+        return real(rs, r)
+
+    monkeypatch.setattr(parabolic, "_PARABOLIC", {})
+    monkeypatch.setattr(parabolic, "_build_parabolic_data", spy)
+    pairs = konno_pairs(8)
+    assert built == [(pd.lie_type, pd.node) for pd in pairs]
+    assert all(_canonical_form(t, r) is None for t, r in built)
+    assert pairs == [pd for pd in all_pairs(8) if pd.lowest_weights is not None]
+
+
 def test_parabolic_data_is_shared_and_read_only() -> None:
     rs = root_system("E", 7)
     pd = parabolic_data(rs, 2)

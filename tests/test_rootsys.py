@@ -259,7 +259,7 @@ def test_pairing_symmetry_on_roots():
 
 @pytest.mark.parametrize("cls", [Weight, Root])
 def test_coordinates_must_be_ints(cls):
-    for bad in [(1.7, 2), (1, Fraction(5, 2)), (Fraction(2), 0), (True, 0), (1, False)]:
+    for bad in [(1.7, 2), (1.0, 0), (0.5,), (1, Fraction(5, 2)), (Fraction(2), 0), (True, 0), (True,), (1, False)]:
         with pytest.raises(TypeError):
             cls(bad)
     from_list = cls([1, -2, 3])
@@ -278,6 +278,20 @@ def test_weight_arithmetic_keeps_int_check():
         with pytest.raises(TypeError):
             bad * Weight((1, 2))
     assert 3 * Weight((1, -1)) == Weight((3, -3))
+
+
+def test_root_system_hit_keeps_the_type_check():
+    # a hit looks the arguments up as given; True == 1 and hash(1.0) == hash(1)
+    # must still not reach the entry of A1
+    root_system("A", 1)
+    for _ in range(2):
+        for bad in (True, 1.0):
+            with pytest.raises(TypeError):
+                root_system("A", bad)
+        with pytest.raises(ValueError):
+            root_system(" A", 3)
+    assert root_system("a", 3) is root_system("A", 3) is root_system(Family.A, 3)
+    assert root_system(Family.B, 3) is root_system("b", 3)
 
 
 def test_weight_arithmetic_refuses_other_operands():

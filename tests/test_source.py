@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import flagcoh
@@ -60,6 +62,56 @@ def test_hot_path_never_references_fraction() -> None:
                 ]
     assert seen == INTEGER_ONLY
     assert found == []
+
+
+# the per-query path: it builds its values with Weight._of and Root._of,
+# from values already checked, and never re-validates them
+PER_QUERY = {
+    "__add__",
+    "__sub__",
+    "__neg__",
+    "__rmul__",
+    "to_dominant",
+    "bwb_cohomology",
+    "weyl_dim",
+    "root_to_weight_coords",
+    "h0_twisted_cotangent",
+}
+VALIDATING = {"Weight", "Root", "LieType", "fundamental_weight"}
+
+
+def _per_query_functions():
+    """(module file, function) for every PER_QUERY function; the operators are those of Weight."""
+    for path in SOURCES:
+        for node in _parse(path).body:
+            if isinstance(node, ast.FunctionDef) and node.name in PER_QUERY:
+                yield path, node
+            elif isinstance(node, ast.ClassDef) and node.name == "Weight":
+                yield from ((path, fn) for fn in node.body if isinstance(fn, ast.FunctionDef) and fn.name in PER_QUERY)
+
+
+def test_per_query_path_never_calls_a_validating_constructor() -> None:
+    seen = set()
+    found = []
+    for path, fn in _per_query_functions():
+        seen.add(fn.name)
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name in VALIDATING:
+                found.append(f"{path.name}:{node.lineno} {name}( in {fn.name}")
+    assert seen == PER_QUERY
+    assert found == []
+
+
+def test_cli_import_leaves_fractions_and_csv_out() -> None:
+    # fractions pulls in decimal; only partial_weyl_product and CSV output need them
+    code = "import sys, flagcoh.cli; print(sorted({'fractions', 'decimal', 'csv'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def _names_fraction(node: ast.AST) -> bool:
