@@ -7,21 +7,21 @@ lowest weight -lambda, all cohomology vanishes when lambda + delta is
 singular; otherwise it is concentrated in degree p = index(lambda + delta)
 with dimension given by the Weyl formula at the dominant representative.
 
-Classification and the Weyl dimension formula both read the scaled
-pairings s_k(v) = 6 (v, beta_k) of a weight with every positive root.
-They come in one integer pass along the root chain of the root system,
-one addition per root: s(beta + alpha_i) = s(beta) + 6 m_i d_i.  The
-sign of s_k is the sign of the copairing <v, beta_k^vee>, and the Weyl
-dimension of lam is prod s_k(lam + delta) / prod s_k(delta).
+Classification is the chamber walk ``to_dominant``: the number of simple
+reflections that make a regular weight dominant is its index.  The Weyl
+products read the scaled pairings s_k(v) = 6 (v, beta_k) of a weight with
+every positive root, from one integer pass along the root chain
+(``rootsys._root_pairings``), and the Weyl dimension of lam is
+prod s_k(lam + delta) / prod s_k(delta), the denominator read at delta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
-from .rootsys import ConfigError, Root, RootSystem, Weight, _check_len, _require_int, fundamental_weight
+from .rootsys import ConfigError, Root, RootSystem, Weight, _check_len, _require_int, _root_pairings, fundamental_weight
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -42,24 +42,6 @@ class CohomologyTable:
 
 # the one result of every vanishing computation; frozen, so safe to share
 _VANISHES = CohomologyTable()
-
-
-def _root_pairings(rs: RootSystem, m: Sequence[int]) -> list[int]:
-    """s_k = 6 (v, beta_k) for every positive root, in root order, one addition each."""
-    inc = [c * d for c, d in zip(m, rs.scaled_symmetrizer)]
-    s: list[int] = []
-    for parent, i in rs.root_chain:
-        s.append(inc[i] if parent < 0 else s[parent] + inc[i])
-    return s
-
-
-def classify(rs: RootSystem, v: Weight) -> int | None:
-    """The index of v, the number of negative pairings, or None when v is orthogonal to a positive root."""
-    _check_len(rs, v.fw_coords)
-    s = _root_pairings(rs, v.fw_coords)
-    if 0 in s:
-        return None
-    return sum(1 for x in s if x < 0)
 
 
 def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
@@ -108,13 +90,22 @@ def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
         k = low
 
 
+def classify(rs: RootSystem, v: Weight) -> int | None:
+    """The index of v, the step count of ``to_dominant`` (looked up through the module), or None when singular.
+
+    It raises what the walk raises, the ArithmeticError of its |Phi+| step bound included.
+    """
+    result = to_dominant(rs, v)
+    return None if result is None else result[0]
+
+
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Weyl dimension formula, exact: prod (lam+delta, a) / (delta, a) over positive roots a."""
     m = lam.fw_coords
     _check_len(rs, m)
     if not lam.is_dominant():
         raise ValueError(f"weight {m} is not dominant")
-    num = math.prod(_root_pairings(rs, [c + 1 for c in m]))
+    num = math.prod(_root_pairings(rs.root_chain, rs.scaled_symmetrizer, [c + 1 for c in m]))
     q, r = divmod(num, rs.weyl_denominator)
     if r or q <= 0:
         raise ArithmeticError(f"Weyl product {num}/{rs.weyl_denominator} at {m} is not a positive integer")
@@ -129,8 +120,8 @@ def partial_weyl_product(rs: RootSystem, lam: Weight, subset: Iterable[Root]) ->
     _check_len(rs, m)
     if not lam.is_dominant():
         raise ValueError(f"weight {m} is not dominant")
-    shifted = _root_pairings(rs, [c + 1 for c in m])
-    base = _root_pairings(rs, rs.weyl_vector.fw_coords)
+    shifted = _root_pairings(rs.root_chain, rs.scaled_symmetrizer, [c + 1 for c in m])
+    base = _root_pairings(rs.root_chain, rs.scaled_symmetrizer, rs.weyl_vector.fw_coords)
     position = {root.sr_coords: k for k, root in enumerate(rs.positive_roots)}
     num = den = 1
     seen: set[int] = set()

@@ -81,21 +81,19 @@ class MacaulayStatus(Enum):
 class ParabolicData:
     """Root-theoretic data of Y = G/P for the maximal parabolic at ``node``.
 
-    ``phi1`` holds the positive roots of the Levi factor (coefficient of
-    alpha_r equal to zero); ``levels`` the roots of the nilradical, grouped
-    by that coefficient, a read-only mapping since ``parabolic_data``
-    shares one instance per pair; records compare by identity.  The
-    levels are exactly 1..depth whenever ``lowest_weights`` is set, and
-    ``lowest_weights[i - 1]`` is the lowest weight of the cotangent piece
-    at level i; it is None for a pair omitted in favour of an isomorphic
-    listed pair.  ``dim_y`` is the
-    number of nilradical roots and ``fano_index`` the integer k with
-    K_Y = O(-k).
+    ``levels`` holds the roots of the nilradical (coefficient of alpha_r
+    positive; the other positive roots are those of the Levi factor),
+    grouped by that coefficient, a read-only mapping since
+    ``parabolic_data`` shares one instance per pair; records compare by
+    identity.  The levels are exactly 1..depth whenever ``lowest_weights``
+    is set, and ``lowest_weights[i - 1]`` is the lowest weight of the
+    cotangent piece at level i; it is None for a pair omitted in favour of
+    an isomorphic listed pair.  ``dim_y`` is the number of nilradical
+    roots and ``fano_index`` the integer k with K_Y = O(-k).
     """
 
     lie_type: LieType
     node: int
-    phi1: tuple[Root, ...]
     levels: Mapping[int, tuple[Root, ...]] = field(repr=False)
     lowest_weights: Optional[tuple[Weight, ...]] = field(repr=False)
     dim_y: int
@@ -130,15 +128,12 @@ def _build_parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
     rank = rs.rank
     # bit j of lowerable[k]: root k minus alpha_{j+1} is a root
     levi_mask = ((1 << rank) - 1) ^ (1 << (r - 1))
-    phi1: list[Root] = []
     nilrad: list[Root] = []
     levels: dict[int, list[Root]] = {}
     lowest: dict[int, list[Root]] = {}
     for root, down in zip(rs.positive_roots, rs.lowerable):
         n_r = root.sr_coords[r - 1]
-        if n_r == 0:
-            phi1.append(root)
-        else:
+        if n_r:
             nilrad.append(root)
             levels.setdefault(n_r, []).append(root)
             if not down & levi_mask:
@@ -160,7 +155,6 @@ def _build_parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
     return ParabolicData(
         lie_type=rs.lie_type,
         node=r,
-        phi1=tuple(phi1),
         levels=MappingProxyType(graded),
         lowest_weights=None if omitted else _derive_lowest_weights(rs, r, tuple(graded), lowest),
         dim_y=len(nilrad),

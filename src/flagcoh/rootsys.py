@@ -40,7 +40,7 @@ the way, as plain ints:
   addition each: s(beta + alpha_i) = s(beta) + m_i D_i.  The sign of
   s_k is the sign of <v, beta_k^vee>, since (beta_k, beta_k) > 0.
 * ``weyl_denominator = prod_k s_k(delta)``, the denominator of the Weyl
-  dimension formula in this scaling.
+  dimension formula in this scaling, from the pass ``_root_pairings``.
 * ``lowerable[k]``: bit i is set when beta_k - alpha_i is a root.
 
 It also keeps, read off the Cartan matrix once, the Dynkin graph as
@@ -313,13 +313,18 @@ def _dynkin_neighbours(cartan: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int
     )
 
 
+def _root_pairings(root_chain: Sequence[tuple[int, int]], d: Sequence[int], m: Sequence[int]) -> list[int]:
+    """s_k = 6 (v, beta_k) for every positive root, in root order, one addition each; d is the scaled symmetrizer."""
+    inc = [c * di for c, di in zip(m, d)]
+    s: list[int] = []
+    for parent, i in root_chain:
+        s.append(inc[i] if parent < 0 else s[parent] + inc[i])
+    return s
+
+
 def build_root_system(t: LieType) -> RootSystem:
     cartan, d = _cartan_matrix(t)
     coords, root_chain, lowerable = zip(*_positive_root_closure(cartan))
-    # 6 (delta, beta) along the chain, as (delta, alpha_i) = d_i
-    delta_pairings: list[int] = []
-    for parent, i in root_chain:
-        delta_pairings.append(d[i] if parent < 0 else delta_pairings[parent] + d[i])
     return RootSystem(
         lie_type=t,
         cartan=cartan,
@@ -327,7 +332,7 @@ def build_root_system(t: LieType) -> RootSystem:
         positive_roots=tuple(Root._of(n) for n in coords),
         weyl_vector=Weight._of((1,) * t.rank),
         root_chain=root_chain,
-        weyl_denominator=math.prod(delta_pairings),
+        weyl_denominator=math.prod(_root_pairings(root_chain, d, (1,) * t.rank)),
         lowerable=lowerable,
         neighbours=_dynkin_neighbours(cartan),
     )

@@ -59,7 +59,7 @@ def cartan_oracle(t: LieType) -> tuple[list[tuple[int, ...]], list[tuple[int, ..
 
 @pytest.mark.parametrize("t", KERNEL_TYPES, ids=str)
 def test_chain_pass_matches_coroot_oracle(t: LieType):
-    # classify and weyl_dim read the root-chain pass; the oracle pairs with coroots directly
+    # classify reads the chamber walk and weyl_dim the root-chain pass; the oracle pairs with coroots directly
     rs = root_system(t.family, t.rank)
     roots, coroots = cartan_oracle(t)
     rng = random.Random(f"chain pass {t}")
@@ -206,8 +206,9 @@ def test_to_dominant_step_bound_and_length():
         cartan=((2, -2), (-2, 2)),
         neighbours=(((1, -2),), ((0, -2),)),
     )
-    with pytest.raises(ArithmeticError, match="after \\|Phi\\+\\| = 3 reflections"):
-        to_dominant(affine, Weight((-1, 1)))
+    for walk in (to_dominant, classify):
+        with pytest.raises(ArithmeticError, match="after \\|Phi\\+\\| = 3 reflections"):
+            walk(affine, Weight((-1, 1)))
     for bad in ((1,), (1, 1, 1)):
         with pytest.raises(ValueError, match="expected 2 coordinates"):
             to_dominant(rs, Weight(bad))
@@ -321,16 +322,17 @@ def test_partial_weyl_product_rejects_repeated_root():
 
 @pytest.mark.parametrize("t", all_lie_types(8), ids=str)
 def test_partial_weyl_product_levi_and_nilradical_split_weyl_dim(t: LieType):
-    # phi1 and the levels partition the positive roots at every node, omitted
-    # pairs included, so their restricted products multiply to the Weyl
-    # dimension; the nilradical is passed reversed, off the root order
+    # the Levi roots (node coefficient 0) and the levels partition the positive
+    # roots at every node, omitted pairs included, so their restricted products
+    # multiply to the Weyl dimension; the nilradical is passed reversed, off the root order
     rs = root_system(t.family, t.rank)
     rng = random.Random(f"partial product {t}")
     weights = [Weight((0,) * t.rank)] + [Weight(tuple(rng.randint(0, 3) for _ in range(t.rank))) for _ in range(3)]
     for r in range(1, t.rank + 1):
         pd = parabolic_data(rs, r)
+        levi_roots = [root for root in rs.positive_roots if root.sr_coords[r - 1] == 0]
         for lam in weights:
-            levi = partial_weyl_product(rs, lam, pd.phi1)
+            levi = partial_weyl_product(rs, lam, levi_roots)
             nilradical = [root for level in pd.levels.values() for root in level]
             assert partial_weyl_product(rs, lam, reversed(nilradical)) * levi == weyl_dim(rs, lam)
     # one root at a time: <lam + delta, beta^vee> / <delta, beta^vee>, from the oracle's coroots

@@ -94,9 +94,12 @@ def test_node_must_be_an_int(capsys) -> None:
 def test_partition_and_purity_all_pairs() -> None:
     for pd in all_pairs(8):
         rs = pd.root_system
-        assert len(pd.phi1) + pd.dim_y == len(rs.positive_roots)
+        # the Levi roots are the positive roots outside the levels
+        nilradical = {root for roots in pd.levels.values() for root in roots}
+        levi = [root for root in rs.positive_roots if root not in nilradical]
+        assert len(levi) + pd.dim_y == len(rs.positive_roots)
         assert sum(len(v) for v in pd.levels.values()) == pd.dim_y
-        assert all(root.sr_coords[pd.node - 1] == 0 for root in pd.phi1)
+        assert all(root.sr_coords[pd.node - 1] == 0 for root in levi)
         for level, roots in pd.levels.items():
             assert level >= 1
             assert all(root.sr_coords[pd.node - 1] == level for root in roots)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -277,6 +278,33 @@ def test_lungo_c3_restricted_product_is_a_golden_mismatch(monkeypatch) -> None:
     assert case.annotations == (
         "golden: restricted product equality",
         "golden value mismatch: restricted product 7 != 6",
+    )
+
+
+def test_lungo_c3_dim_y_off_the_closed_form_is_a_golden_mismatch(monkeypatch) -> None:
+    # dim Y and the restricted product both read 7, so they agree and only
+    # dim Y = l(l+1)/2 fails; the note must name that equation
+    def wrap(real):
+        product = verify.partial_weyl_product
+        monkeypatch.setattr(
+            verify,
+            "partial_weyl_product",
+            lambda rs, lam, roots: product(rs, lam, roots) + (1 if str(rs.lie_type) == "C3" else 0),
+        )
+
+        def pairs(max_rank):
+            return [
+                dataclasses.replace(pd, dim_y=pd.dim_y + 1) if _key(pd) == ("C", 3, 3) else pd
+                for pd in real(max_rank)
+            ]
+
+        return pairs
+
+    case = _lungo_fails_alone(monkeypatch, "konno_pairs", wrap, ("C", 3, 3))
+    assert case.dim_y == 7
+    assert case.annotations == (
+        "golden: restricted product equality",
+        "golden value mismatch: dim Y 7 != l(l+1)/2 = 6",
     )
 
 
