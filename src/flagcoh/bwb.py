@@ -18,29 +18,43 @@ prod s_k(lam + delta) / prod s_k(delta), the denominator read at delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .rootsys import ConfigError, Root, RootSystem, Weight, _check_len, _require_int, _root_pairings, fundamental_weight
+from .rootsys import (
+    ConfigError,
+    Root,
+    RootSystem,
+    Weight,
+    _check_len,
+    _require_int,
+    _root_pairings,
+    _Value,
+    fundamental_weight,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(_Value):
     """All cohomology of one irreducible bundle: nothing (``degree`` None), or one group."""
 
-    degree: int | None = None
-    dominant_weight: Weight | None = None
-    dimension: int | None = None
+    __slots__ = ("degree", "dominant_weight", "dimension")
+
+    def __init__(
+        self, degree: int | None = None, dominant_weight: Weight | None = None, dimension: int | None = None
+    ) -> None:
+        # one per regular bwb_cohomology answer: the fields are set one by one, not by the _set loop
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "dominant_weight", dominant_weight)
+        object.__setattr__(self, "dimension", dimension)
 
     @property
     def vanishes(self) -> bool:
         return self.degree is None
 
 
-# the one result of every vanishing computation; frozen, so safe to share
+# the one result of every vanishing computation; immutable, so safe to share
 _VANISHES = CohomologyTable()
 
 

@@ -13,7 +13,6 @@ an ``--out`` that cannot be written.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from typing import Optional, Sequence
@@ -260,8 +259,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             data, code = _verify(args)
         else:
             obj, text = _QUERIES[args.command](args)
-            payload = json.dumps(obj, indent=2) + "\n" if args.format == "json" else text
-            data, code = payload.encode("utf-8"), 0
+            if args.format == "json":
+                import json  # imported here so that text output and --version do not pay for it
+
+                text = json.dumps(obj, indent=2) + "\n"
+            data, code = text.encode("utf-8"), 0
         _emit(data, args.out)
         return code
     except (UnsupportedPairError, ValueError, OSError) as exc:

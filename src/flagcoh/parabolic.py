@@ -32,7 +32,6 @@ the quadric (B3, 1) does not have.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -45,6 +44,7 @@ from .rootsys import (
     Root,
     RootSystem,
     Weight,
+    _Record,
     _require_int,
     all_lie_types,
     fundamental_weight,
@@ -77,8 +77,7 @@ class MacaulayStatus(Enum):
     SURJECTIVITY_FAILS = "surjectivity-fails"
 
 
-@dataclass(frozen=True, eq=False)
-class ParabolicData:
+class ParabolicData(_Record):
     """Root-theoretic data of Y = G/P for the maximal parabolic at ``node``.
 
     ``levels`` holds the roots of the nilradical (coefficient of alpha_r
@@ -92,13 +91,20 @@ class ParabolicData:
     roots and ``fano_index`` the integer k with K_Y = O(-k).
     """
 
-    lie_type: LieType
-    node: int
-    levels: Mapping[int, tuple[Root, ...]] = field(repr=False)
-    lowest_weights: Optional[tuple[Weight, ...]] = field(repr=False)
-    dim_y: int
-    fano_index: int
-    root_system: RootSystem = field(repr=False)
+    __slots__ = ("lie_type", "node", "levels", "lowest_weights", "dim_y", "fano_index", "root_system")
+    _hidden = ("levels", "lowest_weights", "root_system")
+
+    def __init__(
+        self,
+        lie_type: LieType,
+        node: int,
+        levels: Mapping[int, tuple[Root, ...]],
+        lowest_weights: Optional[tuple[Weight, ...]],
+        dim_y: int,
+        fano_index: int,
+        root_system: RootSystem,
+    ) -> None:
+        self._set(lie_type, node, levels, lowest_weights, dim_y, fano_index, root_system)
 
     @property
     def depth(self) -> int:

@@ -21,10 +21,18 @@ construction and classification use integers only: the symmetrizer is
 carried scaled by 6 (``scaled_symmetrizer``, D_i = 6 d_i in {6, 3, 2}).
 ``Fraction`` appears only in ``bwb.partial_weyl_product``.
 
+The records (``LieType``, ``Root``, ``Weight`` and ``RootSystem`` here,
+``CohomologyTable``, ``ParabolicData``, ``CaseResult`` and ``Report``
+elsewhere) are slotted classes on ``_Record``: immutable, closed to new
+attributes, with a ``Name(field=value, ...)`` repr.  ``RootSystem`` and
+``ParabolicData`` compare by identity, the others by their field tuple,
+never equal to a record of another class.
+
 Validation happens once, at the boundary.  The public constructors
 ``LieType``, ``Weight`` and ``Root`` and the public entry points check
-what they are given: a bool, float or Fraction rank or coordinate is a
-TypeError, never coerced, and a bad family, rank or node is a
+what they are given: a bool, float or Fraction rank or coordinate, or a
+family that is neither a str nor a ``Family``, is a TypeError, never
+coerced, and an unknown family letter, a bad rank or a bad node is a
 ConfigError.  Engine arithmetic (the ``Weight`` operators, the chamber
 walk, basis conversion, the root-system build) derives its values from
 values already checked and builds them with the private trusted
@@ -52,7 +60,6 @@ these j only, so one reflection costs the degree of node k, at most 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import add, neg, sub
 from typing import Iterable, Sequence
@@ -94,18 +101,70 @@ _RANK_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class LieType:
-    family: Family
-    rank: int
+class _Record:
+    """Base of the immutable records: ``__init__`` sets each of the ``__slots__`` once, by ``object.__setattr__``."""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.family, Family):
-            object.__setattr__(self, "family", Family(str(self.family).upper()))
-        _require_int("rank", self.rank)
-        lo, hi = _RANK_BOUNDS[self.family]
-        if not lo <= self.rank <= hi:
-            raise ConfigError(f"rank {self.rank} out of bounds {lo}..{hi} for family {self.family}")
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()  # fields the repr leaves out
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, n) for n in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle would restore the slots by setattr, which is refused; rebuild through __init__
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n not in self._hidden)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class _Value(_Record):
+    """A record that compares and hashes by its field tuple, unequal to any other class."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class LieType(_Record):
+    __slots__ = ("family", "rank")
+
+    def __init__(self, family: Family | str, rank: int) -> None:
+        if not isinstance(family, Family):
+            if not isinstance(family, str):
+                raise TypeError(f"family must be a str or a Family, got {family!r}")
+            try:
+                family = Family(family.upper())
+            except ValueError:
+                raise ConfigError(f"unknown family {family!r}, expected one of A, B, C, D, E, F, G") from None
+        _require_int("rank", rank)
+        lo, hi = _RANK_BOUNDS[family]
+        if not lo <= rank <= hi:
+            raise ConfigError(f"rank {rank} out of bounds {lo}..{hi} for family {family}")
+        self._set(family, rank)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LieType:
+            return NotImplemented
+        return self.family is other.family and self.rank == other.rank
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -126,14 +185,19 @@ def _int_coords(coords: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(_Record):
     """Element of the root lattice; integer coefficients n_i over the simple roots."""
 
-    sr_coords: tuple[int, ...]
+    __slots__ = ("sr_coords",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sr_coords", _int_coords(self.sr_coords))
+    def __init__(self, sr_coords: Iterable[int]) -> None:
+        object.__setattr__(self, "sr_coords", _int_coords(sr_coords))
+
+    def __eq__(self, other: object) -> bool:
+        return self.sr_coords == other.sr_coords if other.__class__ is Root else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.sr_coords,))
 
     @classmethod
     def _of(cls, coords: tuple[int, ...]) -> "Root":
@@ -143,14 +207,19 @@ class Root:
         return r
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Record):
     """Element of the weight lattice; integer coefficients m_i over the fundamental weights."""
 
-    fw_coords: tuple[int, ...]
+    __slots__ = ("fw_coords",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fw_coords", _int_coords(self.fw_coords))
+    def __init__(self, fw_coords: Iterable[int]) -> None:
+        object.__setattr__(self, "fw_coords", _int_coords(fw_coords))
+
+    def __eq__(self, other: object) -> bool:
+        return self.fw_coords == other.fw_coords if other.__class__ is Weight else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.fw_coords,))
 
     @classmethod
     def _of(cls, coords: tuple[int, ...]) -> "Weight":
@@ -278,8 +347,7 @@ def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> list[tuple[tuple[
     return roots
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(_Record):
     """Immutable root-system data with precomputed pairing tables.
 
     ``root_chain`` and ``lowerable`` hold one small int (or pair) per
@@ -290,15 +358,26 @@ class RootSystem:
     ``root_system`` shares one instance per type; they compare by identity.
     """
 
-    lie_type: LieType
-    cartan: tuple[tuple[int, ...], ...]
-    scaled_symmetrizer: tuple[int, ...]
-    positive_roots: tuple[Root, ...]
-    weyl_vector: Weight
-    root_chain: tuple[tuple[int, int], ...] = field(repr=False)
-    weyl_denominator: int = field(repr=False)
-    lowerable: tuple[int, ...] = field(repr=False)
-    neighbours: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
+    __slots__ = (
+        "lie_type", "cartan", "scaled_symmetrizer", "positive_roots", "weyl_vector",
+        "root_chain", "weyl_denominator", "lowerable", "neighbours",
+    )
+    _hidden = ("root_chain", "weyl_denominator", "lowerable", "neighbours")
+
+    def __init__(
+        self,
+        lie_type: LieType,
+        cartan: tuple[tuple[int, ...], ...],
+        scaled_symmetrizer: tuple[int, ...],
+        positive_roots: tuple[Root, ...],
+        weyl_vector: Weight,
+        root_chain: tuple[tuple[int, int], ...],
+        weyl_denominator: int,
+        lowerable: tuple[int, ...],
+        neighbours: tuple[tuple[tuple[int, int], ...], ...],
+    ) -> None:
+        self._set(lie_type, cartan, scaled_symmetrizer, positive_roots, weyl_vector,
+                  root_chain, weyl_denominator, lowerable, neighbours)
 
     @property
     def rank(self) -> int:

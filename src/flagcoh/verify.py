@@ -24,14 +24,12 @@ runs are byte-identical.
 from __future__ import annotations
 
 import io
-import json
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import __version__
 from .bwb import partial_weyl_product
 from .parabolic import ParabolicData, h0_twisted_cotangent, konno_pairs
-from .rootsys import MAX_RANK, ConfigError, Family, _require_int, fundamental_weight
+from .rootsys import MAX_RANK, ConfigError, Family, _require_int, _Value, fundamental_weight
 
 __all__ = [
     "CaseResult",
@@ -54,19 +52,24 @@ def _check_max_rank(max_rank: int) -> None:
         raise ConfigError(f"max_rank must be <= {MAX_RANK}, got {max_rank}")
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(_Value):
     """One sweep case; ``witness`` holds the per-level evidence dicts."""
 
-    family: str
-    rank: int
-    node: int
-    twist: int
-    h0: int
-    dim_y: int
-    passed: bool
-    witness: tuple[dict, ...] = ()
-    annotations: tuple[str, ...] = ()
+    __slots__ = ("family", "rank", "node", "twist", "h0", "dim_y", "passed", "witness", "annotations")
+
+    def __init__(
+        self,
+        family: str,
+        rank: int,
+        node: int,
+        twist: int,
+        h0: int,
+        dim_y: int,
+        passed: bool,
+        witness: tuple[dict, ...] = (),
+        annotations: tuple[str, ...] = (),
+    ) -> None:
+        self._set(family, rank, node, twist, h0, dim_y, passed, witness, annotations)
 
     def sort_key(self) -> tuple[str, int, int, int]:
         return (self.family, self.rank, self.node, self.twist)
@@ -85,14 +88,14 @@ class CaseResult:
         }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Value):
     """Sweep output: parameters, ordered cases, and summary counts."""
 
-    sweep: str
-    version: str
-    params: dict = field(repr=False)
-    cases: tuple[CaseResult, ...] = ()
+    __slots__ = ("sweep", "version", "params", "cases")
+    _hidden = ("params",)
+
+    def __init__(self, sweep: str, version: str, params: dict, cases: tuple[CaseResult, ...] = ()) -> None:
+        self._set(sweep, version, params, cases)
 
     @property
     def summary(self) -> dict:
@@ -279,6 +282,8 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
         ]
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
+        import json  # imported here so that text and CSV output and the query commands do not pay for it
+
         return (json.dumps(report.to_json_dict(), indent=2) + "\n").encode("utf-8")
     if fmt == "csv":
         import csv  # imported here so that JSON and text output do not pay for it

@@ -207,8 +207,11 @@ def test_parabolic_bad_node(capsys) -> None:
 
 def test_bad_family_exits_2(capsys) -> None:
     assert cli.run(["info", "Q", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: unknown family 'Q', expected one of A, B, C, D, E, F, G\n")
     assert cli.run(["info", "E", "9"]) == 2
     capsys.readouterr()
+    assert cli.run(["info", "b", "3"]) == 0
+    assert capsys.readouterr().out.startswith("type B3\n")
 
 
 def test_sigma_and_macaulay(capsys) -> None:

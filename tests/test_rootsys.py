@@ -67,6 +67,22 @@ def test_rank_must_be_an_int():
                 fundamental_weight(rank, node)
 
 
+def test_family_must_be_a_known_letter_or_a_family():
+    # neither is passed through str(): None would become 'NONE' and 1 would become '1'
+    for bad in (None, 1, b"B", ("B",)):
+        with pytest.raises(TypeError, match="family must be a str or a Family"):
+            LieType(bad, 3)
+        with pytest.raises(TypeError, match="family must be a str or a Family"):
+            root_system(bad, 3)
+    for bad in ("X", "q", "", "BB", "Family.B"):
+        with pytest.raises(ConfigError, match=f"unknown family {bad!r}, expected one of A, B, C, D, E, F, G"):
+            LieType(bad, 3)
+        with pytest.raises(ConfigError, match="expected one of A, B, C, D, E, F, G"):
+            root_system(bad, 3)
+    assert LieType("b", 3) == LieType(Family.B, 3) and LieType("b", 3).family is Family.B
+    assert root_system("b", 3) is root_system(Family.B, 3)
+
+
 @pytest.mark.parametrize("t", ALL_TYPES_8, ids=str)
 def test_positive_root_counts(t: LieType):
     rs = root_system(t.family, t.rank)

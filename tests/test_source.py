@@ -107,11 +107,29 @@ def test_per_query_path_never_calls_a_validating_constructor() -> None:
 
 
 def test_cli_import_leaves_fractions_and_csv_out() -> None:
-    # fractions pulls in decimal; only partial_weyl_product and CSV output need them
-    code = "import sys, flagcoh.cli; print(sorted({'fractions', 'decimal', 'csv'} & set(sys.modules)))"
+    # fractions pulls in decimal; only partial_weyl_product and CSV output need them, and
+    # only JSON output needs json; dataclasses pulls in inspect, ast and dis, and nothing needs it
+    unwanted = "{'fractions', 'decimal', 'csv', 'json', 'dataclasses'}"
+    code = f"import sys, flagcoh.cli; print(sorted({unwanted} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level names of every module a source imports, at any depth of the tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_module_imports_dataclasses() -> None:
+    # the records are slotted classes on rootsys._Record; dataclasses costs every process its import
+    assert [path.name for path in SOURCES if "dataclasses" in _imported_modules(_parse(path))] == []
 
 
 def _names_fraction(node: ast.AST) -> bool:
@@ -142,14 +160,8 @@ def test_engine_modules_leave_the_wire_format_to_the_front_end() -> None:
     for name in ("rootsys.py", "bwb.py", "parabolic.py"):
         tree = _parse(PACKAGE / name)
         defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                imported.add(node.module.split(".")[0])
         assert "to_json_dict" not in defined, name
-        assert "json" not in imported, name
+        assert "json" not in _imported_modules(tree), name
 
 
 # every public name of the package, so that unused API cannot grow back unseen

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 
@@ -12,7 +11,7 @@ import pytest
 import flagcoh
 import flagcoh.cli as cli
 from flagcoh import verify
-from flagcoh.parabolic import konno_pairs
+from flagcoh.parabolic import ParabolicData, konno_pairs
 from flagcoh.verify import (
     CaseResult,
     Report,
@@ -292,11 +291,19 @@ def test_lungo_c3_dim_y_off_the_closed_form_is_a_golden_mismatch(monkeypatch) ->
             lambda rs, lam, roots: product(rs, lam, roots) + (1 if str(rs.lie_type) == "C3" else 0),
         )
 
+        def raised(pd):
+            return ParabolicData(
+                lie_type=pd.lie_type,
+                node=pd.node,
+                levels=pd.levels,
+                lowest_weights=pd.lowest_weights,
+                dim_y=pd.dim_y + 1,
+                fano_index=pd.fano_index,
+                root_system=pd.root_system,
+            )
+
         def pairs(max_rank):
-            return [
-                dataclasses.replace(pd, dim_y=pd.dim_y + 1) if _key(pd) == ("C", 3, 3) else pd
-                for pd in real(max_rank)
-            ]
+            return [raised(pd) if _key(pd) == ("C", 3, 3) else pd for pd in real(max_rank)]
 
         return pairs
 
