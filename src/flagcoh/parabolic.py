@@ -82,13 +82,15 @@ class ParabolicData(_Record):
 
     ``levels`` holds the roots of the nilradical (coefficient of alpha_r
     positive; the other positive roots are those of the Levi factor),
-    grouped by that coefficient, a read-only mapping since
-    ``parabolic_data`` shares one instance per pair; records compare by
-    identity.  The levels are exactly 1..depth whenever ``lowest_weights``
-    is set, and ``lowest_weights[i - 1]`` is the lowest weight of the
-    cotangent piece at level i; it is None for a pair omitted in favour of
-    an isomorphic listed pair.  ``dim_y`` is the number of nilradical
-    roots and ``fano_index`` the integer k with K_Y = O(-k).
+    grouped by that coefficient; the record keeps a read-only copy, since
+    ``parabolic_data`` shares one instance per pair.  Records compare by
+    identity; a shallow copy is the record itself, while deepcopy and
+    pickle rebuild it, with ``levels`` read-only again.  The levels are
+    exactly 1..depth whenever ``lowest_weights`` is set, and
+    ``lowest_weights[i - 1]`` is the lowest weight of the cotangent piece
+    at level i; it is None for a pair omitted in favour of an isomorphic
+    listed pair.  ``dim_y`` is the number of nilradical roots and
+    ``fano_index`` the integer k with K_Y = O(-k).
     """
 
     __slots__ = ("lie_type", "node", "levels", "lowest_weights", "dim_y", "fano_index", "root_system")
@@ -104,7 +106,15 @@ class ParabolicData(_Record):
         fano_index: int,
         root_system: RootSystem,
     ) -> None:
-        self._set(lie_type, node, levels, lowest_weights, dim_y, fano_index, root_system)
+        self._set(lie_type, node, MappingProxyType(dict(levels)), lowest_weights, dim_y, fano_index, root_system)
+
+    def __reduce__(self) -> tuple:
+        # a mappingproxy neither pickles nor deep-copies: hand over a dict, which __init__ wraps again
+        lie_type, node, levels, *rest = self._fields()
+        return type(self), (lie_type, node, dict(levels), *rest)
+
+    def __copy__(self) -> ParabolicData:
+        return self  # immutable, so a shallow copy may share everything, the record included
 
     @property
     def depth(self) -> int:
@@ -161,7 +171,7 @@ def _build_parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
     return ParabolicData(
         lie_type=rs.lie_type,
         node=r,
-        levels=MappingProxyType(graded),
+        levels=graded,
         lowest_weights=None if omitted else _derive_lowest_weights(rs, r, tuple(graded), lowest),
         dim_y=len(nilrad),
         fano_index=k,

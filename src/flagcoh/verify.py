@@ -18,12 +18,14 @@ fails the case.
 Both sweeps build their cases in ``_sweep``.  Failures never raise: each
 case carries a passed flag, its witness breakdown, and annotations;
 reports are deterministic (fixed ordering, no timestamps) so identical
-runs are byte-identical.
+runs are byte-identical.  ``emit_report`` owns the JSON layout, and writes
+byte for byte what ``json.dumps(..., indent=2)`` would without loading it.
 """
 
 from __future__ import annotations
 
 import io
+from functools import lru_cache
 from typing import Iterable
 
 from . import __version__
@@ -74,19 +76,6 @@ class CaseResult(_Value):
     def sort_key(self) -> tuple[str, int, int, int]:
         return (self.family, self.rank, self.node, self.twist)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "rank": self.rank,
-            "node": self.node,
-            "twist": self.twist,
-            "h0": str(self.h0),
-            "dim_y": self.dim_y,
-            "passed": self.passed,
-            "witness": [dict(w) for w in self.witness],
-            "annotations": list(self.annotations),
-        }
-
 
 class Report(_Value):
     """Sweep output: parameters, ordered cases, and summary counts."""
@@ -105,15 +94,6 @@ class Report(_Value):
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.cases)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sweep": self.sweep,
-            "version": self.version,
-            "params": dict(self.params),
-            "cases": [c.to_json_dict() for c in self.cases],
-            "summary": self.summary,
-        }
 
 
 def _base_annotations(pd: ParabolicData) -> list[str]:
@@ -259,13 +239,50 @@ def check_lemma_studiopesi(
     return _sweep("studiopesi", {"max_rank": max_rank, "twists": list(twists)}, inputs, _studiopesi_case)
 
 
+@lru_cache(maxsize=1024)  # a report repeats a few keys and labels many times
+def _json_str(s: str) -> str:
+    # json.dumps escapes '"', '\\' and whatever lies outside U+0020..U+007E, and nothing else
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    from json.encoder import encode_basestring_ascii  # only strings that need escaping load json
+    return encode_basestring_ascii(s)
+
+
+@lru_cache(maxsize=1024)  # the studiopesi sweep repeats each pair's lowest weights under every twist
+def _json_ints(coords: tuple[int, ...], pad: str) -> str:
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(map(str, coords)) + f"\n{pad}]"
+
+
+def _json(value: object, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` puts it at ``pad``: str, int, bool, None, list, tuple, dict."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if type(value) is list and {*map(type, value)} == {int}:  # weight coordinates (type(True) is bool)
+        return _json_ints(tuple(value), pad)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{_json_str(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    sep = ",\n" + inner
+    return f"[\n{inner}{sep.join([_json(v, inner) for v in value])}\n{pad}]" if value else "[]"
+
+
 _CSV_HEADER = ["family", "rank", "node", "twist", "h0", "dim_y", "passed", "annotations"]
 
 
 def emit_report(report: Report, fmt: str = "json") -> bytes:
     """Serialize a report as canonical JSON, CSV or text bytes (deterministic).
 
-    The text form is the summary and one line per failed case.
+    The JSON bytes are ``json.dumps(d, indent=2)`` plus a newline, where ``d`` holds the report's
+    fields with ``h0`` as a string and ``summary`` last; they are written here without building
+    ``d`` or loading ``json``.  The text form is the summary and one line per failed case.
     """
     if fmt == "text":
         s = report.summary
@@ -282,9 +299,19 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
         ]
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
-        import json  # imported here so that text and CSV output and the query commands do not pay for it
-
-        return (json.dumps(report.to_json_dict(), indent=2) + "\n").encode("utf-8")
+        cases = ",\n".join(
+            f'    {{\n      "family": {_json_str(c.family)},\n      "rank": {c.rank},\n      "node": {c.node},\n'
+            f'      "twist": {c.twist},\n      "h0": "{c.h0}",\n      "dim_y": {c.dim_y},\n'
+            f'      "passed": {"true" if c.passed else "false"},\n      "witness": {_json(c.witness, "      ")},\n'
+            f'      "annotations": {_json(c.annotations, "      ")}\n    }}'
+            for c in report.cases
+        )
+        cases = f"[\n{cases}\n  ]" if cases else "[]"
+        return (
+            f'{{\n  "sweep": {_json_str(report.sweep)},\n  "version": {_json_str(report.version)},\n'
+            f'  "params": {_json(report.params, "  ")},\n  "cases": {cases},\n'
+            f'  "summary": {_json(report.summary, "  ")}\n}}\n'
+        ).encode("utf-8")
     if fmt == "csv":
         import csv  # imported here so that JSON and text output do not pay for it
 

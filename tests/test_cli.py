@@ -283,12 +283,14 @@ def test_verify_csv_to_file(tmp_path) -> None:
     assert len(lines) >= 10
 
 
-# sha256 of the text and CSV report bytes of two rank-6 sweeps
+# sha256 of the text, CSV and JSON report bytes of two rank-6 sweeps
 VERIFY_OUTPUT_PINS = {
+    ("studiopesi", "json"): "89e49e2c3a05b65ea8bfb5a60b36f19766e6d32431f68678251e25d00b9987d1",
     ("studiopesi", "text"): "6a701667a9df0ed52b0f48e8835decd6ba5aaf84fdb47cde9e2d49a9a322ed57",
     ("studiopesi", "csv"): "fcf9ad773763531596c435eb4c935349f47bed2f8f2db1f27b364abd5c1270cb",
     ("lungo", "text"): "d58e22216dfed9de3e1bb51322f1204d24043b2c5307238f79c4227a4630c57a",
     ("lungo", "csv"): "1b8ee92eaf66ebeedcdf729336976bfb8de23f60e063280bc657213a123a22cb",
+    ("lungo", "json"): "aace22584552d19d5bc0a9dddf6b49ce1b764290268fa1bdd680fdde37f81b39",
 }
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from types import MappingProxyType
 
 import pytest
 
@@ -160,6 +161,9 @@ def test_records_copy_and_pickle() -> None:
         assert twin is not rs and repr(twin) == repr(rs) and twin.neighbours == rs.neighbours
     pd = parabolic_data(rs, 1)
     assert repr(copy.copy(pd)) == repr(pd) and copy.copy(pd).levels is pd.levels
+    for twin in (copy.deepcopy(pd), pickle.loads(pickle.dumps(pd))):
+        assert repr(twin) == repr(pd) and dict(twin.levels) == dict(pd.levels)
+        assert twin.lowest_weights == pd.lowest_weights and isinstance(twin.levels, MappingProxyType)
 
 
 def test_constructor_keywords_and_defaults() -> None:

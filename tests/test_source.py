@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import flagcoh
 
 PACKAGE = Path(flagcoh.__file__).parent
@@ -114,6 +116,20 @@ def test_cli_import_leaves_fractions_and_csv_out() -> None:
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_verify_leaves_json_out(fmt) -> None:
+    # the report writer is json.dumps' bytes without json; only a string that needs escaping loads it
+    runs = [["verify", "--sweep", sweep, "--max-rank", "4", "--format", fmt] for sweep in ("lungo", "studiopesi")]
+    code = (
+        "import sys, flagcoh.cli as cli\n"
+        f"codes = [cli.run(argv) for argv in {runs!r}]\n"
+        "sys.stderr.write(repr((codes, 'json' in sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == "([0, 0], False)"
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

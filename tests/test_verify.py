@@ -369,6 +369,77 @@ def test_json_schema() -> None:
         assert isinstance(case["passed"], bool)
 
 
+def _reference_json(report: Report) -> dict:
+    """The report as the dict the JSON bytes encode, built field by field: ``h0`` a string, ``summary`` last."""
+    passed = sum(1 for c in report.cases if c.passed)
+    return {
+        "sweep": report.sweep,
+        "version": report.version,
+        "params": report.params,
+        "cases": [
+            {
+                "family": c.family,
+                "rank": c.rank,
+                "node": c.node,
+                "twist": c.twist,
+                "h0": str(c.h0),
+                "dim_y": c.dim_y,
+                "passed": c.passed,
+                "witness": [dict(w) for w in c.witness],
+                "annotations": list(c.annotations),
+            }
+            for c in report.cases
+        ],
+        "summary": {"total": len(report.cases), "passed": passed, "failed": len(report.cases) - passed},
+    }
+
+
+def _assert_writer_matches_oracle(report: Report) -> None:
+    assert emit_report(report, "json") == (json.dumps(_reference_json(report), indent=2) + "\n").encode()
+
+
+def _one_case_report(params: dict, witness: tuple = (), annotations: tuple = (), h0: int = 3) -> Report:
+    case = CaseResult("B", 2, 1, 2, h0, 3, True, witness=witness, annotations=annotations)
+    return Report("lungo", "0", params, (case, CaseResult("F", 4, 4, 2, 0, 15, False)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: check_theorem_lungo(6),
+        lambda: check_lemma_studiopesi(6, (1, 2, 3)),
+        lambda: Report("lungo", "0", {}, ()),
+        lambda: _one_case_report(
+            {"max_rank": 3, "nested": {"list": [1, [2, {}], [], None, True], "flags": [True, 0], "empty": {}}}
+        ),
+        lambda: _one_case_report({}, witness=({"level": 1, "fw_coords": None, "dim": "0"},)),
+        lambda: _one_case_report({"twists": []}, h0=10**30, annotations=("a", "b")),
+        lambda: _one_case_report(
+            {'q"uote': "back\\slash"},
+            witness=({"s": "del\x7f line\u2028 astral\U0001d11e tab\t", "fw_coords": [-1, 0, 2]},),
+            annotations=("", "\u00e9", '"'),
+        ),
+    ],
+    ids=["lungo-6", "studiopesi-6", "empty", "nested-params", "fw-coords-none", "big-h0", "escapes"],
+)
+def test_json_writer_matches_json_dumps(make) -> None:
+    _assert_writer_matches_oracle(make())
+
+
+def test_json_writer_matches_json_dumps_on_any_text() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.lists(st.text(), max_size=3), st.text(), st.text(), st.text())
+    def check(annotations, key, value, sweep) -> None:
+        witness = ({"level": 1, key: value, "fw_coords": [0, 1]},)
+        report = _one_case_report({key: [value]}, witness=witness, annotations=tuple(annotations))
+        _assert_writer_matches_oracle(Report(sweep, value, report.params, report.cases))
+
+    check()
+
+
 def test_csv_schema() -> None:
     raw = emit_report(check_theorem_lungo(4), "csv").decode("utf-8")
     rows = list(csv.reader(io.StringIO(raw)))
