@@ -27,7 +27,7 @@ from .parabolic import (
     sigma,
 )
 from .rootsys import MAX_RANK, Weight, root_system
-from .verify import check_lemma_studiopesi, check_theorem_lungo, emit_report, pieces_json
+from .verify import _json, check_lemma_studiopesi, check_theorem_lungo, emit_report, pieces_json
 
 __all__ = ["main", "run"]
 
@@ -260,9 +260,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         else:
             obj, text = _QUERIES[args.command](args)
             if args.format == "json":
-                import json  # imported here so that text output and --version do not pay for it
-
-                text = json.dumps(obj, indent=2) + "\n"
+                text = _json(obj, "") + "\n"
             data, code = text.encode("utf-8"), 0
         _emit(data, args.out)
         return code
@@ -272,4 +270,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
+    # exact answers can exceed Python's 4300-digit limit on int <-> str; lift it for this process only
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))

@@ -122,21 +122,21 @@ class ParabolicData(_Record):
         return max(self.levels)
 
 
-_PARABOLIC: dict[tuple[LieType, int], ParabolicData] = {}
+_PARABOLIC: dict[tuple[RootSystem, int], ParabolicData] = {}
 
 
 def parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
     """Partition the positive roots at node ``r`` and extract dim Y, k(Y) and the lowest weights.
 
-    Results are memoized per pair and shared between callers.
+    Results are memoized per root system (which hashes by identity) and node, and
+    shared between callers; the record's ``root_system`` is always ``rs``.
     """
     _require_int("node", r)
-    rank = rs.rank
-    if not 1 <= r <= rank:
-        raise ConfigError(f"node {r} out of range 1..{rank}")
-    pd = _PARABOLIC.get((rs.lie_type, r))
+    if not 1 <= r <= rs.rank:
+        raise ConfigError(f"node {r} out of range 1..{rs.rank}")
+    pd = _PARABOLIC.get((rs, r))
     if pd is None:
-        pd = _PARABOLIC[(rs.lie_type, r)] = _build_parabolic_data(rs, r)
+        pd = _PARABOLIC[(rs, r)] = _build_parabolic_data(rs, r)
     return pd
 
 

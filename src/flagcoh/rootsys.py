@@ -25,8 +25,8 @@ The records (``LieType``, ``Root``, ``Weight`` and ``RootSystem`` here,
 ``CohomologyTable``, ``ParabolicData``, ``CaseResult`` and ``Report``
 elsewhere) are slotted classes on ``_Record``: immutable, closed to new
 attributes, with a ``Name(field=value, ...)`` repr.  ``RootSystem`` and
-``ParabolicData`` compare by identity, the others by their field tuple,
-never equal to a record of another class.
+``ParabolicData`` compare by identity.  The others subclass ``_Value``,
+the one value equality: by field tuple, never equal to another class.
 
 Validation happens once, at the boundary.  The public constructors
 ``LieType``, ``Weight`` and ``Root`` and the public entry points check
@@ -130,7 +130,7 @@ class _Record:
 
 
 class _Value(_Record):
-    """A record that compares and hashes by its field tuple, unequal to any other class."""
+    """The one value equality: compare and hash by the field tuple; another class gets NotImplemented."""
 
     __slots__ = ()
 
@@ -141,7 +141,7 @@ class _Value(_Record):
         return hash(self._fields())
 
 
-class LieType(_Record):
+class LieType(_Value):
     __slots__ = ("family", "rank")
 
     def __init__(self, family: Family | str, rank: int) -> None:
@@ -157,14 +157,6 @@ class LieType(_Record):
         if not lo <= rank <= hi:
             raise ConfigError(f"rank {rank} out of bounds {lo}..{hi} for family {family}")
         self._set(family, rank)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not LieType:
-            return NotImplemented
-        return self.family is other.family and self.rank == other.rank
-
-    def __hash__(self) -> int:
-        return hash((self.family, self.rank))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -185,19 +177,13 @@ def _int_coords(coords: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-class Root(_Record):
+class Root(_Value):
     """Element of the root lattice; integer coefficients n_i over the simple roots."""
 
     __slots__ = ("sr_coords",)
 
     def __init__(self, sr_coords: Iterable[int]) -> None:
         object.__setattr__(self, "sr_coords", _int_coords(sr_coords))
-
-    def __eq__(self, other: object) -> bool:
-        return self.sr_coords == other.sr_coords if other.__class__ is Root else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.sr_coords,))
 
     @classmethod
     def _of(cls, coords: tuple[int, ...]) -> "Root":
@@ -207,19 +193,13 @@ class Root(_Record):
         return r
 
 
-class Weight(_Record):
+class Weight(_Value):
     """Element of the weight lattice; integer coefficients m_i over the fundamental weights."""
 
     __slots__ = ("fw_coords",)
 
     def __init__(self, fw_coords: Iterable[int]) -> None:
         object.__setattr__(self, "fw_coords", _int_coords(fw_coords))
-
-    def __eq__(self, other: object) -> bool:
-        return self.fw_coords == other.fw_coords if other.__class__ is Weight else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.fw_coords,))
 
     @classmethod
     def _of(cls, coords: tuple[int, ...]) -> "Weight":
@@ -260,7 +240,7 @@ def fundamental_weight(rank: int, i: int) -> Weight:
     if rank < 1:
         raise ConfigError(f"rank must be >= 1, got {rank}")
     if not 0 <= i <= rank:
-        raise ConfigError(f"node {i} out of range 1..{rank}")
+        raise ConfigError(f"node {i} out of range 0..{rank}")
     return Weight._of(tuple(1 if j == i - 1 else 0 for j in range(rank)))
 
 

@@ -18,8 +18,8 @@ fails the case.
 Both sweeps build their cases in ``_sweep``.  Failures never raise: each
 case carries a passed flag, its witness breakdown, and annotations;
 reports are deterministic (fixed ordering, no timestamps) so identical
-runs are byte-identical.  ``emit_report`` owns the JSON layout, and writes
-byte for byte what ``json.dumps(..., indent=2)`` would without loading it.
+runs are byte-identical.  All JSON, report or query, comes from the writer
+here: byte for byte ``json.dumps(..., indent=2)``, without loading json.
 """
 
 from __future__ import annotations

@@ -16,6 +16,8 @@ import time
 import pytest
 
 import flagcoh.cli as cli
+from flagcoh.bwb import bwb_cohomology, weyl_dim
+from flagcoh.rootsys import Weight, root_system
 from flagcoh.verify import CaseResult, Report, check_theorem_lungo
 
 
@@ -88,8 +90,63 @@ def test_unsupported_pair_exits_2() -> None:
     assert proc.stdout == b""
 
 
+@pytest.fixture
+def unlimited_int_digits():
+    """Lift Python's 4300-digit limit on int <-> str while a test writes and reads exact answers."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+BIG = 10**60
+
+
+def test_dim_prints_answers_past_the_digit_limit(unlimited_int_digits) -> None:
+    # a 27,901-digit dimension; the command line prints it in full, as the library computes it
+    proc = invoke("dim", "A", "30", "--weight", ",".join([str(BIG)] * 30))
+    assert proc.returncode == 0, proc.stderr
+    expected = weyl_dim(root_system("A", 30), Weight((BIG,) * 30))
+    assert len(str(expected)) > 4300
+    assert proc.stdout == f"{expected}\n".encode()
+
+
+def test_bwb_json_prints_answers_past_the_digit_limit(unlimited_int_digits) -> None:
+    coords = (-BIG,) + (BIG,) * 29
+    proc = invoke("bwb", "A", "30", "--weight=" + ",".join(map(str, coords)), "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    table = bwb_cohomology(root_system("A", 30), Weight(coords))
+    assert table.degree == 1 and len(str(table.dimension)) > 4300
+    assert json.loads(proc.stdout) == {
+        "vanishes": False,
+        "degree": 1,
+        "mu_fw_coords": list(table.dominant_weight.fw_coords),
+        "dim": str(table.dimension),
+    }
+
+
+def test_dim_reads_weights_past_the_digit_limit(unlimited_int_digits) -> None:
+    proc = invoke("dim", "A", "1", "--weight", "1" + "0" * 5000)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{weyl_dim(root_system('A', 1), Weight((10**5000,)))}\n".encode()
+
+
 # ---------------------------------------------------------------------------
 # in-process handlers
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int <-> str digit limit")
+def test_run_keeps_the_interpreters_digit_limit(capsys) -> None:
+    # only main, the command-line process, lifts the limit; an in-process caller keeps its own
+    limit = sys.get_int_max_str_digits()
+    assert cli.run(["dim", "A", "1", "--weight", "1"]) == 0
+    assert capsys.readouterr().out == "2\n"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_dim_text_and_json(capsys) -> None:

@@ -32,8 +32,10 @@ from flagcoh.parabolic import (
 )
 from flagcoh.rootsys import (
     ConfigError,
+    LieType,
     Weight,
     all_lie_types,
+    build_root_system,
     fundamental_weight,
     root_system,
 )
@@ -259,6 +261,8 @@ def test_lambda_zero_convention_at_node_two() -> None:
     for family, l in [("B", 4), ("B", 6), ("D", 5), ("D", 6)]:
         pd = pd_of(family, l, 2)
         assert konno_lowest_weights(pd)[1] == fundamental_weight(l, 2)
+    with pytest.raises(ConfigError, match=r"^node 4 out of range 0\.\.3$"):
+        fundamental_weight(3, 4)
 
 
 def test_supported_pair_count_rank_8() -> None:
@@ -285,6 +289,16 @@ def test_konno_pairs_builds_no_omitted_pair(monkeypatch) -> None:
     assert built == [(pd.lie_type, pd.node) for pd in pairs]
     assert all(_canonical_form(t, r) is None for t, r in built)
     assert pairs == [pd for pd in all_pairs(8) if pd.lowest_weights is not None]
+
+
+def test_parabolic_data_keeps_the_root_system_it_is_given() -> None:
+    # the memo is keyed on the root system, so a fresh one is never handed the shared one's record
+    shared = parabolic_data(root_system("B", 3), 1)
+    fresh = build_root_system(LieType("B", 3))
+    pd = parabolic_data(fresh, 1)
+    assert pd.root_system is fresh and shared.root_system is root_system("B", 3)
+    assert parabolic_data(fresh, 1) is pd
+    assert (pd.dim_y, pd.fano_index, pd.lowest_weights) == (shared.dim_y, shared.fano_index, shared.lowest_weights)
 
 
 def test_parabolic_data_is_shared_and_read_only() -> None:

@@ -109,8 +109,8 @@ def test_per_query_path_never_calls_a_validating_constructor() -> None:
 
 
 def test_cli_import_leaves_fractions_and_csv_out() -> None:
-    # fractions pulls in decimal; only partial_weyl_product and CSV output need them, and
-    # only JSON output needs json; dataclasses pulls in inspect, ast and dis, and nothing needs it
+    # fractions pulls in decimal; only partial_weyl_product and CSV output need them, and only
+    # a JSON string that needs escaping needs json; dataclasses pulls in inspect, ast and dis
     unwanted = "{'fractions', 'decimal', 'csv', 'json', 'dataclasses'}"
     code = f"import sys, flagcoh.cli; print(sorted({unwanted} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
@@ -118,10 +118,8 @@ def test_cli_import_leaves_fractions_and_csv_out() -> None:
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-def test_verify_leaves_json_out(fmt) -> None:
-    # the report writer is json.dumps' bytes without json; only a string that needs escaping loads it
-    runs = [["verify", "--sweep", sweep, "--max-rank", "4", "--format", fmt] for sweep in ("lungo", "studiopesi")]
+def _exit_codes_and_json_loaded(runs: list[list[str]]) -> str:
+    """What a fresh interpreter reports after ``cli.run`` of each argv: (exit codes, json loaded)."""
     code = (
         "import sys, flagcoh.cli as cli\n"
         f"codes = [cli.run(argv) for argv in {runs!r}]\n"
@@ -129,10 +127,35 @@ def test_verify_leaves_json_out(fmt) -> None:
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stderr == "([0, 0], False)"
+    return out.stderr
 
 
-def _imported_modules(tree: ast.Module) -> set[str]:
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_verify_leaves_json_out(fmt) -> None:
+    # the report writer is json.dumps' bytes without json; only a string that needs escaping loads it
+    runs = [["verify", "--sweep", sweep, "--max-rank", "4", "--format", fmt] for sweep in ("lungo", "studiopesi")]
+    assert _exit_codes_and_json_loaded(runs) == "([0, 0], False)"
+
+
+QUERY_RUNS = [
+    ["info", "E", "8"],
+    ["parabolic", "F", "4", "--node", "4"],
+    ["bwb", "A", "2", "--weight=-1,0"],
+    ["bwb", "A", "1", "--weight=-3"],
+    ["dim", "E", "7", "--weight", "1,0,0,0,0,0,0"],
+    ["h0-cotangent", "B", "4", "--node", "2", "--twist", "1"],
+    ["sigma", "F", "4", "--node", "4", "--degree", "3"],
+    ["macaulay", "B", "2", "--node", "1", "--degree", "3", "--twist", "3"],
+]
+
+
+def test_query_json_leaves_json_out() -> None:
+    # the query commands write JSON through the report writer, so they do not load json either
+    runs = [[*argv, "--format", "json"] for argv in QUERY_RUNS]
+    assert _exit_codes_and_json_loaded(runs) == f"({[0] * len(runs)}, False)"
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
     """Top-level names of every module a source imports, at any depth of the tree."""
     names = set()
     for node in ast.walk(tree):
@@ -146,6 +169,36 @@ def _imported_modules(tree: ast.Module) -> set[str]:
 def test_no_module_imports_dataclasses() -> None:
     # the records are slotted classes on rootsys._Record; dataclasses costs every process its import
     assert [path.name for path in SOURCES if "dataclasses" in _imported_modules(_parse(path))] == []
+
+
+def _json_imports(node: ast.AST) -> set[int]:
+    """Line numbers of the imports of json or a json submodule, at any depth under ``node``."""
+    imports = (n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom)))
+    return {n.lineno for n in imports if "json" in _imported_modules(n)}
+
+
+def test_one_value_equality_and_one_json_writer() -> None:
+    # records compare by value through rootsys._Value alone, and all JSON comes from verify's
+    # writer: nothing calls json.dumps, and only _json_str imports json, to escape a string
+    equality = []
+    stray_json = []
+    for path in SOURCES:
+        tree = _parse(path)
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                equality += [
+                    f"{node.name}.{fn.name}"
+                    for fn in node.body
+                    if isinstance(fn, ast.FunctionDef) and fn.name in ("__eq__", "__hash__")
+                ]
+            elif isinstance(node, ast.FunctionDef) and node.name == "_json_str":
+                allowed |= _json_imports(node)
+            elif isinstance(node, ast.Attribute) and node.attr == "dumps":
+                stray_json.append(f"{path.name}:{node.lineno} .dumps")
+        stray_json += [f"{path.name}:{line} json import" for line in sorted(_json_imports(tree) - allowed)]
+    assert sorted(equality) == ["_Value.__eq__", "_Value.__hash__"]
+    assert stray_json == []
 
 
 def _names_fraction(node: ast.AST) -> bool:

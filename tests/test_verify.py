@@ -394,8 +394,17 @@ def _reference_json(report: Report) -> dict:
     }
 
 
-def _assert_writer_matches_oracle(report: Report) -> None:
-    assert emit_report(report, "json") == (json.dumps(_reference_json(report), indent=2) + "\n").encode()
+def _assert_writer_matches_oracle(value) -> None:
+    """A report's bytes from ``emit_report``, or a query object's from ``_json``, are ``json.dumps``'."""
+    if isinstance(value, Report):
+        assert emit_report(value, "json") == (json.dumps(_reference_json(value), indent=2) + "\n").encode()
+    else:
+        assert verify._json(value, "") == json.dumps(value, indent=2)
+
+
+def _query_object(*argv: str) -> dict:
+    """The object a query command hands to the JSON writer."""
+    return cli._QUERIES[argv[0]](cli._build_parser().parse_args(argv))[0]
 
 
 def _one_case_report(params: dict, witness: tuple = (), annotations: tuple = (), h0: int = 3) -> Report:
@@ -419,8 +428,15 @@ def _one_case_report(params: dict, witness: tuple = (), annotations: tuple = (),
             witness=({"s": "del\x7f line\u2028 astral\U0001d11e tab\t", "fw_coords": [-1, 0, 2]},),
             annotations=("", "\u00e9", '"'),
         ),
+        lambda: _query_object("bwb", "A", "2", "--weight=-1,0"),
+        lambda: _query_object("parabolic", "E", "8", "--node", "4"),
+        lambda: _query_object("h0-cotangent", "B", "4", "--node", "2", "--twist", "1"),
+        lambda: _query_object("info", "E", "8"),
     ],
-    ids=["lungo-6", "studiopesi-6", "empty", "nested-params", "fw-coords-none", "big-h0", "escapes"],
+    ids=[
+        "lungo-6", "studiopesi-6", "empty", "nested-params", "fw-coords-none", "big-h0", "escapes",
+        "query-bwb-vanishing", "query-parabolic-levels", "query-h0-null-piece", "query-info-cartan",
+    ],
 )
 def test_json_writer_matches_json_dumps(make) -> None:
     _assert_writer_matches_oracle(make())
