@@ -140,6 +140,8 @@ def partial_weyl_product(rs: RootSystem, lam: Weight, subset: Iterable[Root]) ->
     num = den = 1
     seen: set[int] = set()
     for r in subset:
+        if not isinstance(r, Root):
+            raise TypeError(f"subset members must be Roots, got {r!r}")
         idx = position.get(r.sr_coords)
         if idx is None:
             raise ValueError(f"{r.sr_coords} is not a positive root of {rs.lie_type}")

@@ -159,15 +159,16 @@ def _info(args: argparse.Namespace) -> tuple[dict, str]:
 
 def _parabolic(args: argparse.Namespace) -> tuple[dict, str]:
     pd = parabolic_data(root_system(args.family, args.rank), args.node)
+    levels = pd.levels
     data = {
         "family": pd.lie_type.family.value,
         "rank": pd.lie_type.rank,
         "node": pd.node,
         "dim_y": pd.dim_y,
         "k": pd.fano_index,
-        "levels": {str(i): [list(r.sr_coords) for r in pd.levels[i]] for i in sorted(pd.levels)},
+        "levels": {str(i): [list(r.sr_coords) for r in roots] for i, roots in levels.items()},
     }
-    counts = " ".join(f"{i}:{len(pd.levels[i])}" for i in sorted(pd.levels))
+    counts = " ".join(f"{i}:{len(roots)}" for i, roots in levels.items())
     lines = [
         f"pair ({pd.lie_type}, node {pd.node})",
         f"dim Y {pd.dim_y}",

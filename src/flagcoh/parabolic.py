@@ -11,8 +11,8 @@ induced structures in exact arithmetic:
 * dim Y and the Fano index k(Y), read off from the sum of the nilradical
   roots, which is a multiple of lambda_r exactly;
 * the lowest weights of the graded pieces of the cotangent module (the
-  level-i root that no Levi simple root lowers), derived in the same pass
-  and stored on the one memoized record per pair;
+  level-i root that no Levi simple root lowers), read off the root
+  system's lowest-weight index and kept on the one memoized record per pair;
 * h^0(Y, Omega^1_Y(a)) for a >= 1 as the sum of the Borel-Weil-Bott
   dimensions of the graded pieces;
 * sigma(d) = (dim Y + 1) d - 2 k(Y) and the static lookup of the pairs
@@ -33,6 +33,8 @@ the quadric (B3, 1) does not have.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import compress
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -44,12 +46,12 @@ from .rootsys import (
     Root,
     RootSystem,
     Weight,
+    _OFFSET,
     _Record,
     _require_int,
+    _unpack,
     all_lie_types,
-    fundamental_weight,
     root_system,
-    root_to_weight_coords,
 )
 
 __all__ = [
@@ -80,46 +82,43 @@ class MacaulayStatus(Enum):
 class ParabolicData(_Record):
     """Root-theoretic data of Y = G/P for the maximal parabolic at ``node``.
 
-    ``levels`` holds the roots of the nilradical (coefficient of alpha_r
-    positive; the other positive roots are those of the Levi factor),
-    grouped by that coefficient; the record keeps a read-only copy, since
-    ``parabolic_data`` shares one instance per pair.  Records compare by
-    identity; a shallow copy is the record itself, while deepcopy and
-    pickle rebuild it, with ``levels`` read-only again.  The levels are
-    exactly 1..depth whenever ``lowest_weights`` is set, and
-    ``lowest_weights[i - 1]`` is the lowest weight of the cotangent piece
-    at level i; it is None for a pair omitted in favour of an isomorphic
-    listed pair.  ``dim_y`` is the number of nilradical roots and
-    ``fano_index`` the integer k with K_Y = O(-k).
+    ``levels`` is derived on each read from ``root_system.positive_roots``:
+    the nilradical roots (coefficient of alpha_r positive; the others are
+    the Levi roots) grouped by that coefficient, in root order, as a
+    read-only mapping; ``depth``, the largest level, is stored.  Records
+    compare by identity, as ``parabolic_data`` shares one instance per
+    pair; a shallow copy is the record itself.  The levels are exactly
+    1..depth whenever ``lowest_weights`` is set, and ``lowest_weights[i - 1]``
+    is the lowest weight of the cotangent piece at level i; it is None for
+    a pair omitted in favour of an isomorphic listed pair.  ``dim_y`` is
+    the number of nilradical roots and ``fano_index`` the k with K_Y = O(-k).
     """
 
-    __slots__ = ("lie_type", "node", "levels", "lowest_weights", "dim_y", "fano_index", "root_system")
-    _hidden = ("levels", "lowest_weights", "root_system")
+    __slots__ = ("lie_type", "node", "depth", "lowest_weights", "dim_y", "fano_index", "root_system")
+    _hidden = ("depth", "lowest_weights", "root_system")
 
     def __init__(
         self,
         lie_type: LieType,
         node: int,
-        levels: Mapping[int, tuple[Root, ...]],
+        depth: int,
         lowest_weights: Optional[tuple[Weight, ...]],
         dim_y: int,
         fano_index: int,
         root_system: RootSystem,
     ) -> None:
-        self._set(lie_type, node, MappingProxyType(dict(levels)), lowest_weights, dim_y, fano_index, root_system)
-
-    def __reduce__(self) -> tuple:
-        # a mappingproxy neither pickles nor deep-copies: hand over a dict, which __init__ wraps again
-        lie_type, node, levels, *rest = self._fields()
-        return type(self), (lie_type, node, dict(levels), *rest)
+        self._set(lie_type, node, depth, lowest_weights, dim_y, fano_index, root_system)
 
     def __copy__(self) -> ParabolicData:
         return self  # immutable, so a shallow copy may share everything, the record included
 
     @property
-    def depth(self) -> int:
-        """Largest grading level, i.e. the coefficient n_r of the highest root."""
-        return max(self.levels)
+    def levels(self) -> Mapping[int, tuple[Root, ...]]:
+        """The nilradical roots by their coefficient at the node, levels ascending, each in root order."""
+        grouped: list[list[Root]] = [[] for _ in range(self.depth + 1)]
+        for root in self.root_system.positive_roots:
+            grouped[root.sr_coords[self.node - 1]].append(root)
+        return MappingProxyType({i: tuple(roots) for i, roots in enumerate(grouped) if i and roots})
 
 
 _PARABOLIC: dict[tuple[RootSystem, int], ParabolicData] = {}
@@ -141,23 +140,12 @@ def parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
 
 
 def _build_parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
-    rank = rs.rank
-    # bit j of lowerable[k]: root k minus alpha_{j+1} is a root
-    levi_mask = ((1 << rank) - 1) ^ (1 << (r - 1))
-    nilrad: list[Root] = []
-    levels: dict[int, list[Root]] = {}
-    lowest: dict[int, list[Root]] = {}
-    for root, down in zip(rs.positive_roots, rs.lowerable):
-        n_r = root.sr_coords[r - 1]
-        if n_r:
-            nilrad.append(root)
-            levels.setdefault(n_r, []).append(root)
-            if not down & levi_mask:
-                lowest.setdefault(n_r, []).append(root)
-    # the sum of the nilradical roots, in weight coordinates
-    summed = Root._of(tuple(sum(col) for col in zip(*(root.sr_coords for root in nilrad))))
-    canonical = root_to_weight_coords(rs, summed).fw_coords
-    for j in range(rank):
+    # the node coefficient n_r of every positive root, in root order; nonzero on the nilradical
+    column = list(map(itemgetter(r - 1), map(attrgetter("sr_coords"), rs.positive_roots)))
+    dim_y = len(column) - column.count(0)
+    # the sum of the nilradical roots in weight coordinates: each packed digit carries the offset once per root
+    canonical = _unpack(sum(compress(rs.packed_weights, column)), rs.rank, _OFFSET * dim_y)
+    for j in range(rs.rank):
         if j != r - 1 and canonical[j] != 0:
             raise ArithmeticError(
                 f"sum of nilradical roots is not a multiple of lambda_{r}: "
@@ -166,46 +154,47 @@ def _build_parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
     k = canonical[r - 1]
     if k <= 0:
         raise ArithmeticError(f"Fano index {k} at node {r} is not positive")
-    graded = {i: tuple(v) for i, v in sorted(levels.items())}
-    omitted = _canonical_form(rs.lie_type, r) is not None
     return ParabolicData(
         lie_type=rs.lie_type,
         node=r,
-        levels=graded,
-        lowest_weights=None if omitted else _derive_lowest_weights(rs, r, tuple(graded), lowest),
-        dim_y=len(nilrad),
+        depth=max(column),
+        lowest_weights=None if _canonical_form(rs.lie_type, r) else _derive_lowest_weights(rs, r, column),
+        dim_y=dim_y,
         fano_index=k,
         root_system=rs,
     )
 
 
-def _derive_lowest_weights(
-    rs: RootSystem, r: int, levels: tuple[int, ...], lowest: Mapping[int, list[Root]]
-) -> tuple[Weight, ...]:
-    """One weight per level, from ``lowest[level]``: the level's roots that no Levi simple root lowers.
+def _derive_lowest_weights(rs: RootSystem, r: int, column: list[int]) -> tuple[Weight, ...]:
+    """One weight per level: the level's one root that no Levi simple root lowers.
 
-    Each level must have exactly one such root, of node coefficient c in
-    {1, 2} with c*lambda_r - w dominant and zero at r, and the levels must
-    be exactly 1..depth.
+    The candidates are ``rs.lowest_index[r - 1]``, the roots that no simple
+    root but alpha_r lowers; ``column`` holds the node coefficient of every
+    root.  Each level must have exactly one candidate w, of node coefficient
+    c in {1, 2} with c*lambda_r - w dominant and zero at r, and the levels
+    must be exactly 1..depth.
     """
-    pair = f"({rs.lie_type}, node {r})"
-    lam_r = fundamental_weight(rs.rank, r)
+    t = rs.lie_type
+    lowest: dict[int, list[int]] = {}
+    for idx in rs.lowest_index[r - 1]:
+        lowest.setdefault(column[idx], []).append(idx)
+    levels = sorted(set(column) - {0})
     weights: list[Weight] = []
     for level in levels:
         candidates = lowest.get(level, ())
         if len(candidates) != 1:
-            raise ArithmeticError(f"level {level} of {pair} has {len(candidates)} lowest weights, not 1")
-        w = root_to_weight_coords(rs, candidates[0])
-        c = w.fw_coords[r - 1]
+            raise ArithmeticError(f"level {level} of ({t}, node {r}) has {len(candidates)} lowest weights, not 1")
+        w = _unpack(rs.packed_weights[candidates[0]], rs.rank, _OFFSET)
+        c = w[r - 1]
         if c not in (1, 2):
-            raise ArithmeticError(f"lowest weight {w.fw_coords} of {pair} has node coefficient {c}")
-        prime = c * lam_r - w
-        if not prime.is_dominant() or prime.fw_coords[r - 1] != 0:
-            raise ArithmeticError(f"{c}*lambda_{r} - {w.fw_coords} is not dominant with 0 at node {r}")
-        weights.append(w)
-    depth = max(levels)
-    if levels != tuple(range(1, depth + 1)):
-        raise ArithmeticError(f"levels {levels} of {pair} do not cover 1..{depth}")
+            raise ArithmeticError(f"lowest weight {w} of ({t}, node {r}) has node coefficient {c}")
+        # c*lambda_r - w is 0 at node r, as c = w_r, and -w_j at every other node j
+        if max(w[: r - 1] + w[r:], default=0) > 0:
+            raise ArithmeticError(f"{c}*lambda_{r} - {w} is not dominant with 0 at node {r}")
+        weights.append(Weight._of(w))
+    depth = levels[-1]
+    if levels != list(range(1, depth + 1)):
+        raise ArithmeticError(f"levels {tuple(levels)} of ({t}, node {r}) do not cover 1..{depth}")
     return tuple(weights)
 
 
@@ -268,7 +257,7 @@ def h0_twisted_cotangent(pd: ParabolicData, a: int) -> tuple[int, tuple[tuple[in
     node = pd.node - 1
     pieces: list[tuple[int, Optional[Weight], int]] = []
     total = 0
-    for level, w in zip(pd.levels, weights):
+    for level, w in enumerate(weights, 1):
         # a lambda_r - w: negate w, then add a at node r
         m = [-c for c in w.fw_coords]
         m[node] += a

@@ -50,6 +50,16 @@ the way, as plain ints:
 * ``weyl_denominator = prod_k s_k(delta)``, the denominator of the Weyl
   dimension formula in this scaling, from the pass ``_root_pairings``.
 * ``lowerable[k]``: bit i is set when beta_k - alpha_i is a root.
+* ``packed_weights[k]``: the weight coordinates m of beta_k as one int, a
+  16-bit digit m_i + 3 per node, node 0 most significant.  As |m_i| <= 3,
+  a digit of a sum of N <= MAX_RANK^2 roots is at most 6 N < 2^16; only
+  ``_unpack`` reads digits back, for the nilradical sum and lowest weights.
+* ``lowest_index[i]``: the roots that no simple root but alpha_i lowers.
+
+The closure packs the coordinates n too (8-bit digits, at most 6, so
+numeric order within a height is coordinate order) and the string-down
+lengths p (digits p_i + 2^15 + 2): a digit of p - m is 2^15 + p_i - m_i - 1,
+so one subtract-and-mask per root finds every i with p_i > m_i.
 
 It also keeps, read off the Cartan matrix once, the Dynkin graph as
 ``neighbours[k]``: the pairs (j, a_jk) with j != k and a_jk != 0.  The
@@ -84,8 +94,8 @@ class Family(Enum):
 
 # Largest rank accepted for the unbounded families A-D, so that a typo
 # cannot hang the command line: on a 2-vCPU VM with Python 3.11 building
-# A100 takes 0.15-0.21 s and B100, C100 or D100 0.34-0.43 s, and the cost
-# grows with the cube of the rank.
+# A100 takes 0.04-0.06 s and B100, C100 or D100 0.08-0.11 s, and the cost
+# grows with about the cube of the rank.
 MAX_RANK = 100
 
 # Inclusive rank bounds per family (D3 is allowed; C2 and D2 are not,
@@ -283,7 +293,13 @@ def _cartan_matrix(t: LieType) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     return tuple(tuple(row) for row in rows), d
 
 
-def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], tuple[int, int], int]]:
+# the packed layout of the root closure, described in the module docstring
+_WIDTH = 16
+_OFFSET = 3
+_P_DIGIT = (1 << (_WIDTH - 1)) + _OFFSET - 1
+
+
+def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> tuple[list[tuple], list[list[int]]]:
     """Enumerate positive roots from the simple ones by root-string closure.
 
     For a root beta and a simple root alpha_i, the alpha_i-string through
@@ -295,54 +311,71 @@ def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> list[tuple[tuple[
     it along alpha_i.  The weight coordinates follow the same steps,
     m(beta + alpha_i) = m(beta) + column i of A.
 
-    Returns, sorted by (height, coords), one tuple per root: its coords,
-    the (parent index, node) of the first step that reached it ((-1, i)
-    for alpha_i), and the mask of the nodes i with p_i > 0, that is with
-    beta - alpha_i a root.
+    Returns, sorted by (height, coords), one tuple per root: its packed
+    coords and weight coordinates, the (parent index, node) of the first
+    step that reached it ((-1, i) for alpha_i), and the mask of the nodes i
+    with p_i > 0, that is with beta - alpha_i a root.  Also returns, per
+    node i, the roots that no simple root but alpha_i lowers, in root order.
     """
     rank = len(cartan)
-    columns = [tuple(row[i] for row in cartan) for i in range(rank)]
-    # per root: [weight coords, string-down lengths p, (parent, node), mask of p_i > 0]
-    frontier: dict[tuple[int, ...], list] = {}
-    for i in range(rank):
-        simple = tuple(1 if j == i else 0 for j in range(rank))
-        frontier[simple] = [columns[i], [0] * rank, (-1, i), 0]
-    roots: list[tuple[tuple[int, ...], tuple[int, int], int]] = []
+    shifts = [_WIDTH * (rank - 1 - i) for i in range(rank)]
+    ones = sum(1 << s for s in shifts)
+    guard, no_p = ones << (_WIDTH - 1), _P_DIGIT * ones
+    # per node, under the top bit of its digit: i, alpha_i, column i of A, the p digit and its step up
+    steps = {}
+    frontier: dict[int, list] = {}
+    for i, s in enumerate(shifts):
+        unit = 1 << 8 * (rank - 1 - i)
+        column = sum(row[i] << t for row, t in zip(cartan, shifts))
+        steps[1 << (s + _WIDTH - 1)] = (i, unit, column, ((1 << _WIDTH) - 1) << s, (1 - _P_DIGIT) << s)
+        frontier[unit] = [_OFFSET * ones + column, no_p, (-1, i), 0]
+    roots: list[tuple[int, int, tuple[int, int], int]] = []
+    lowest: list[list[int]] = [[] for _ in range(rank)]
     while frontier:
-        nxt: dict[tuple[int, ...], list] = {}
-        for beta in sorted(frontier):
-            m, p, link, mask = frontier[beta]
+        nxt: dict[int, list] = {}
+        for n in sorted(frontier):
+            m, p, link, mask = frontier[n]
             k = len(roots)
-            roots.append((beta, link, mask))
-            for i in range(rank):
-                if p[i] > m[i]:
-                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-                    entry = nxt.get(up)
-                    if entry is None:
-                        up_m = tuple(a + b for a, b in zip(m, columns[i]))
-                        entry = nxt[up] = [up_m, [0] * rank, (k, i), 0]
-                    entry[1][i] = p[i] + 1
-                    entry[3] |= 1 << i
+            roots.append((n, m, link, mask))
+            if not mask & (mask - 1):
+                lowest[link[1]].append(k)
+            up = (p - m) & guard
+            while up:
+                bit = up & -up
+                up ^= bit
+                i, unit, column, digit, step = steps[bit]
+                entry = nxt.get(n + unit)
+                if entry is None:
+                    entry = nxt[n + unit] = [m + column, no_p, (k, i), 0]
+                entry[1] += (p & digit) + step
+                entry[3] |= 1 << i
         frontier = nxt
-    return roots
+    return roots, lowest
+
+
+def _unpack(packed: int, rank: int, offset: int) -> tuple[int, ...]:
+    """The 16-bit digits of a packed weight, node 0 first, each less ``offset``."""
+    return tuple((packed >> _WIDTH * (rank - 1 - i) & (1 << _WIDTH) - 1) - offset for i in range(rank))
 
 
 class RootSystem(_Record):
     """Immutable root-system data with precomputed pairing tables.
 
-    ``root_chain`` and ``lowerable`` hold one small int (or pair) per
-    positive root, and ``weyl_denominator`` one int for the whole system;
-    all three are described in the module docstring.  ``neighbours``
-    lists, per node k, the Dynkin neighbours j of k with their Cartan
-    entries a_jk, the only coordinates besides m_k that s_k changes.
+    ``root_chain``, ``lowerable`` and ``packed_weights`` hold one int (or
+    pair) per positive root, ``weyl_denominator`` one int for the whole
+    system and ``lowest_index`` a few root indices per node; all are
+    described in the module docstring.  ``neighbours`` lists, per node k,
+    the Dynkin neighbours j of k with their Cartan entries a_jk, the only
+    coordinates besides m_k that s_k changes.  A ``ParabolicData`` stores
+    its depth and derives its levels on read from ``positive_roots``.
     ``root_system`` shares one instance per type; they compare by identity.
     """
 
     __slots__ = (
         "lie_type", "cartan", "scaled_symmetrizer", "positive_roots", "weyl_vector",
-        "root_chain", "weyl_denominator", "lowerable", "neighbours",
+        "root_chain", "weyl_denominator", "lowerable", "neighbours", "packed_weights", "lowest_index",
     )
-    _hidden = ("root_chain", "weyl_denominator", "lowerable", "neighbours")
+    _hidden = ("root_chain", "weyl_denominator", "lowerable", "neighbours", "packed_weights", "lowest_index")
 
     def __init__(
         self,
@@ -355,9 +388,11 @@ class RootSystem(_Record):
         weyl_denominator: int,
         lowerable: tuple[int, ...],
         neighbours: tuple[tuple[tuple[int, int], ...], ...],
+        packed_weights: tuple[int, ...],
+        lowest_index: tuple[tuple[int, ...], ...],
     ) -> None:
         self._set(lie_type, cartan, scaled_symmetrizer, positive_roots, weyl_vector,
-                  root_chain, weyl_denominator, lowerable, neighbours)
+                  root_chain, weyl_denominator, lowerable, neighbours, packed_weights, lowest_index)
 
     @property
     def rank(self) -> int:
@@ -383,17 +418,20 @@ def _root_pairings(root_chain: Sequence[tuple[int, int]], d: Sequence[int], m: S
 
 def build_root_system(t: LieType) -> RootSystem:
     cartan, d = _cartan_matrix(t)
-    coords, root_chain, lowerable = zip(*_positive_root_closure(cartan))
+    roots, lowest = _positive_root_closure(cartan)
+    packed, weights, root_chain, lowerable = zip(*roots)
     return RootSystem(
         lie_type=t,
         cartan=cartan,
         scaled_symmetrizer=tuple(d),
-        positive_roots=tuple(Root._of(n) for n in coords),
+        positive_roots=tuple(Root._of(tuple(n.to_bytes(t.rank, "big"))) for n in packed),
         weyl_vector=Weight._of((1,) * t.rank),
         root_chain=root_chain,
         weyl_denominator=math.prod(_root_pairings(root_chain, d, (1,) * t.rank)),
         lowerable=lowerable,
         neighbours=_dynkin_neighbours(cartan),
+        packed_weights=weights,
+        lowest_index=tuple(map(tuple, lowest)),
     )
 
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -211,6 +212,8 @@ def test_to_dominant_step_bound_and_length():
         weyl_denominator=rs.weyl_denominator,
         lowerable=rs.lowerable,
         neighbours=(((1, -2),), ((0, -2),)),
+        packed_weights=rs.packed_weights,
+        lowest_index=rs.lowest_index,
     )
     for walk in (to_dominant, classify):
         with pytest.raises(ArithmeticError, match="after \\|Phi\\+\\| = 3 reflections"):
@@ -324,6 +327,15 @@ def test_partial_weyl_product_rejects_repeated_root():
         partial_weyl_product(rs, lam, [alpha1, alpha1])
     with pytest.raises(ValueError, match="twice"):
         partial_weyl_product(rs, lam, [alpha1, Root((1, 1)), Root((1, 0))])
+
+
+def test_partial_weyl_product_refuses_a_member_that_is_not_a_root():
+    # a tuple or a Weight with a root's coordinates is not read as that root
+    rs = root_system("A", 2)
+    lam = Weight((1, 0))
+    for bad in ((1, 0), [1, 0], Weight((1, 0))):
+        with pytest.raises(TypeError, match=f"subset members must be Roots, got {re.escape(repr(bad))}"):
+            partial_weyl_product(rs, lam, [Root((1, 1)), bad])
 
 
 @pytest.mark.parametrize("t", all_lie_types(8), ids=str)

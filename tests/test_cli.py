@@ -488,6 +488,115 @@ QUERY_OUTPUT_PINS = {
 }
 """,
     ),
+    # depth 2: the root order inside each level and the derived levels show
+    "parabolic-depth-2": (
+        ["parabolic", "F", "4", "--node", "4"],
+        "pair (F4, node 4)\ndim Y 15\nFano index 11\nlevels 1:8 2:7\n",
+        """{
+  "family": "F",
+  "rank": 4,
+  "node": 4,
+  "dim_y": 15,
+  "k": 11,
+  "levels": {
+    "1": [
+      [
+        0,
+        0,
+        0,
+        1
+      ],
+      [
+        0,
+        0,
+        1,
+        1
+      ],
+      [
+        0,
+        1,
+        1,
+        1
+      ],
+      [
+        0,
+        1,
+        2,
+        1
+      ],
+      [
+        1,
+        1,
+        1,
+        1
+      ],
+      [
+        1,
+        1,
+        2,
+        1
+      ],
+      [
+        1,
+        2,
+        2,
+        1
+      ],
+      [
+        1,
+        2,
+        3,
+        1
+      ]
+    ],
+    "2": [
+      [
+        0,
+        1,
+        2,
+        2
+      ],
+      [
+        1,
+        1,
+        2,
+        2
+      ],
+      [
+        1,
+        2,
+        2,
+        2
+      ],
+      [
+        1,
+        2,
+        3,
+        2
+      ],
+      [
+        1,
+        2,
+        4,
+        2
+      ],
+      [
+        1,
+        3,
+        4,
+        2
+      ],
+      [
+        2,
+        3,
+        4,
+        2
+      ]
+    ]
+  }
+}
+""",
+    ),
     "bwb": (
         ["bwb", "A", "2", "--weight=1,-4"],
         "degree 2\ndominant weight (0, 1)\ndim 3\n",
@@ -565,6 +674,13 @@ def test_query_output_bytes_pinned(command, capsysbinary) -> None:
     for fmt, expected in (("text", text), ("json", as_json)):
         assert cli.run([*argv, "--format", fmt]) == 0
         assert capsysbinary.readouterr().out == expected.encode("utf-8")
+
+
+def test_parabolic_depth_6_json_pinned(capsysbinary) -> None:
+    # E8 at node 4 has six levels and 106 nilradical roots; sha256 of its JSON bytes
+    assert cli.run(["parabolic", "E", "8", "--node", "4", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    assert digest == "5f512480b119ffd1907738df0388d9eb46dd8bca74ccbea6b283d0f281f319d7"
 
 
 def test_h0_cotangent_pieces_match_lungo_witness(capsys) -> None:

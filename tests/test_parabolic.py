@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from types import MappingProxyType
 
 import pytest
@@ -31,8 +32,10 @@ from flagcoh.parabolic import (
     sigma,
 )
 from flagcoh.rootsys import (
+    MAX_RANK,
     ConfigError,
     LieType,
+    RootSystem,
     Weight,
     all_lie_types,
     build_root_system,
@@ -107,6 +110,43 @@ def test_partition_and_purity_all_pairs() -> None:
         assert pd.fano_index >= 1
         # Fano index bound, with equality exactly for projective space.
         assert pd.fano_index <= pd.dim_y + 1
+
+
+def _classical_dim_and_index(family: str, l: int, r: int) -> tuple[int, int]:
+    """dim Y and k(Y) of the (isotropic) Grassmannian at node r of a classical type."""
+    if family == "A":
+        return r * (l + 1 - r), l + 1
+    if family == "B":
+        return r * (4 * l - 3 * r + 1) // 2, 2 * l - r if r < l else 2 * l
+    if family == "C":
+        return 2 * r * (l - r) + r * (r + 1) // 2, 2 * l - r + 1
+    if r <= l - 2:
+        return 2 * r * (l - r) + r * (r - 1) // 2, 2 * l - r - 1
+    return binomial(l, 2), 2 * l - 2  # the spinor variety, at node l - 1 or l
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_parabolic_data_at_every_node_of_max_rank(family) -> None:
+    # the nilradical sums of B100 and C100 run over up to 6700 of 10000 roots
+    l = MAX_RANK
+    rs = root_system(family, l)
+    for r in range(1, l + 1):
+        pd = parabolic_data(rs, r)
+        assert (pd.dim_y, pd.fano_index) == _classical_dim_and_index(family, l, r)
+        assert pd.fano_index <= pd.dim_y + 1
+
+
+def test_derived_levels_group_the_roots_in_root_order() -> None:
+    for pd in all_pairs(12):
+        grouped: dict[int, list] = {}
+        for root in pd.root_system.positive_roots:
+            if root.sr_coords[pd.node - 1]:
+                grouped.setdefault(root.sr_coords[pd.node - 1], []).append(root)
+        levels = pd.levels
+        assert isinstance(levels, MappingProxyType)
+        assert list(levels.items()) == [(i, tuple(grouped[i])) for i in sorted(grouped)]
+        assert pd.depth == max(levels)
+        assert sum(map(len, levels.values())) == pd.dim_y
 
 
 def test_grassmannian_dim() -> None:
@@ -299,6 +339,44 @@ def test_parabolic_data_keeps_the_root_system_it_is_given() -> None:
     assert pd.root_system is fresh and shared.root_system is root_system("B", 3)
     assert parabolic_data(fresh, 1) is pd
     assert (pd.dim_y, pd.fano_index, pd.lowest_weights) == (shared.dim_y, shared.fano_index, shared.lowest_weights)
+
+
+def _tampered(rs, **fields):
+    """A RootSystem built by keyword from the fields of ``rs``, some of them replaced."""
+    return RootSystem(**{**dict(zip(RootSystem.__slots__, rs._fields())), **fields})
+
+
+def test_parabolic_build_checks_raise_their_messages() -> None:
+    # Gr(2, 4) at (A3, node 2): nilradical (0,1,0), (1,1,0), (0,1,1), (1,1,1), lowest weight alpha_2
+    rs = root_system("A", 3)
+    coords = [root.sr_coords for root in rs.positive_roots]
+    a2, a12, hi = coords.index((0, 1, 0)), coords.index((1, 1, 0)), coords.index((1, 1, 1))
+    node1, node2 = 1 << 32, 1 << 16  # one unit in the packed weight digit of node 1, of node 2
+
+    def build(shift: dict[int, int], **fields):
+        weights = [w + shift.get(k, 0) for k, w in enumerate(rs.packed_weights)]
+        return parabolic._build_parabolic_data(_tampered(rs, packed_weights=tuple(weights), **fields), 2)
+
+    assert build({}).lowest_weights == (Weight((-1, 2, -1)),)
+    cases = [
+        ({a12: node1}, {}, "sum of nilradical roots is not a multiple of lambda_2: coordinate 1 is 1"),
+        ({a12: -4 * node2}, {}, "Fano index 0 at node 2 is not positive"),
+        ({}, {"lowest_index": ((), (), ())}, "level 1 of (A3, node 2) has 0 lowest weights, not 1"),
+        ({}, {"lowest_index": ((), (a2, a12), ())}, "level 1 of (A3, node 2) has 2 lowest weights, not 1"),
+        ({a2: node2}, {}, "lowest weight (-1, 3, -1) of (A3, node 2) has node coefficient 3"),
+        ({a2: 2 * node1, a12: -2 * node1}, {}, "2*lambda_2 - (1, 2, -1) is not dominant with 0 at node 2"),
+    ]
+    for shift, fields, message in cases:
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+            build(shift, **fields)
+    # a level missing below the depth: levels 1 and 3, each with a valid lowest weight
+    column = [0] * len(coords)
+    column[a2], column[hi] = 1, 3
+    weights = list(rs.packed_weights)
+    weights[hi] = weights[a2]
+    gapped = _tampered(rs, packed_weights=tuple(weights), lowest_index=((), (a2, hi), ()))
+    with pytest.raises(ArithmeticError, match=f"^{re.escape('levels (1, 3) of (A3, node 2) do not cover 1..3')}$"):
+        parabolic._derive_lowest_weights(gapped, 2, column)
 
 
 def test_parabolic_data_is_shared_and_read_only() -> None:

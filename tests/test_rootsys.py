@@ -83,7 +83,11 @@ def test_family_must_be_a_known_letter_or_a_family():
     assert root_system("b", 3) is root_system(Family.B, 3)
 
 
-@pytest.mark.parametrize("t", ALL_TYPES_8, ids=str)
+# the root closure at every scale: at MAX_RANK, B and C have 10000 roots, the most of any supported type
+CLOSURE_SCALES = ALL_TYPES_8 + [LieType(Family(f), rank) for rank in (30, rootsys.MAX_RANK) for f in "ABCD"]
+
+
+@pytest.mark.parametrize("t", CLOSURE_SCALES, ids=str)
 def test_positive_root_counts(t: LieType):
     rs = root_system(t.family, t.rank)
     assert len(rs.positive_roots) == classical_positive_root_count(t.family.value, t.rank)
@@ -104,12 +108,38 @@ def test_g2_closure():
 
 @pytest.mark.parametrize(
     "t",
-    [t for t in ALL_TYPES_8 if t.family in (Family.A, Family.B, Family.C, Family.D)],
+    [t for t in CLOSURE_SCALES if t.family in (Family.A, Family.B, Family.C, Family.D)],
     ids=str,
 )
 def test_classical_root_sets_match_epsilon_model(t: LieType):
     rs = root_system(t.family, t.rank)
     assert {r.sr_coords for r in rs.positive_roots} == epsilon_positive_roots(t.family.value, t.rank)
+
+
+@pytest.mark.parametrize("t", CLOSURE_SCALES, ids=str)
+def test_closure_at_every_scale(t: LieType):
+    rs = root_system(t.family, t.rank)
+    rank = t.rank
+    coords = [r.sr_coords for r in rs.positive_roots]
+    assert coords == sorted(coords, key=lambda n: (sum(n), n))
+    # a root as one int, a byte per node, node 0 first: alpha_j is 256^(rank - 1 - j)
+    keys = [int.from_bytes(bytes(n), "big") for n in coords]
+    position = {key: k for k, key in enumerate(keys)}
+    units = [1 << 8 * (rank - 1 - j) for j in range(rank)]
+    once: list[list[int]] = [[] for _ in range(rank)]
+    for k, (n, key, (parent, i), mask) in enumerate(zip(coords, keys, rs.root_chain, rs.lowerable)):
+        if parent < 0:
+            assert key == units[i]
+        else:
+            assert parent < k and keys[parent] + units[i] == key
+        assert mask == sum(1 << j for j, c in enumerate(n) if c and key - units[j] in position)
+        if mask in (0, 1 << i):
+            once[i].append(k)
+    # the roots that no simple root but alpha_i lowers, alpha_i first
+    assert rs.lowest_index == tuple(map(tuple, once))
+    assert [keys[ks[0]] for ks in once] == units
+    weights = [root_to_weight_coords(rs, root).fw_coords for root in rs.positive_roots]
+    assert [rootsys._unpack(w, rank, 3) for w in rs.packed_weights] == weights
 
 
 @pytest.mark.parametrize("t", ALL_TYPES_8, ids=str)

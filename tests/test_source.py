@@ -33,10 +33,11 @@ def test_no_assert_in_package_source() -> None:
 
 # the integer-only hot path: root-system build, the Dynkin neighbours, the
 # root-chain pass, the chamber walk, the root-to-weight conversion, the
-# parabolic partition and the lowest-weight derivation
+# parabolic partition, the packed-weight unpacking and the lowest-weight derivation
 INTEGER_ONLY = {
     "_cartan_matrix",
     "_positive_root_closure",
+    "_unpack",
     "_dynkin_neighbours",
     "build_root_system",
     "_root_pairings",
