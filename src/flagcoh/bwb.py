@@ -155,12 +155,12 @@ def partial_weyl_product(rs: RootSystem, lam: Weight, subset: Iterable[Root]) ->
 
 def bwb_cohomology(rs: RootSystem, lam: Weight) -> CohomologyTable:
     """Cohomology of the irreducible bundle with lowest weight -lam."""
-    v = lam + rs.weyl_vector
-    result = to_dominant(rs, v)
+    # lam + delta from the coordinates, delta = (1, ..., 1); to_dominant checks the length
+    result = to_dominant(rs, Weight._of(tuple([c + 1 for c in lam.fw_coords])))
     if result is None:
         return _VANISHES
     steps, dom = result
-    mu = dom - rs.weyl_vector
+    mu = Weight._of(tuple([c - 1 for c in dom.fw_coords]))
     return CohomologyTable(
         degree=steps,
         dominant_weight=mu,

@@ -46,7 +46,7 @@ from .rootsys import (
     Root,
     RootSystem,
     Weight,
-    _OFFSET,
+    _CACHE,
     _Record,
     _require_int,
     _unpack,
@@ -127,15 +127,18 @@ _PARABOLIC: dict[tuple[RootSystem, int], ParabolicData] = {}
 def parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
     """Partition the positive roots at node ``r`` and extract dim Y, k(Y) and the lowest weights.
 
-    Results are memoized per root system (which hashes by identity) and node, and
-    shared between callers; the record's ``root_system`` is always ``rs``.
+    Results are memoized per node for the instances ``root_system`` shares, and
+    shared between callers; the record's ``root_system`` is always ``rs``.  Any
+    other root system gets a new record per call, so the memo never keeps it alive.
     """
     _require_int("node", r)
     if not 1 <= r <= rs.rank:
         raise ConfigError(f"node {r} out of range 1..{rs.rank}")
     pd = _PARABOLIC.get((rs, r))
     if pd is None:
-        pd = _PARABOLIC[(rs, r)] = _build_parabolic_data(rs, r)
+        pd = _build_parabolic_data(rs, r)
+        if _CACHE.get((rs.lie_type.family, rs.rank)) is rs:
+            _PARABOLIC[(rs, r)] = pd
     return pd
 
 
@@ -143,8 +146,8 @@ def _build_parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
     # the node coefficient n_r of every positive root, in root order; nonzero on the nilradical
     column = list(map(itemgetter(r - 1), map(attrgetter("sr_coords"), rs.positive_roots)))
     dim_y = len(column) - column.count(0)
-    # the sum of the nilradical roots in weight coordinates: each packed digit carries the offset once per root
-    canonical = _unpack(sum(compress(rs.packed_weights, column)), rs.rank, _OFFSET * dim_y)
+    # the sum of the nilradical roots in weight coordinates
+    canonical = _unpack(sum(compress(rs.packed_weights, column)), rs.rank, dim_y)
     for j in range(rs.rank):
         if j != r - 1 and canonical[j] != 0:
             raise ArithmeticError(
@@ -184,7 +187,7 @@ def _derive_lowest_weights(rs: RootSystem, r: int, column: list[int]) -> tuple[W
         candidates = lowest.get(level, ())
         if len(candidates) != 1:
             raise ArithmeticError(f"level {level} of ({t}, node {r}) has {len(candidates)} lowest weights, not 1")
-        w = _unpack(rs.packed_weights[candidates[0]], rs.rank, _OFFSET)
+        w = _unpack(rs.packed_weights[candidates[0]], rs.rank)
         c = w[r - 1]
         if c not in (1, 2):
             raise ArithmeticError(f"lowest weight {w} of ({t}, node {r}) has node coefficient {c}")

@@ -49,11 +49,10 @@ the way, as plain ints:
   s_k is the sign of <v, beta_k^vee>, since (beta_k, beta_k) > 0.
 * ``weyl_denominator = prod_k s_k(delta)``, the denominator of the Weyl
   dimension formula in this scaling, from the pass ``_root_pairings``.
-* ``lowerable[k]``: bit i is set when beta_k - alpha_i is a root.
 * ``packed_weights[k]``: the weight coordinates m of beta_k as one int, a
   16-bit digit m_i + 3 per node, node 0 most significant.  As |m_i| <= 3,
   a digit of a sum of N <= MAX_RANK^2 roots is at most 6 N < 2^16; only
-  ``_unpack`` reads digits back, for the nilradical sum and lowest weights.
+  ``_unpack``, in this module, reads digits back, less 3 per root summed.
 * ``lowest_index[i]``: the roots that no simple root but alpha_i lowers.
 
 The closure packs the coordinates n too (8-bit digits, at most 6, so
@@ -312,10 +311,10 @@ def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> tuple[list[tuple]
     m(beta + alpha_i) = m(beta) + column i of A.
 
     Returns, sorted by (height, coords), one tuple per root: its packed
-    coords and weight coordinates, the (parent index, node) of the first
-    step that reached it ((-1, i) for alpha_i), and the mask of the nodes i
-    with p_i > 0, that is with beta - alpha_i a root.  Also returns, per
-    node i, the roots that no simple root but alpha_i lowers, in root order.
+    coords and weight coordinates and the (parent index, node) of the first
+    step that reached it ((-1, i) for alpha_i).  Also returns, per node i,
+    the roots that no simple root but alpha_i lowers, in root order: the
+    ones whose mask of the nodes j with p_j > 0 (beta - alpha_j a root) is 0 or 1 << i.
     """
     rank = len(cartan)
     shifts = [_WIDTH * (rank - 1 - i) for i in range(rank)]
@@ -329,14 +328,14 @@ def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> tuple[list[tuple]
         column = sum(row[i] << t for row, t in zip(cartan, shifts))
         steps[1 << (s + _WIDTH - 1)] = (i, unit, column, ((1 << _WIDTH) - 1) << s, (1 - _P_DIGIT) << s)
         frontier[unit] = [_OFFSET * ones + column, no_p, (-1, i), 0]
-    roots: list[tuple[int, int, tuple[int, int], int]] = []
+    roots: list[tuple[int, int, tuple[int, int]]] = []
     lowest: list[list[int]] = [[] for _ in range(rank)]
     while frontier:
         nxt: dict[int, list] = {}
         for n in sorted(frontier):
             m, p, link, mask = frontier[n]
             k = len(roots)
-            roots.append((n, m, link, mask))
+            roots.append((n, m, link))
             if not mask & (mask - 1):
                 lowest[link[1]].append(k)
             up = (p - m) & guard
@@ -353,16 +352,16 @@ def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> tuple[list[tuple]
     return roots, lowest
 
 
-def _unpack(packed: int, rank: int, offset: int) -> tuple[int, ...]:
-    """The 16-bit digits of a packed weight, node 0 first, each less ``offset``."""
-    return tuple((packed >> _WIDTH * (rank - 1 - i) & (1 << _WIDTH) - 1) - offset for i in range(rank))
+def _unpack(packed: int, rank: int, count: int = 1) -> tuple[int, ...]:
+    """The weight coordinates of a sum of ``count`` packed weights, node 0 first."""
+    return tuple((packed >> _WIDTH * (rank - 1 - i) & (1 << _WIDTH) - 1) - _OFFSET * count for i in range(rank))
 
 
 class RootSystem(_Record):
     """Immutable root-system data with precomputed pairing tables.
 
-    ``root_chain``, ``lowerable`` and ``packed_weights`` hold one int (or
-    pair) per positive root, ``weyl_denominator`` one int for the whole
+    ``root_chain`` and ``packed_weights`` hold one pair or int per
+    positive root, ``weyl_denominator`` one int for the whole
     system and ``lowest_index`` a few root indices per node; all are
     described in the module docstring.  ``neighbours`` lists, per node k,
     the Dynkin neighbours j of k with their Cartan entries a_jk, the only
@@ -373,9 +372,9 @@ class RootSystem(_Record):
 
     __slots__ = (
         "lie_type", "cartan", "scaled_symmetrizer", "positive_roots", "weyl_vector",
-        "root_chain", "weyl_denominator", "lowerable", "neighbours", "packed_weights", "lowest_index",
+        "root_chain", "weyl_denominator", "neighbours", "packed_weights", "lowest_index",
     )
-    _hidden = ("root_chain", "weyl_denominator", "lowerable", "neighbours", "packed_weights", "lowest_index")
+    _hidden = ("root_chain", "weyl_denominator", "neighbours", "packed_weights", "lowest_index")
 
     def __init__(
         self,
@@ -386,13 +385,12 @@ class RootSystem(_Record):
         weyl_vector: Weight,
         root_chain: tuple[tuple[int, int], ...],
         weyl_denominator: int,
-        lowerable: tuple[int, ...],
         neighbours: tuple[tuple[tuple[int, int], ...], ...],
         packed_weights: tuple[int, ...],
         lowest_index: tuple[tuple[int, ...], ...],
     ) -> None:
         self._set(lie_type, cartan, scaled_symmetrizer, positive_roots, weyl_vector,
-                  root_chain, weyl_denominator, lowerable, neighbours, packed_weights, lowest_index)
+                  root_chain, weyl_denominator, neighbours, packed_weights, lowest_index)
 
     @property
     def rank(self) -> int:
@@ -419,7 +417,7 @@ def _root_pairings(root_chain: Sequence[tuple[int, int]], d: Sequence[int], m: S
 def build_root_system(t: LieType) -> RootSystem:
     cartan, d = _cartan_matrix(t)
     roots, lowest = _positive_root_closure(cartan)
-    packed, weights, root_chain, lowerable = zip(*roots)
+    packed, weights, root_chain = zip(*roots)
     return RootSystem(
         lie_type=t,
         cartan=cartan,
@@ -428,7 +426,6 @@ def build_root_system(t: LieType) -> RootSystem:
         weyl_vector=Weight._of((1,) * t.rank),
         root_chain=root_chain,
         weyl_denominator=math.prod(_root_pairings(root_chain, d, (1,) * t.rank)),
-        lowerable=lowerable,
         neighbours=_dynkin_neighbours(cartan),
         packed_weights=weights,
         lowest_index=tuple(map(tuple, lowest)),

@@ -37,7 +37,8 @@ def _vadd(*vs: list[int]) -> tuple[int, ...]:
     return tuple(sum(col) for col in zip(*vs))
 
 
-def epsilon_positive_roots(family: str, l: int) -> set[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def epsilon_positive_roots(family: str, l: int) -> frozenset[tuple[int, ...]]:
     """Positive roots in simple-root coordinates via the epsilon-basis interval formulas."""
     roots: set[tuple[int, ...]] = set()
     if family == "A":
@@ -73,7 +74,7 @@ def epsilon_positive_roots(family: str, l: int) -> set[tuple[int, ...]]:
                 )  # e_i + e_j, j < l
     else:
         raise ValueError(family)
-    return roots
+    return frozenset(roots)
 
 
 def _eps_weight(family: str, l: int, fw: tuple[int, ...]) -> list[Fraction]:
@@ -361,3 +362,24 @@ def positive_roots_by_reflection(cartan) -> list[tuple[int, ...]]:
                     seen.add(image)
                     stack.append(image)
     return sorted(n for n in seen if min(n) >= 0)
+
+
+def lowest_roots(roots) -> list[list[tuple[int, ...]]]:
+    """Per node i, the positive roots that no simple root but alpha_i lowers, in (height, coords) order.
+
+    A root beta is listed at i when beta - alpha_j is a root for no j != i
+    and n_i > 0; a simple root alpha_i is listed at i alone.
+    """
+    ordered = sorted(roots, key=lambda n: (sum(n), n))
+    rank = len(ordered[0])
+    # a root as one int, a byte per node, node 0 first: alpha_j is 256^(rank - 1 - j)
+    units = [1 << 8 * (rank - 1 - j) for j in range(rank)]
+    keys = [int.from_bytes(bytes(n), "big") for n in ordered]
+    position = set(keys)
+    out: list[list[tuple[int, ...]]] = [[] for _ in range(rank)]
+    for n, key in zip(ordered, keys):
+        lowered = [j for j, c in enumerate(n) if c and key - units[j] in position]
+        if len(lowered) <= 1:
+            # no simple root lowers a simple root alpha_i, whose one nonzero coordinate is n_i = 1
+            out[lowered[0] if lowered else n.index(1)].append(n)
+    return out

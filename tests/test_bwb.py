@@ -41,6 +41,7 @@ from oracles import (
     coroots_from_cartan,
     dominant_by_highest_reflection,
     epsilon_weyl_dim,
+    lowest_roots,
     positive_roots_by_reflection,
     symmetrizer_from_cartan,
     type_a_weyl_dim,
@@ -92,12 +93,8 @@ def test_chain_tables_match_cartan_oracle(t: LieType):
     # (delta, alpha) = sum_j n_j d_j, since (lambda_i, alpha_j) = delta_ij d_j
     assert rs.weyl_denominator == math.prod(6 * sum(x * y for x, y in zip(n, d)) for n in roots)
     assert {r.sr_coords for r in rs.positive_roots} == set(roots)
-    root_set = set(roots)
-    for root, mask in zip(rs.positive_roots, rs.lowerable):
-        n = root.sr_coords
-        for i in range(t.rank):
-            lowered = n[:i] + (n[i] - 1,) + n[i + 1 :]
-            assert bool(mask >> i & 1) == (lowered in root_set)
+    # the roots that no simple root but alpha_i lowers, by membership in the oracle's root set
+    assert [[rs.positive_roots[k].sr_coords for k in ks] for ks in rs.lowest_index] == lowest_roots(roots)
 
 
 def test_classify_delta():
@@ -210,7 +207,6 @@ def test_to_dominant_step_bound_and_length():
         weyl_vector=rs.weyl_vector,
         root_chain=rs.root_chain,
         weyl_denominator=rs.weyl_denominator,
-        lowerable=rs.lowerable,
         neighbours=(((1, -2),), ((0, -2),)),
         packed_weights=rs.packed_weights,
         lowest_index=rs.lowest_index,
@@ -221,6 +217,24 @@ def test_to_dominant_step_bound_and_length():
     for bad in ((1,), (1, 1, 1)):
         with pytest.raises(ValueError, match="expected 2 coordinates"):
             to_dominant(rs, Weight(bad))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rs, c: bwb_cohomology(rs, Weight(c)),
+        lambda rs, c: to_dominant(rs, Weight(c)),
+        lambda rs, c: weyl_dim(rs, Weight(c)),
+        lambda rs, c: partial_weyl_product(rs, Weight(c), []),
+        lambda rs, c: root_to_weight_coords(rs, Root(c)),
+    ],
+    ids=["bwb_cohomology", "to_dominant", "weyl_dim", "partial_weyl_product", "root_to_weight_coords"],
+)
+@pytest.mark.parametrize("coords", [(1,), (1, 1, 1)], ids=["short", "long"])
+def test_wrong_length_names_the_rank(call, coords):
+    # one message for every entry point that takes coordinates, whatever it computes first
+    with pytest.raises(ValueError, match=f"^expected 2 coordinates, got {len(coords)}$"):
+        call(root_system("A", 2), coords)
 
 
 def test_bwb_cohomology_calls_to_dominant_through_the_module(monkeypatch):

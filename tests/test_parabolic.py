@@ -337,8 +337,22 @@ def test_parabolic_data_keeps_the_root_system_it_is_given() -> None:
     fresh = build_root_system(LieType("B", 3))
     pd = parabolic_data(fresh, 1)
     assert pd.root_system is fresh and shared.root_system is root_system("B", 3)
-    assert parabolic_data(fresh, 1) is pd
+    again = parabolic_data(fresh, 1)
+    assert again.root_system is fresh
+    assert (again.dim_y, again.fano_index, again.lowest_weights) == (pd.dim_y, pd.fano_index, pd.lowest_weights)
     assert (pd.dim_y, pd.fano_index, pd.lowest_weights) == (shared.dim_y, shared.fano_index, shared.lowest_weights)
+
+
+def test_only_the_shared_root_systems_are_memoized() -> None:
+    # a root system built directly is not filed in the memo, which would keep it alive for good
+    shared = root_system("B", 6)
+    assert parabolic_data(shared, 2) is parabolic_data(shared, 2)
+    size = len(parabolic._PARABOLIC)
+    for _ in range(3):
+        fresh = build_root_system(LieType("B", 6))
+        assert parabolic_data(fresh, 2).root_system is fresh
+    assert len(parabolic._PARABOLIC) == size
+    assert parabolic_data(shared, 2) is parabolic_data(shared, 2)
 
 
 def _tampered(rs, **fields):

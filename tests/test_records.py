@@ -158,7 +158,7 @@ def test_records_copy_and_pickle() -> None:
         for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert twin == record and repr(twin) == repr(record)
     for twin in (copy.copy(rs), pickle.loads(pickle.dumps(rs))):
-        assert twin is not rs and repr(twin) == repr(rs) and twin.neighbours == rs.neighbours
+        assert twin is not rs and repr(twin) == repr(rs) and twin._fields() == rs._fields()
     pd = parabolic_data(rs, 1)
     # levels is derived on read, so a shallow copy shares it by being the record itself
     assert repr(copy.copy(pd)) == repr(pd) and copy.copy(pd) is pd

@@ -225,6 +225,35 @@ def test_fraction_lives_only_in_bwb() -> None:
     assert any(_names_fraction(node) for node in ast.walk(_parse(PACKAGE / "bwb.py")))
 
 
+# the packed layout of the root closure: digit width, weight offset and the string-length digit
+PACKED_LAYOUT = {"_WIDTH", "_OFFSET", "_P_DIGIT"}
+
+
+def _names_referenced(node: ast.AST) -> set[str]:
+    """The names a node reads, imports or binds: a Name, an attribute, or the names of an import."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {alias.name for alias in node.names}
+    return set()
+
+
+def test_only_rootsys_knows_the_packed_layout() -> None:
+    # other modules read packed values through rootsys._unpack, never through the layout constants
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in SOURCES
+        if path.name != "rootsys.py"
+        for node in ast.walk(_parse(path))
+        for name in sorted(_names_referenced(node) & PACKED_LAYOUT)
+    ]
+    assert found == []
+    rootsys_names = set().union(*map(_names_referenced, ast.walk(_parse(PACKAGE / "rootsys.py"))))
+    assert PACKED_LAYOUT <= rootsys_names
+
+
 def test_engine_modules_leave_the_wire_format_to_the_front_end() -> None:
     # every JSON shape lives in verify and cli
     for name in ("rootsys.py", "bwb.py", "parabolic.py"):
