@@ -74,7 +74,10 @@ def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
     first negative node above k.  The walk costs O(index x max degree)
     after an O(rank) entry check, not O(index x rank).
     """
-    m = list(v.fw_coords)
+    try:
+        m = list(v.fw_coords)
+    except AttributeError:
+        raise TypeError(f"v must be a Weight, got {v!r}") from None
     rank = rs.rank
     _check_len(rs, m)
     if 0 in m:
@@ -115,7 +118,10 @@ def classify(rs: RootSystem, v: Weight) -> int | None:
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Weyl dimension formula, exact: prod (lam+delta, a) / (delta, a) over positive roots a."""
-    m = lam.fw_coords
+    try:
+        m = lam.fw_coords
+    except AttributeError:
+        raise TypeError(f"lam must be a Weight, got {lam!r}") from None
     _check_len(rs, m)
     if not lam.is_dominant():
         raise ValueError(f"weight {m} is not dominant")
@@ -130,7 +136,10 @@ def partial_weyl_product(rs: RootSystem, lam: Weight, subset: Iterable[Root]) ->
     """The Weyl product prod s_k(lam + delta) / s_k(delta) restricted to a set of distinct positive roots."""
     from fractions import Fraction  # imported here so that no other path pays for fractions and decimal
 
-    m = lam.fw_coords
+    try:
+        m = lam.fw_coords
+    except AttributeError:
+        raise TypeError(f"lam must be a Weight, got {lam!r}") from None
     _check_len(rs, m)
     if not lam.is_dominant():
         raise ValueError(f"weight {m} is not dominant")
@@ -155,8 +164,12 @@ def partial_weyl_product(rs: RootSystem, lam: Weight, subset: Iterable[Root]) ->
 
 def bwb_cohomology(rs: RootSystem, lam: Weight) -> CohomologyTable:
     """Cohomology of the irreducible bundle with lowest weight -lam."""
+    try:
+        m = lam.fw_coords
+    except AttributeError:
+        raise TypeError(f"lam must be a Weight, got {lam!r}") from None
     # lam + delta from the coordinates, delta = (1, ..., 1); to_dominant checks the length
-    result = to_dominant(rs, Weight._of(tuple([c + 1 for c in lam.fw_coords])))
+    result = to_dominant(rs, Weight._of(tuple([c + 1 for c in m])))
     if result is None:
         return _VANISHES
     steps, dom = result

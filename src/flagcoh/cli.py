@@ -8,11 +8,17 @@ error.  Each query command returns its JSON object and its text form,
 bytes through the one emit path ``_emit``.  Exit codes: 0 success / all
 cases passed, 1 sweep failures, 2 usage or configuration errors, including
 an ``--out`` that cannot be written.
+
+``main`` is the process entry point: it lifts the int/str digit limit, and
+after ``run`` returns it freezes the heap so that the interpreter's exit-time
+collections skip every object the process built.  ``run`` is the in-process
+entry point and leaves the caller's digit limit and collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 from typing import Optional, Sequence
@@ -274,4 +280,8 @@ def main() -> None:
     # exact answers can exceed Python's 4300-digit limit on int <-> str; lift it for this process only
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # the process ends here, so the collector's exit-time passes have nothing left to reclaim;
+    # freezing moves every live object out of their walk (run alone never freezes its caller's heap)
+    gc.freeze()
+    sys.exit(code)

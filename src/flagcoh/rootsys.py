@@ -470,7 +470,10 @@ def root_to_weight_coords(rs: RootSystem, r: Root) -> Weight:
 
     m_j = 2 n_j + sum a_ji n_i over the Dynkin neighbours i of j.
     """
-    n = r.sr_coords
+    try:
+        n = r.sr_coords
+    except AttributeError:
+        raise TypeError(f"r must be a Root, got {r!r}") from None
     _check_len(rs, n)
     m = [2 * c for c in n]
     for i, c in enumerate(n):

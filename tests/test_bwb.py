@@ -237,6 +237,26 @@ def test_wrong_length_names_the_rank(call, coords):
         call(root_system("A", 2), coords)
 
 
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        (bwb_cohomology, "lam must be a Weight"),
+        (to_dominant, "v must be a Weight"),
+        (weyl_dim, "lam must be a Weight"),
+        (lambda rs, x: partial_weyl_product(rs, x, []), "lam must be a Weight"),
+        (root_to_weight_coords, "r must be a Root"),
+    ],
+    ids=["bwb_cohomology", "to_dominant", "weyl_dim", "partial_weyl_product", "root_to_weight_coords"],
+)
+@pytest.mark.parametrize("given", ["tuple", "list", "other record"])
+def test_non_record_arguments_name_the_argument(call, expected, given):
+    # a tuple, a list, or the other record type: a TypeError naming the argument, not an AttributeError
+    other = Weight((1, 0)) if expected.endswith("Root") else Root((1, 0))
+    bad = {"tuple": (1, 0), "list": [1, 0], "other record": other}[given]
+    with pytest.raises(TypeError, match=f"^{re.escape(f'{expected}, got {bad!r}')}$"):
+        call(root_system("A", 2), bad)
+
+
 def test_bwb_cohomology_calls_to_dominant_through_the_module(monkeypatch):
     # outside-in tracing rebinds flagcoh.bwb.to_dominant and counts reflections
     # from its result, so bwb_cohomology must look the walk up there

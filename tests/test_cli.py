@@ -7,6 +7,7 @@ exit codes); the remaining handlers are exercised in-process through
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import subprocess
@@ -359,6 +360,14 @@ def test_verify_output_bytes_pinned(sweep, fmt, capsysbinary) -> None:
     assert hashlib.sha256(out).hexdigest() == VERIFY_OUTPUT_PINS[sweep, fmt]
 
 
+def test_verify_out_file_subprocess(tmp_path) -> None:
+    # the report file is complete when the process exits with its heap frozen
+    path = tmp_path / "report.json"
+    proc = invoke("verify", "--sweep", "studiopesi", "--max-rank", "6", "--format", "json", "--out", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_OUTPUT_PINS["studiopesi", "json"]
+
+
 def test_out_flag_for_query(tmp_path, capsys) -> None:
     path = tmp_path / "info.json"
     assert cli.run(["info", "G", "2", "--format", "json", "--out", str(path)]) == 0
@@ -696,3 +705,47 @@ def test_help_exits_0() -> None:
     proc = invoke("--help")
     assert proc.returncode == 0
     assert b"info" in proc.stdout and b"verify" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the exit-time freeze: cli.main only, never cli.run or an import
+
+
+def test_run_leaves_the_callers_collector_alone(capsys) -> None:
+    before = gc.get_freeze_count()
+    assert cli.run(["verify", "--sweep", "lungo", "--max-rank", "4"]) == 0
+    assert gc.get_freeze_count() == before
+    assert "failed 0" in capsys.readouterr().out
+
+
+# a fresh interpreter that runs cli.main and reports, from an atexit hook, whether the heap is frozen
+MAIN_WITH_EXIT_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count() > 0}\\n'))\n"
+    "from flagcoh.cli import main\n"
+    "main()\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["info", "F", "4"], 0),
+        (["dim", "E", "7", "--weight", "1,0,0,0,0,0,0", "--format", "json"], 0),
+        (["h0-cotangent", "G", "2", "--node", "1", "--twist", "2"], 2),
+        (["frobnicate"], 2),
+    ],
+    ids=["info", "dim-json", "unsupported-pair", "usage-error"],
+)
+def test_main_freezes_the_heap_before_exit(argv, code, capsysbinary) -> None:
+    proc = subprocess.run([sys.executable, "-c", MAIN_WITH_EXIT_PROBE, *argv], capture_output=True, timeout=120)
+    assert proc.returncode == code
+    assert proc.stderr.endswith(b"frozen True\n")
+    assert cli.run(argv) == code
+    assert proc.stdout == capsysbinary.readouterr().out
+
+
+def test_importing_main_module_runs_nothing() -> None:
+    code = "import gc, sys, flagcoh.__main__\nif gc.get_freeze_count():\n    sys.exit('frozen')\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")

@@ -254,6 +254,36 @@ def test_only_rootsys_knows_the_packed_layout() -> None:
     assert PACKED_LAYOUT <= rootsys_names
 
 
+# calls on the collector and on process exit: gc.freeze only at the end of cli.main, the others nowhere
+COLLECTOR_CALLS = {"gc.freeze", "gc.disable", "gc.set_threshold", "os._exit"}
+
+
+def _collector_calls(node: ast.AST) -> set[str]:
+    """``module.name`` for a COLLECTOR_CALLS attribute read (``gc.freeze``) or import (``from gc import freeze``)."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        names = {f"{node.value.id}.{node.attr}"}
+    elif isinstance(node, ast.ImportFrom):
+        names = {f"{node.module}.{alias.name}" for alias in node.names}
+    else:
+        names = set()
+    return names & COLLECTOR_CALLS
+
+
+def test_only_the_command_line_freezes_the_heap() -> None:
+    # cli.main freezes the heap as its process ends; cli.run and the library keep the caller's
+    # collector, and nothing switches it off, retunes it or skips the exit handlers
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in SOURCES
+        for node in ast.walk(_parse(path))
+        for name in sorted(_collector_calls(node))
+    ]
+    (main,) = [fn for fn in _parse(PACKAGE / "cli.py").body if isinstance(fn, ast.FunctionDef) and fn.name == "main"]
+    in_main = [f"cli.py:{node.lineno} {name}" for node in ast.walk(main) for name in sorted(_collector_calls(node))]
+    assert found == in_main
+    assert [entry.split()[1] for entry in in_main] == ["gc.freeze"]
+
+
 def test_engine_modules_leave_the_wire_format_to_the_front_end() -> None:
     # every JSON shape lives in verify and cli
     for name in ("rootsys.py", "bwb.py", "parabolic.py"):
