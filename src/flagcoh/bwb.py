@@ -13,11 +13,13 @@ products read the scaled pairings s_k(v) = 6 (v, beta_k) of a weight with
 every positive root, from one integer pass along the root chain
 (``rootsys._root_pairings``), and the Weyl dimension of lam is
 prod s_k(lam + delta) / prod s_k(delta), the denominator read at delta.
+``weyl_dim`` multiplies the numerator pairwise (``rootsys._pairwise_prod``)
+once more than a fixed number of factors remain, rather than growing one
+running product a factor at a time; ``partial_weyl_product`` does not.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Iterable
 
 from .rootsys import (
@@ -26,6 +28,7 @@ from .rootsys import (
     RootSystem,
     Weight,
     _check_len,
+    _pairwise_prod,
     _require_int,
     _root_pairings,
     _Value,
@@ -125,7 +128,7 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     _check_len(rs, m)
     if not lam.is_dominant():
         raise ValueError(f"weight {m} is not dominant")
-    num = math.prod(_root_pairings(rs.root_chain, rs.scaled_symmetrizer, [c + 1 for c in m]))
+    num = _pairwise_prod(_root_pairings(rs.root_chain, rs.scaled_symmetrizer, [c + 1 for c in m]))
     q, r = divmod(num, rs.weyl_denominator)
     if r or q <= 0:
         raise ArithmeticError(f"Weyl product {num}/{rs.weyl_denominator} at {m} is not a positive integer")

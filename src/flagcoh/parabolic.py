@@ -132,8 +132,12 @@ def parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
     other root system gets a new record per call, so the memo never keeps it alive.
     """
     _require_int("node", r)
-    if not 1 <= r <= rs.rank:
-        raise ConfigError(f"node {r} out of range 1..{rs.rank}")
+    try:
+        rank = len(rs.cartan)  # one row per node; a LieType has a rank but no Cartan matrix
+    except AttributeError:
+        raise TypeError(f"rs must be a RootSystem, got {rs!r}") from None
+    if not 1 <= r <= rank:
+        raise ConfigError(f"node {r} out of range 1..{rank}")
     pd = _PARABOLIC.get((rs, r))
     if pd is None:
         pd = _build_parabolic_data(rs, r)
@@ -228,9 +232,13 @@ def konno_lowest_weights(pd: ParabolicData) -> tuple[Weight, ...]:
     them.  Raises UnsupportedPairError for pairs omitted in favour of an
     isomorphic listed pair.
     """
-    if pd.lowest_weights is None:
+    try:
+        weights = pd.lowest_weights
+    except AttributeError:
+        raise TypeError(f"pd must be a ParabolicData, got {pd!r}") from None
+    if weights is None:
         raise _omitted_pair_error(pd, "lowest-weight")
-    return pd.lowest_weights
+    return weights
 
 
 def _omitted_pair_error(pd: ParabolicData, table: str) -> UnsupportedPairError:
@@ -282,7 +290,11 @@ def sigma(pd: ParabolicData, d: int) -> int:
     """sigma = (N + 1) d - 2 k(Y) with N = dim Y, for hypersurface degree d >= 3."""
     _require_int("hypersurface degree d", d)
     _check_degree(d)
-    return (pd.dim_y + 1) * d - 2 * pd.fano_index
+    try:
+        n = pd.dim_y
+    except AttributeError:
+        raise TypeError(f"pd must be a ParabolicData, got {pd!r}") from None
+    return (n + 1) * d - 2 * pd.fano_index
 
 
 def _check_degree(d: int) -> None:
@@ -313,7 +325,11 @@ def macaulay_exceptions(pd: ParabolicData, d: int, a: int) -> MacaulayStatus:
     _check_degree(d)
     if a < 0:
         raise ValueError(f"twist a must be >= 0, got {a}")
-    if pd.lowest_weights is None:
+    try:
+        weights = pd.lowest_weights
+    except AttributeError:
+        raise TypeError(f"pd must be a ParabolicData, got {pd!r}") from None
+    if weights is None:
         raise _omitted_pair_error(pd, "duality-exception")
     if pd.fano_index == pd.dim_y:  # a quadric
         if pd.dim_y == 3 and (d, a) == (3, 3):

@@ -48,7 +48,8 @@ the way, as plain ints:
   addition each: s(beta + alpha_i) = s(beta) + m_i D_i.  The sign of
   s_k is the sign of <v, beta_k^vee>, since (beta_k, beta_k) > 0.
 * ``weyl_denominator = prod_k s_k(delta)``, the denominator of the Weyl
-  dimension formula in this scaling, from the pass ``_root_pairings``.
+  dimension formula in this scaling, from the pass ``_root_pairings``,
+  multiplied pairwise by ``_pairwise_prod``, as ``bwb.weyl_dim`` is.
 * ``packed_weights[k]``: the weight coordinates m of beta_k as one int, a
   16-bit digit m_i + 3 per node, node 0 most significant.  As |m_i| <= 3,
   a digit of a sum of N <= MAX_RANK^2 roots is at most 6 N < 2^16; only
@@ -70,7 +71,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 
@@ -414,6 +415,23 @@ def _root_pairings(root_chain: Sequence[tuple[int, int]], d: Sequence[int], m: S
     return s
 
 
+# The pairwise levels stop at this many factors, and math.prod multiplies the rest in
+# turn.  Any leaf from 128 to 256 takes 15-40% off the product at B20 and at rank 30, but
+# with 128 the 132-144 factors of A16, B12, C12 and D12 took 10-20% longer; with 192 they did not.
+_PROD_LEAF = 192
+
+
+def _pairwise_prod(s: list[int]) -> int:
+    """The exact product of s, multiplying neighbours pairwise while more than _PROD_LEAF factors remain.
+
+    Operands of like size keep each multiplication balanced, where one
+    running product multiplies a large int by one small factor per step.
+    """
+    while len(s) > _PROD_LEAF:
+        s = [*map(mul, s[::2], s[1::2]), *s[len(s) & ~1:]]
+    return math.prod(s)
+
+
 def build_root_system(t: LieType) -> RootSystem:
     cartan, d = _cartan_matrix(t)
     roots, lowest = _positive_root_closure(cartan)
@@ -425,7 +443,7 @@ def build_root_system(t: LieType) -> RootSystem:
         positive_roots=tuple(Root._of(tuple(n.to_bytes(t.rank, "big"))) for n in packed),
         weyl_vector=Weight._of((1,) * t.rank),
         root_chain=root_chain,
-        weyl_denominator=math.prod(_root_pairings(root_chain, d, (1,) * t.rank)),
+        weyl_denominator=_pairwise_prod(_root_pairings(root_chain, d, (1,) * t.rank)),
         neighbours=_dynkin_neighbours(cartan),
         packed_weights=weights,
         lowest_index=tuple(map(tuple, lowest)),

@@ -109,23 +109,17 @@ def _eps_weight(family: str, l: int, fw: tuple[int, ...]) -> list[Fraction]:
     return eps
 
 
-def _eps_positive_roots_eps_coords(family: str, l: int) -> list[list[Fraction]]:
-    out: list[list[Fraction]] = []
-
-    def vec(entries: dict[int, int]) -> list[Fraction]:
-        v = [Fraction(0)] * l
-        for idx, val in entries.items():
-            v[idx] = Fraction(val)
-        return v
-
+def _eps_positive_roots_eps_coords(family: str, l: int) -> list[dict[int, int]]:
+    """Positive roots in epsilon coordinates, each as its nonzero entries {index: value}."""
+    out: list[dict[int, int]] = []
     for i in range(l):
         for j in range(i + 1, l):
-            out.append(vec({i: 1, j: -1}))
-            out.append(vec({i: 1, j: 1}))
+            out.append({i: 1, j: -1})
+            out.append({i: 1, j: 1})
         if family == "B":
-            out.append(vec({i: 1}))
+            out.append({i: 1})
         elif family == "C":
-            out.append(vec({i: 2}))
+            out.append({i: 2})
     return out
 
 
@@ -139,17 +133,28 @@ def _eps_delta(family: str, l: int) -> list[Fraction]:
     raise ValueError(family)
 
 
+def _doubled(v: list[Fraction]) -> list[int]:
+    """2 v as ints; epsilon coordinates of weights are integers or half-integers."""
+    out = [2 * x for x in v]
+    assert all(x.denominator == 1 for x in out)
+    return [x.numerator for x in out]
+
+
 def epsilon_weyl_dim(family: str, l: int, fw: tuple[int, ...]) -> int:
-    """Weyl dimension via epsilon-coordinate dot products (B, C, D families)."""
-    lam = _eps_weight(family, l, fw)
-    delta = _eps_delta(family, l)
-    num = Fraction(1)
+    """Weyl dimension via epsilon-coordinate dot products (B, C, D families).
+
+    The coordinates are doubled, so every dot product is an integer and each
+    factor (lam + delta, alpha) / (delta, alpha) keeps its value.
+    """
+    lam = _doubled(_eps_weight(family, l, fw))
+    delta = _doubled(_eps_delta(family, l))
+    num = den = 1
     for alpha in _eps_positive_roots_eps_coords(family, l):
-        top = sum((a + b) * c for a, b, c in zip(lam, delta, alpha))
-        bot = sum(b * c for b, c in zip(delta, alpha))
-        num *= Fraction(top, bot)
-    assert num.denominator == 1
-    return int(num)
+        num *= sum((lam[i] + delta[i]) * c for i, c in alpha.items())
+        den *= sum(delta[i] * c for i, c in alpha.items())
+    q, r = divmod(num, den)
+    assert r == 0
+    return q
 
 
 def type_a_weyl_dim(l: int, fw: tuple[int, ...]) -> int:

@@ -23,7 +23,13 @@ from flagcoh.bwb import (
     to_dominant,
     weyl_dim,
 )
-from flagcoh.parabolic import h0_twisted_cotangent, konno_lowest_weights, parabolic_data
+from flagcoh.parabolic import (
+    h0_twisted_cotangent,
+    konno_lowest_weights,
+    macaulay_exceptions,
+    parabolic_data,
+    sigma,
+)
 from flagcoh.rootsys import (
     Family,
     LieType,
@@ -257,6 +263,27 @@ def test_non_record_arguments_name_the_argument(call, expected, given):
         call(root_system("A", 2), bad)
 
 
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda bad: h0_twisted_cotangent(bad, 1), "pd must be a ParabolicData"),
+        (konno_lowest_weights, "pd must be a ParabolicData"),
+        (lambda bad: sigma(bad, 3), "pd must be a ParabolicData"),
+        (lambda bad: macaulay_exceptions(bad, 3, 1), "pd must be a ParabolicData"),
+        (lambda bad: parabolic_data(bad, 1), "rs must be a RootSystem"),
+    ],
+    ids=["h0_twisted_cotangent", "konno_lowest_weights", "sigma", "macaulay_exceptions", "parabolic_data"],
+)
+@pytest.mark.parametrize("given", ["tuple", "list", "other record", "lie type"])
+def test_non_record_parabolic_arguments_name_the_argument(call, expected, given):
+    # the records of the parabolic entry points: a TypeError naming the argument, not an AttributeError
+    rs = root_system("A", 2)
+    other = parabolic_data(rs, 1) if expected.endswith("RootSystem") else rs
+    bad = {"tuple": (1, 0), "list": [1, 0], "other record": other, "lie type": LieType("A", 2)}[given]
+    with pytest.raises(TypeError, match=f"^{re.escape(f'{expected}, got {bad!r}')}$"):
+        call(bad)
+
+
 def test_bwb_cohomology_calls_to_dominant_through_the_module(monkeypatch):
     # outside-in tracing rebinds flagcoh.bwb.to_dominant and counts reflections
     # from its result, so bwb_cohomology must look the walk up there
@@ -328,6 +355,63 @@ def test_weyl_dim_against_epsilon_oracle(fam):
         for _ in range(40):
             coords = tuple(rng.randint(0, 3) for _ in range(l))
             assert weyl_dim(rs, Weight(coords)) == epsilon_weyl_dim(fam, l, coords)
+
+
+# |Phi+| from 132 to 900, odd and even, on both sides of the pairwise product's leaf length
+# (192): B14 and A21 run one level and the rank-30 types two or three; A21 and A-D 30 meet odd lengths
+WIDE_TYPES = [
+    LieType(Family(f), l)
+    for f, l in [("A", 16), ("A", 17), ("B", 12), ("B", 13), ("C", 12), ("D", 12), ("B", 14), ("A", 21)]
+    + [(f, 30) for f in "ABCD"]
+]
+
+
+def _weyl_dim_oracle(t: LieType, coords: tuple[int, ...]) -> int:
+    if t.family is Family.A:
+        return type_a_weyl_dim(t.rank, coords)
+    return epsilon_weyl_dim(str(t.family), t.rank, coords)
+
+
+@pytest.mark.parametrize("t", WIDE_TYPES, ids=str)
+def test_wide_weyl_products_match_the_oracles(t: LieType):
+    # weyl_dim at seeded dominant weights, one of them near 10^30 at rank 30, and
+    # bwb_cohomology at a regular weight in another chamber with the same dominant weight
+    rs = root_system(t.family, t.rank)
+    rng = random.Random(f"wide {t}")
+    weights = [tuple(rng.randint(0, 3) for _ in range(t.rank)) for _ in range(3)]
+    if t.rank == 30:
+        weights.append(tuple(10**30 + rng.randint(0, 10**6) for _ in range(t.rank)))
+    for coords in weights:
+        expected = _weyl_dim_oracle(t, coords)
+        assert weyl_dim(rs, Weight(coords)) == expected
+        # lam + delta moved off the dominant chamber by 40 simple reflections from the Cartan matrix
+        v = [c + 1 for c in coords]
+        for _ in range(40):
+            k = rng.randrange(t.rank)
+            v = [v[j] - v[k] * rs.cartan[j][k] for j in range(t.rank)]
+        steps, dominant = dominant_by_highest_reflection(rs.cartan, tuple(v))
+        assert steps > 0 and dominant == tuple(c + 1 for c in coords)
+        table = bwb_cohomology(rs, Weight(tuple(c - 1 for c in v)))
+        assert (table.degree, table.dominant_weight, table.dimension) == (steps, Weight(coords), expected)
+
+
+@pytest.mark.parametrize("t", [LieType(Family.A, 2), LieType(Family.B, 12)], ids=str)
+def test_weyl_product_exact_check(t: LieType):
+    # a denominator off by a factor 7: the quotient is not an integer, and the exact check
+    # names the dominant weight, whether weyl_dim or bwb_cohomology reached the product
+    rs = root_system(t.family, t.rank)
+    fields = {name: getattr(rs, name) for name in RootSystem.__slots__}
+    fake = RootSystem(**{**fields, "weyl_denominator": 7 * rs.weyl_denominator})
+    lam1 = (1,) + (0,) * (t.rank - 1)
+    dim = _weyl_dim_oracle(t, lam1)
+    num = dim * rs.weyl_denominator
+    message = f"^{re.escape(f'Weyl product {num}/{7 * rs.weyl_denominator} at {lam1} is not a positive integer')}$"
+    # lam1 + delta reflected at node 1, less delta: degree 1, dominant weight lam1
+    off = (-3, 2) + (0,) * (t.rank - 2)
+    for call, coords in ((weyl_dim, lam1), (bwb_cohomology, lam1), (bwb_cohomology, off)):
+        with pytest.raises(ArithmeticError, match=message):
+            call(fake, Weight(coords))
+    assert bwb_cohomology(rs, Weight(off)) == CohomologyTable(1, Weight(lam1), dim)
 
 
 def test_weyl_dim_rejects_non_dominant():

@@ -32,8 +32,9 @@ def test_no_assert_in_package_source() -> None:
 
 
 # the integer-only hot path: root-system build, the Dynkin neighbours, the
-# root-chain pass, the chamber walk, the root-to-weight conversion, the
-# parabolic partition, the packed-weight unpacking and the lowest-weight derivation
+# root-chain pass, the pairwise Weyl product, the chamber walk, the root-to-weight
+# conversion, the parabolic partition, the packed-weight unpacking and the
+# lowest-weight derivation
 INTEGER_ONLY = {
     "_cartan_matrix",
     "_positive_root_closure",
@@ -41,6 +42,7 @@ INTEGER_ONLY = {
     "_dynkin_neighbours",
     "build_root_system",
     "_root_pairings",
+    "_pairwise_prod",
     "classify",
     "to_dominant",
     "weyl_dim",
