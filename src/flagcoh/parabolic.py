@@ -82,32 +82,22 @@ class MacaulayStatus(Enum):
 class ParabolicData(_Record):
     """Root-theoretic data of Y = G/P for the maximal parabolic at ``node``.
 
-    ``levels`` is derived on each read from ``root_system.positive_roots``:
-    the nilradical roots (coefficient of alpha_r positive; the others are
-    the Levi roots) grouped by that coefficient, in root order, as a
-    read-only mapping; ``depth``, the largest level, is stored.  Records
-    compare by identity, as ``parabolic_data`` shares one instance per
-    pair; a shallow copy is the record itself.  The levels are exactly
-    1..depth whenever ``lowest_weights`` is set, and ``lowest_weights[i - 1]``
-    is the lowest weight of the cotangent piece at level i; it is None for
-    a pair omitted in favour of an isomorphic listed pair.  ``dim_y`` is
-    the number of nilradical roots and ``fano_index`` the k with K_Y = O(-k).
+    Fields, in order: ``lie_type``, ``node``, ``depth``, ``lowest_weights``,
+    ``dim_y``, ``fano_index`` and ``root_system``.  ``levels`` is derived
+    on each read from ``root_system.positive_roots``: the nilradical roots
+    (coefficient of alpha_r positive; the others are the Levi roots)
+    grouped by that coefficient, in root order, as a read-only mapping;
+    ``depth``, the largest level, is stored.  Records compare by identity,
+    as ``parabolic_data`` shares one instance per pair; a shallow copy is
+    the record itself.  The levels are exactly 1..depth whenever
+    ``lowest_weights`` is set, and ``lowest_weights[i - 1]`` is the lowest
+    weight of the cotangent piece at level i; it is None for a pair
+    omitted in favour of an isomorphic listed pair.  ``dim_y`` is the
+    number of nilradical roots and ``fano_index`` the k with K_Y = O(-k).
     """
 
     __slots__ = ("lie_type", "node", "depth", "lowest_weights", "dim_y", "fano_index", "root_system")
     _hidden = ("depth", "lowest_weights", "root_system")
-
-    def __init__(
-        self,
-        lie_type: LieType,
-        node: int,
-        depth: int,
-        lowest_weights: Optional[tuple[Weight, ...]],
-        dim_y: int,
-        fano_index: int,
-        root_system: RootSystem,
-    ) -> None:
-        self._set(lie_type, node, depth, lowest_weights, dim_y, fano_index, root_system)
 
     def __copy__(self) -> ParabolicData:
         return self  # immutable, so a shallow copy may share everything, the record included
@@ -232,22 +222,22 @@ def konno_lowest_weights(pd: ParabolicData) -> tuple[Weight, ...]:
     them.  Raises UnsupportedPairError for pairs omitted in favour of an
     isomorphic listed pair.
     """
+    return _listed_weights(pd, "lowest-weight")
+
+
+def _listed_weights(pd: ParabolicData, table: str) -> tuple[Weight, ...]:
+    """The lowest weights of ``pd``; a pair omitted from ``table`` is refused, naming its canonical form."""
     try:
         weights = pd.lowest_weights
     except AttributeError:
         raise TypeError(f"pd must be a ParabolicData, got {pd!r}") from None
     if weights is None:
-        raise _omitted_pair_error(pd, "lowest-weight")
+        tf, tl, tr = _canonical_form(pd.lie_type, pd.node)
+        raise UnsupportedPairError(
+            f"pair ({pd.lie_type}, node {pd.node}) is not in the {table} table; "
+            f"it is isomorphic to the listed pair ({tf}{tl}, node {tr})"
+        )
     return weights
-
-
-def _omitted_pair_error(pd: ParabolicData, table: str) -> UnsupportedPairError:
-    """The refusal of a pair omitted from ``table`` in favour of its canonical form."""
-    tf, tl, tr = _canonical_form(pd.lie_type, pd.node)
-    return UnsupportedPairError(
-        f"pair ({pd.lie_type}, node {pd.node}) is not in the {table} table; "
-        f"it is isomorphic to the listed pair ({tf}{tl}, node {tr})"
-    )
 
 
 def h0_twisted_cotangent(pd: ParabolicData, a: int) -> tuple[int, tuple[tuple[int, Optional[Weight], int], ...]]:
@@ -325,12 +315,7 @@ def macaulay_exceptions(pd: ParabolicData, d: int, a: int) -> MacaulayStatus:
     _check_degree(d)
     if a < 0:
         raise ValueError(f"twist a must be >= 0, got {a}")
-    try:
-        weights = pd.lowest_weights
-    except AttributeError:
-        raise TypeError(f"pd must be a ParabolicData, got {pd!r}") from None
-    if weights is None:
-        raise _omitted_pair_error(pd, "duality-exception")
+    _listed_weights(pd, "duality-exception")
     if pd.fano_index == pd.dim_y:  # a quadric
         if pd.dim_y == 3 and (d, a) == (3, 3):
             return MacaulayStatus.SURJECTIVITY_FAILS

@@ -24,7 +24,13 @@ carried scaled by 6 (``scaled_symmetrizer``, D_i = 6 d_i in {6, 3, 2}).
 The records (``LieType``, ``Root``, ``Weight`` and ``RootSystem`` here,
 ``CohomologyTable``, ``ParabolicData``, ``CaseResult`` and ``Report``
 elsewhere) are slotted classes on ``_Record``: immutable, closed to new
-attributes, with a ``Name(field=value, ...)`` repr.  ``RootSystem`` and
+attributes, with a ``Name(field=value, ...)`` repr.  ``_Record`` has the one
+constructor: values bind to ``__slots__`` in order, by position or keyword,
+a class's ``_defaults`` fill the fields a caller may leave out, and a
+missing, unknown or repeated field or a value too many is a TypeError
+naming the class.  Only a record that checks its input (``LieType``,
+``Root``, ``Weight``) or is built per query (``CohomologyTable``, whose
+hand-set fields are faster) has its own.  ``RootSystem`` and
 ``ParabolicData`` compare by identity.  The others subclass ``_Value``,
 the one value equality: by field tuple, never equal to another class.
 
@@ -112,13 +118,24 @@ _RANK_BOUNDS = {
 
 
 class _Record:
-    """Base of the immutable records: ``__init__`` sets each of the ``__slots__`` once, by ``object.__setattr__``."""
+    """Base of the immutable records; its one constructor sets each of the ``__slots__`` once, in order."""
 
     __slots__ = ()
     _hidden: tuple[str, ...] = ()  # fields the repr leaves out
+    _defaults: dict[str, object] = {}  # values of the fields a caller may leave out
 
-    def _set(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, *values: object, **named: object) -> None:
+        cls, names = type(self).__qualname__, self.__slots__
+        if len(values) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} fields but {len(values)} were given")
+        for name in names[len(values):]:
+            if name not in named and name not in self._defaults:
+                raise TypeError(f"{cls}() missing field {name!r}")
+            values += (named.pop(name) if name in named else self._defaults[name],)
+        for name in named:
+            problem = "multiple values for" if name in names else "an unexpected"
+            raise TypeError(f"{cls}() got {problem} field {name!r}")
+        for name, value in zip(names, values):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
@@ -166,7 +183,7 @@ class LieType(_Value):
         lo, hi = _RANK_BOUNDS[family]
         if not lo <= rank <= hi:
             raise ConfigError(f"rank {rank} out of bounds {lo}..{hi} for family {family}")
-        self._set(family, rank)
+        _Record.__init__(self, family, rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -247,8 +264,8 @@ def fundamental_weight(rank: int, i: int) -> Weight:
     """lambda_i, 1-based; i = 0 gives the zero weight (lambda_0 := 0 convention)."""
     _require_int("rank", rank)
     _require_int("node", i)
-    if rank < 1:
-        raise ConfigError(f"rank must be >= 1, got {rank}")
+    if not 1 <= rank <= MAX_RANK:
+        raise ConfigError(f"rank {rank} out of bounds 1..{MAX_RANK}")
     if not 0 <= i <= rank:
         raise ConfigError(f"node {i} out of range 0..{rank}")
     return Weight._of(tuple(1 if j == i - 1 else 0 for j in range(rank)))
@@ -361,14 +378,15 @@ def _unpack(packed: int, rank: int, count: int = 1) -> tuple[int, ...]:
 class RootSystem(_Record):
     """Immutable root-system data with precomputed pairing tables.
 
-    ``root_chain`` and ``packed_weights`` hold one pair or int per
-    positive root, ``weyl_denominator`` one int for the whole
-    system and ``lowest_index`` a few root indices per node; all are
-    described in the module docstring.  ``neighbours`` lists, per node k,
-    the Dynkin neighbours j of k with their Cartan entries a_jk, the only
-    coordinates besides m_k that s_k changes.  A ``ParabolicData`` stores
-    its depth and derives its levels on read from ``positive_roots``.
-    ``root_system`` shares one instance per type; they compare by identity.
+    Fields, in order: ``lie_type``, ``cartan`` (rows), ``scaled_symmetrizer``
+    (the D_i), ``positive_roots`` (in root order), ``weyl_vector`` (delta),
+    and, left out of the repr and described in the module docstring,
+    ``root_chain``, ``weyl_denominator``, ``neighbours``, ``packed_weights``
+    and ``lowest_index``.  ``neighbours`` lists, per node k, the Dynkin
+    neighbours j of k with their Cartan entries a_jk, the only coordinates
+    besides m_k that s_k changes.  A ``ParabolicData`` stores its depth and
+    derives its levels on read from ``positive_roots``.  ``root_system``
+    shares one instance per type; they compare by identity.
     """
 
     __slots__ = (
@@ -376,22 +394,6 @@ class RootSystem(_Record):
         "root_chain", "weyl_denominator", "neighbours", "packed_weights", "lowest_index",
     )
     _hidden = ("root_chain", "weyl_denominator", "neighbours", "packed_weights", "lowest_index")
-
-    def __init__(
-        self,
-        lie_type: LieType,
-        cartan: tuple[tuple[int, ...], ...],
-        scaled_symmetrizer: tuple[int, ...],
-        positive_roots: tuple[Root, ...],
-        weyl_vector: Weight,
-        root_chain: tuple[tuple[int, int], ...],
-        weyl_denominator: int,
-        neighbours: tuple[tuple[tuple[int, int], ...], ...],
-        packed_weights: tuple[int, ...],
-        lowest_index: tuple[tuple[int, ...], ...],
-    ) -> None:
-        self._set(lie_type, cartan, scaled_symmetrizer, positive_roots, weyl_vector,
-                  root_chain, weyl_denominator, neighbours, packed_weights, lowest_index)
 
     @property
     def rank(self) -> int:

@@ -55,36 +55,25 @@ def _check_max_rank(max_rank: int) -> None:
 
 
 class CaseResult(_Value):
-    """One sweep case; ``witness`` holds the per-level evidence dicts."""
+    """One sweep case.
+
+    Fields, in order: ``family`` (a letter), ``rank``, ``node``, ``twist``, ``h0``, ``dim_y``, ``passed``,
+    ``witness`` (the per-level evidence dicts) and ``annotations``; the last two default to ().
+    """
 
     __slots__ = ("family", "rank", "node", "twist", "h0", "dim_y", "passed", "witness", "annotations")
-
-    def __init__(
-        self,
-        family: str,
-        rank: int,
-        node: int,
-        twist: int,
-        h0: int,
-        dim_y: int,
-        passed: bool,
-        witness: tuple[dict, ...] = (),
-        annotations: tuple[str, ...] = (),
-    ) -> None:
-        self._set(family, rank, node, twist, h0, dim_y, passed, witness, annotations)
+    _defaults = {"witness": (), "annotations": ()}
 
     def sort_key(self) -> tuple[str, int, int, int]:
         return (self.family, self.rank, self.node, self.twist)
 
 
 class Report(_Value):
-    """Sweep output: parameters, ordered cases, and summary counts."""
+    """Sweep output, with summary counts; fields ``sweep``, ``version``, ``params`` and ``cases`` (default ())."""
 
     __slots__ = ("sweep", "version", "params", "cases")
     _hidden = ("params",)
-
-    def __init__(self, sweep: str, version: str, params: dict, cases: tuple[CaseResult, ...] = ()) -> None:
-        self._set(sweep, version, params, cases)
+    _defaults = {"cases": ()}
 
     @property
     def summary(self) -> dict:
@@ -159,18 +148,9 @@ def _sweep(name: str, params: dict, inputs, evaluate) -> Report:
             total, witness, passed = 0, (), False
             annotations.append(f"error: {exc}")
         t = pd.lie_type
+        # positional: by keyword, _Record.__init__ took about 3 us more a case (5.3-6.0 against 2.6-2.9 us)
         cases.append(
-            CaseResult(
-                family=t.family.value,
-                rank=t.rank,
-                node=pd.node,
-                twist=a,
-                h0=total,
-                dim_y=pd.dim_y,
-                passed=passed,
-                witness=tuple(witness),
-                annotations=tuple(annotations),
-            )
+            CaseResult(t.family.value, t.rank, pd.node, a, total, pd.dim_y, passed, tuple(witness), tuple(annotations))
         )
     cases.sort(key=CaseResult.sort_key)
     return Report(sweep=name, version=__version__, params=params, cases=tuple(cases))

@@ -430,6 +430,12 @@ def test_unsupported_pairs_name_canonical_form(family, l, r, canonical) -> None:
         f"pair ({family}{l}, node {r}) is not in the lowest-weight table; "
         f"it is isomorphic to the listed pair {canonical}"
     )
+    with pytest.raises(UnsupportedPairError) as err:
+        macaulay_exceptions(pd, 3, 1)
+    assert str(err.value) == (
+        f"pair ({family}{l}, node {r}) is not in the duality-exception table; "
+        f"it is isomorphic to the listed pair {canonical}"
+    )
 
 
 def h0_from_levi_pieces(pd, a: int) -> tuple[int, list[int]]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 from types import MappingProxyType
 
 import pytest
@@ -16,6 +17,7 @@ from flagcoh import (
     ParabolicData,
     Report,
     Root,
+    RootSystem,
     Weight,
     bwb_cohomology,
     parabolic_data,
@@ -181,3 +183,52 @@ def test_constructor_keywords_and_defaults() -> None:
     report = Report(sweep="lungo", version="0.1.0", params={"max_rank": 3})
     assert report.cases == () and report == Report("lungo", "0.1.0", {"max_rank": 3}, cases=())
     assert report.summary == {"total": 0, "passed": 0, "failed": 0}
+
+
+def _values_and_defaults(cls: type) -> tuple[tuple, dict]:
+    """A value for every field of ``cls``, in order, and the defaults the class declares."""
+    rs = root_system("B", 2)
+    return {
+        RootSystem: (rs._fields(), {}),
+        ParabolicData: (parabolic_data(rs, 1)._fields(), {}),
+        CaseResult: (("B", 2, 1, 2, 10, 3, True, ({"a": 1},), ("x",)), {"witness": (), "annotations": ()}),
+        Report: (("s", "v", {"a": 1}, (_case(),)), {"cases": ()}),
+    }[cls]
+
+
+CONSTRUCTED = pytest.mark.parametrize("cls", [RootSystem, ParabolicData, CaseResult, Report], ids=lambda c: c.__name__)
+
+
+@CONSTRUCTED
+def test_one_constructor_binds_positions_keywords_and_defaults(cls) -> None:
+    values, defaults = _values_and_defaults(cls)
+    names = cls.__slots__
+    named = dict(zip(names, values))
+    half = len(values) // 2
+    for record in (cls(*values), cls(**named), cls(*values[:half], **dict(zip(names[half:], values[half:])))):
+        assert type(record) is cls and record._fields() == values
+    if cls in (CaseResult, Report):  # value records
+        assert cls(*values) == cls(**named)
+    # the defaulted fields come last, so they may be left out by position or by keyword
+    required = len(names) - len(defaults)
+    assert names[required:] == tuple(defaults)
+    with_defaults = values[:required] + tuple(defaults.values())
+    assert cls(*values[:required])._fields() == with_defaults
+    assert cls(**{n: named[n] for n in names[:required]})._fields() == with_defaults
+
+
+@CONSTRUCTED
+def test_one_constructor_refuses_bad_fields_naming_the_class(cls) -> None:
+    values, defaults = _values_and_defaults(cls)
+    name, names = cls.__name__, cls.__slots__
+    required = len(names) - len(defaults)
+    last = names[required - 1]
+    for call, message in [
+        (lambda: cls(*values[: required - 1]), f"{name}() missing field {last!r}"),
+        (lambda: cls(**{n: v for n, v in zip(names, values) if n != last}), f"{name}() missing field {last!r}"),
+        (lambda: cls(*values, extra=1), f"{name}() got an unexpected field 'extra'"),
+        (lambda: cls(*values[:1], **dict(zip(names, values))), f"{name}() got multiple values for field {names[0]!r}"),
+        (lambda: cls(*values, None), f"{name}() takes {len(names)} fields but {len(names) + 1} were given"),
+    ]:
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call()

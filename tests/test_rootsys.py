@@ -67,6 +67,12 @@ def test_rank_must_be_an_int():
         for node in (0, 1, -2):
             with pytest.raises(ConfigError):
                 fundamental_weight(rank, node)
+    # and a rank above the cap before its weight is allocated, as LieType refuses it
+    for node in (0, 1):
+        with pytest.raises(ConfigError, match=f"rank {rootsys.MAX_RANK + 1} out of bounds 1..{rootsys.MAX_RANK}"):
+            fundamental_weight(rootsys.MAX_RANK + 1, node)
+    top = fundamental_weight(rootsys.MAX_RANK, rootsys.MAX_RANK)
+    assert top.fw_coords == (0,) * (rootsys.MAX_RANK - 1) + (1,)
 
 
 def test_family_must_be_a_known_letter_or_a_family():

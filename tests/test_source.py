@@ -204,6 +204,30 @@ def test_one_value_equality_and_one_json_writer() -> None:
     assert stray_json == []
 
 
+def test_one_record_constructor() -> None:
+    # _Record binds every record's fields; only the records that check their input, and the
+    # per-query CohomologyTable, write their own __init__, and no record sets its slots by _set
+    bases = {}
+    own_init = []
+    set_names = []
+    for path in SOURCES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [b.id for b in node.bases if isinstance(b, ast.Name)]
+                if any(isinstance(fn, ast.FunctionDef) and fn.name == "__init__" for fn in node.body):
+                    own_init.append(node.name)
+            if "_set" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                set_names.append(f"{path.name}:{node.lineno}")
+
+    def is_record(name: str) -> bool:
+        return name == "_Record" or any(is_record(b) for b in bases.get(name, ()))
+
+    records = {n for n in bases if is_record(n)} - {"_Record"}
+    assert {"RootSystem", "ParabolicData", "CaseResult", "Report"} <= records
+    assert sorted(records.intersection(own_init)) == ["CohomologyTable", "LieType", "Root", "Weight"]
+    assert set_names == []
+
+
 def _names_fraction(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
         return any(alias.name.split(".")[0] == "fractions" for alias in node.names)
