@@ -13,9 +13,10 @@ products read the scaled pairings s_k(v) = 6 (v, beta_k) of a weight with
 every positive root, from one integer pass along the root chain
 (``rootsys._root_pairings``), and the Weyl dimension of lam is
 prod s_k(lam + delta) / prod s_k(delta), the denominator read at delta.
-``weyl_dim`` multiplies the numerator pairwise (``rootsys._pairwise_prod``)
-once more than a fixed number of factors remain, rather than growing one
-running product a factor at a time; ``partial_weyl_product`` does not.
+``weyl_dim`` and ``partial_weyl_product`` check lam and read the factors
+s_k(lam + delta) through one ``_weyl_factors``, and multiply pairwise
+(``rootsys._pairwise_prod``) once more than a fixed number of factors
+remain, rather than growing one running product a factor at a time.
 """
 
 from __future__ import annotations
@@ -83,8 +84,7 @@ def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
         m = list(v.fw_coords)
     except AttributeError:
         raise TypeError(f"v must be a Weight, got {v!r}") from None
-    rank = rs.rank
-    _check_len(rs, m)
+    rank = _check_len(rs, m)
     if 0 in m:
         return None
     neighbours = rs.neighbours
@@ -121,8 +121,8 @@ def classify(rs: RootSystem, v: Weight) -> int | None:
     return None if result is None else result[0]
 
 
-def weyl_dim(rs: RootSystem, lam: Weight) -> int:
-    """Weyl dimension formula, exact: prod (lam+delta, a) / (delta, a) over positive roots a."""
+def _weyl_factors(rs: RootSystem, lam: Weight) -> list[int]:
+    """s_k(lam + delta) for every positive root, in root order, once lam is a dominant weight of rs."""
     try:
         m = lam.fw_coords
     except AttributeError:
@@ -130,10 +130,15 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     _check_len(rs, m)
     if not lam.is_dominant():
         raise ValueError(f"weight {m} is not dominant")
-    num = _pairwise_prod(_root_pairings(rs.root_chain, rs.scaled_symmetrizer, [c + 1 for c in m]))
+    return _root_pairings(rs.root_chain, rs.scaled_symmetrizer, [c + 1 for c in m])
+
+
+def weyl_dim(rs: RootSystem, lam: Weight) -> int:
+    """Weyl dimension formula, exact: prod (lam+delta, a) / (delta, a) over positive roots a."""
+    num = _pairwise_prod(_weyl_factors(rs, lam))
     q, r = divmod(num, rs.weyl_denominator)
     if r or q <= 0:
-        raise ArithmeticError(f"Weyl product {num}/{rs.weyl_denominator} at {m} is not a positive integer")
+        raise ArithmeticError(f"Weyl product {num}/{rs.weyl_denominator} at {lam.fw_coords} is not a positive integer")
     return q
 
 
@@ -141,17 +146,8 @@ def partial_weyl_product(rs: RootSystem, lam: Weight, subset: Iterable[Root]) ->
     """The Weyl product prod s_k(lam + delta) / s_k(delta) restricted to a set of distinct positive roots."""
     from fractions import Fraction  # imported here so that no other path pays for fractions and decimal
 
-    try:
-        m = lam.fw_coords
-    except AttributeError:
-        raise TypeError(f"lam must be a Weight, got {lam!r}") from None
-    _check_len(rs, m)
-    if not lam.is_dominant():
-        raise ValueError(f"weight {m} is not dominant")
-    shifted = _root_pairings(rs.root_chain, rs.scaled_symmetrizer, [c + 1 for c in m])
-    base = _root_pairings(rs.root_chain, rs.scaled_symmetrizer, rs.weyl_vector.fw_coords)
+    shifted = _weyl_factors(rs, lam)
     position = {root.sr_coords: k for k, root in enumerate(rs.positive_roots)}
-    num = den = 1
     seen: set[int] = set()
     for r in subset:
         if not isinstance(r, Root):
@@ -162,9 +158,8 @@ def partial_weyl_product(rs: RootSystem, lam: Weight, subset: Iterable[Root]) ->
         if idx in seen:
             raise ValueError(f"{r.sr_coords} appears twice in the subset")
         seen.add(idx)
-        num *= shifted[idx]
-        den *= base[idx]
-    return Fraction(num, den)
+    base = _root_pairings(rs.root_chain, rs.scaled_symmetrizer, rs.weyl_vector.fw_coords)
+    return Fraction(_pairwise_prod([shifted[k] for k in seen]), _pairwise_prod([base[k] for k in seen]))
 
 
 def bwb_cohomology(rs: RootSystem, lam: Weight) -> CohomologyTable:
@@ -179,11 +174,7 @@ def bwb_cohomology(rs: RootSystem, lam: Weight) -> CohomologyTable:
         return _VANISHES
     steps, dom = result
     mu = Weight._of(tuple([c - 1 for c in dom.fw_coords]))
-    return CohomologyTable(
-        degree=steps,
-        dominant_weight=mu,
-        dimension=weyl_dim(rs, mu),
-    )
+    return CohomologyTable(steps, mu, weyl_dim(rs, mu))
 
 
 def classify_cotangent_twist_weights(rs: RootSystem, r: int, a: int, twisted_weight: Weight) -> int | None:

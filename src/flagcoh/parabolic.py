@@ -48,6 +48,7 @@ from .rootsys import (
     Weight,
     _CACHE,
     _Record,
+    _rank_of,
     _require_int,
     _unpack,
     all_lie_types,
@@ -122,10 +123,7 @@ def parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
     other root system gets a new record per call, so the memo never keeps it alive.
     """
     _require_int("node", r)
-    try:
-        rank = len(rs.cartan)  # one row per node; a LieType has a rank but no Cartan matrix
-    except AttributeError:
-        raise TypeError(f"rs must be a RootSystem, got {rs!r}") from None
+    rank = _rank_of(rs)
     if not 1 <= r <= rank:
         raise ConfigError(f"node {r} out of range 1..{rank}")
     pd = _PARABOLIC.get((rs, r))

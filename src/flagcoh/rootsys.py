@@ -19,7 +19,7 @@ Conventions, fixed once for the whole package:
 Everything is exact and there is no floating point.  Root-system
 construction and classification use integers only: the symmetrizer is
 carried scaled by 6 (``scaled_symmetrizer``, D_i = 6 d_i in {6, 3, 2}).
-``Fraction`` appears only in ``bwb.partial_weyl_product``.
+``Fraction`` appears only in ``bwb.partial_weyl_product``, which no command calls.
 
 The records (``LieType``, ``Root``, ``Weight`` and ``RootSystem`` here,
 ``CohomologyTable``, ``ParabolicData``, ``CaseResult`` and ``Report``
@@ -480,9 +480,19 @@ def root_system(family: Family | str, rank: int) -> RootSystem:
     return rs
 
 
-def _check_len(rs: RootSystem, coords: Sequence[int]) -> None:
-    if len(coords) != rs.rank:
-        raise ValueError(f"expected {rs.rank} coordinates, got {len(coords)}")
+def _rank_of(rs: RootSystem) -> int:
+    """The rank of rs, one Cartan row per node; a TypeError for anything else (a LieType has no Cartan matrix)."""
+    try:
+        return len(rs.cartan)
+    except AttributeError:
+        raise TypeError(f"rs must be a RootSystem, got {rs!r}") from None
+
+
+def _check_len(rs: RootSystem, coords: Sequence[int]) -> int:
+    rank = _rank_of(rs)  # the rank of rs, returned once coords has one entry per node
+    if len(coords) != rank:
+        raise ValueError(f"expected {rank} coordinates, got {len(coords)}")
+    return rank
 
 
 def root_to_weight_coords(rs: RootSystem, r: Root) -> Weight:

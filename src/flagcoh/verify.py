@@ -4,7 +4,8 @@ Two sweeps are provided.  ``check_theorem_lungo`` computes
 h^0(Y, Omega^1_Y(2)) for every supported pair with dim Y >= 3 up to a rank
 cap and checks h0 >= dim Y, together with golden subcases where the value
 has a closed form (quadric binomial, the restricted-product equality on
-Lagrangian Grassmannians, the exact value 325 for (F4, node 4)).
+Lagrangian Grassmannians, read as a Weyl dimension of A_{l-1} so that no
+sweep computes a ``Fraction``, the exact value 325 for (F4, node 4)).
 ``check_lemma_studiopesi`` replays the classification of the twisted
 lowest weights: for twist a = 1 the pieces with node coefficient 2 must be
 singular and those with coefficient 1 regular of index 0; for a >= 2
@@ -29,9 +30,9 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import __version__
-from .bwb import partial_weyl_product
+from .bwb import weyl_dim
 from .parabolic import ParabolicData, h0_twisted_cotangent, konno_pairs
-from .rootsys import MAX_RANK, ConfigError, Family, _require_int, _Value, fundamental_weight
+from .rootsys import MAX_RANK, ConfigError, Family, _require_int, _Value, fundamental_weight, root_system
 
 __all__ = [
     "CaseResult",
@@ -108,11 +109,9 @@ def _golden_checks(pd: ParabolicData, total: int, pieces) -> tuple[bool, list[st
             ok = False
             notes.append(f"golden value mismatch: h0 {total} != {expected}")
     elif f is Family.C and r == l:
-        # The proof bounds h0 from below by the Weyl product restricted to
-        # the Levi roots, which equals dim Y = l(l+1)/2 exactly.
-        lam = 2 * fundamental_weight(l, l - 1)
-        levi = [root for root in pd.root_system.positive_roots if root.sr_coords[l - 1] == 0]
-        restricted = partial_weyl_product(pd.root_system, lam, levi)
+        # The proof bounds h0 from below by the Weyl product restricted to the Levi roots (n_l = 0), which equals
+        # dim Y = l(l+1)/2 exactly.  They are the roots of A_{l-1}, all short, where 2 lambda_{l-1} is 2 omega_{l-1}.
+        restricted = weyl_dim(root_system(Family.A, l - 1), 2 * fundamental_weight(l - 1, l - 1))
         notes.append("golden: restricted product equality")
         if restricted != pd.dim_y:
             ok = False
@@ -221,6 +220,8 @@ def check_lemma_studiopesi(
 
 @lru_cache(maxsize=1024)  # a report repeats a few keys and labels many times
 def _json_str(s: str) -> str:
+    if not isinstance(s, str):  # checked on cache misses only
+        raise TypeError(f"keys and labels must be str, got {s!r}")
     # json.dumps escapes '"', '\\' and whatever lies outside U+0020..U+007E, and nothing else
     if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
         return f'"{s}"'

@@ -264,6 +264,25 @@ def test_non_record_arguments_name_the_argument(call, expected, given):
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        lambda rs: bwb_cohomology(rs, Weight((1, 0))),
+        lambda rs: to_dominant(rs, Weight((1, 0))),
+        lambda rs: weyl_dim(rs, Weight((1, 0))),
+        lambda rs: partial_weyl_product(rs, Weight((1, 0)), []),
+        lambda rs: root_to_weight_coords(rs, Root((1, 0))),
+    ],
+    ids=["bwb_cohomology", "to_dominant", "weyl_dim", "partial_weyl_product", "root_to_weight_coords"],
+)
+@pytest.mark.parametrize("given", ["none", "lie type", "parabolic data"])
+def test_non_root_system_names_the_argument(call, given):
+    # a LieType has a rank but no Cartan matrix: refused with parabolic_data's message, not an AttributeError
+    bad = {"none": None, "lie type": LieType("A", 2), "parabolic data": parabolic_data(root_system("A", 2), 1)}[given]
+    with pytest.raises(TypeError, match=f"^{re.escape(f'rs must be a RootSystem, got {bad!r}')}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize(
     "call, expected",
     [
         (lambda bad: h0_twisted_cotangent(bad, 1), "pd must be a ParabolicData"),
@@ -498,13 +517,17 @@ def test_partial_weyl_product_monotone():
 def test_restricted_product_equals_dim_y_for_c_last_node():
     # at r = l the bundle weight is 2 lambda_{l-1}; restricted to roots with
     # n_l = 0 the Weyl product collapses to l(l+1)/2, the dimension of the
-    # Lagrangian Grassmannian itself
-    for l in range(3, 9):
+    # Lagrangian Grassmannian itself.  Those roots are the roots of A_{l-1}, all
+    # short, and 2 lambda_{l-1} restricts to 2 omega_{l-1}, so the restricted
+    # product is a Weyl dimension of A_{l-1}, which the lungo sweep reads instead
+    for l in (*range(3, 9), 12, 16, 30):
         rs = root_system("C", l)
         lam = 2 * fundamental_weight(l, l - 1)
         subset_a = [r for r in rs.positive_roots if r.sr_coords[-1] == 0]
         assert partial_weyl_product(rs, lam, subset_a) == Fraction(l * (l + 1), 2)
         assert weyl_dim(rs, lam) > l * (l + 1) // 2  # full product is strictly bigger
+        levi = weyl_dim(root_system("A", l - 1), 2 * fundamental_weight(l - 1, l - 1))
+        assert partial_weyl_product(rs, lam, subset_a) == levi
 
 
 def test_bwb_projective_line():

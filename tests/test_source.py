@@ -32,9 +32,9 @@ def test_no_assert_in_package_source() -> None:
 
 
 # the integer-only hot path: root-system build, the Dynkin neighbours, the
-# root-chain pass, the pairwise Weyl product, the chamber walk, the root-to-weight
-# conversion, the parabolic partition, the packed-weight unpacking and the
-# lowest-weight derivation
+# root-chain pass, the checked Weyl factors, the pairwise Weyl product, the chamber
+# walk, the root-to-weight conversion, the parabolic partition, the packed-weight
+# unpacking and the lowest-weight derivation
 INTEGER_ONLY = {
     "_cartan_matrix",
     "_positive_root_closure",
@@ -45,6 +45,7 @@ INTEGER_ONLY = {
     "_pairwise_prod",
     "classify",
     "to_dominant",
+    "_weyl_factors",
     "weyl_dim",
     "_derive_lowest_weights",
     "root_to_weight_coords",
@@ -78,6 +79,7 @@ PER_QUERY = {
     "__rmul__",
     "to_dominant",
     "bwb_cohomology",
+    "_weyl_factors",
     "weyl_dim",
     "root_to_weight_coords",
     "h0_twisted_cotangent",
@@ -112,8 +114,9 @@ def test_per_query_path_never_calls_a_validating_constructor() -> None:
 
 
 def test_cli_import_leaves_fractions_and_csv_out() -> None:
-    # fractions pulls in decimal; only partial_weyl_product and CSV output need them, and only
-    # a JSON string that needs escaping needs json; dataclasses pulls in inspect, ast and dis
+    # fractions pulls in decimal, and only partial_weyl_product, which no command calls, needs it;
+    # only CSV output needs csv, only a JSON string that needs escaping needs json, and
+    # dataclasses pulls in inspect, ast and dis
     unwanted = "{'fractions', 'decimal', 'csv', 'json', 'dataclasses'}"
     code = f"import sys, flagcoh.cli; print(sorted({unwanted} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
@@ -121,12 +124,12 @@ def test_cli_import_leaves_fractions_and_csv_out() -> None:
     assert out.stdout.strip() == "[]"
 
 
-def _exit_codes_and_json_loaded(runs: list[list[str]]) -> str:
-    """What a fresh interpreter reports after ``cli.run`` of each argv: (exit codes, json loaded)."""
+def _exit_codes_and_modules_loaded(runs: list[list[str]]) -> str:
+    """What a fresh interpreter reports after ``cli.run`` of each argv: (exit codes, json, fractions, decimal loaded)."""
     code = (
         "import sys, flagcoh.cli as cli\n"
         f"codes = [cli.run(argv) for argv in {runs!r}]\n"
-        "sys.stderr.write(repr((codes, 'json' in sys.modules)))"
+        "sys.stderr.write(repr((codes, *(m in sys.modules for m in ('json', 'fractions', 'decimal')))))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
@@ -135,9 +138,10 @@ def _exit_codes_and_json_loaded(runs: list[list[str]]) -> str:
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_verify_leaves_json_out(fmt) -> None:
-    # the report writer is json.dumps' bytes without json; only a string that needs escaping loads it
+    # the report writer is json.dumps' bytes without json; only a string that needs escaping loads it.
+    # Rank 4 includes the golden check of (C3, 3), a Weyl dimension of A2, so no sweep loads fractions
     runs = [["verify", "--sweep", sweep, "--max-rank", "4", "--format", fmt] for sweep in ("lungo", "studiopesi")]
-    assert _exit_codes_and_json_loaded(runs) == "([0, 0], False)"
+    assert _exit_codes_and_modules_loaded(runs) == "([0, 0], False, False, False)"
 
 
 QUERY_RUNS = [
@@ -153,9 +157,9 @@ QUERY_RUNS = [
 
 
 def test_query_json_leaves_json_out() -> None:
-    # the query commands write JSON through the report writer, so they do not load json either
+    # the query commands write JSON through the report writer, so they do not load json, nor fractions
     runs = [[*argv, "--format", "json"] for argv in QUERY_RUNS]
-    assert _exit_codes_and_json_loaded(runs) == f"({[0] * len(runs)}, False)"
+    assert _exit_codes_and_modules_loaded(runs) == f"({[0] * len(runs)}, False, False, False)"
 
 
 def _imported_modules(tree: ast.AST) -> set[str]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -266,14 +267,15 @@ def test_lungo_f4_breakdown_is_a_golden_mismatch(monkeypatch) -> None:
 
 
 def test_lungo_c3_restricted_product_is_a_golden_mismatch(monkeypatch) -> None:
+    # the restricted product of (C3, 3) is the Weyl dimension of 2 omega_2 for A2
     def wrap(real):
-        def product(rs, lam, roots):
-            value = real(rs, lam, roots)
-            return value + 1 if str(rs.lie_type) == "C3" else value
+        def dim(rs, lam):
+            value = real(rs, lam)
+            return value + 1 if str(rs.lie_type) == "A2" else value
 
-        return product
+        return dim
 
-    case = _lungo_fails_alone(monkeypatch, "partial_weyl_product", wrap, ("C", 3, 3))
+    case = _lungo_fails_alone(monkeypatch, "weyl_dim", wrap, ("C", 3, 3))
     assert case.annotations == (
         "golden: restricted product equality",
         "golden value mismatch: restricted product 7 != 6",
@@ -284,12 +286,8 @@ def test_lungo_c3_dim_y_off_the_closed_form_is_a_golden_mismatch(monkeypatch) ->
     # dim Y and the restricted product both read 7, so they agree and only
     # dim Y = l(l+1)/2 fails; the note must name that equation
     def wrap(real):
-        product = verify.partial_weyl_product
-        monkeypatch.setattr(
-            verify,
-            "partial_weyl_product",
-            lambda rs, lam, roots: product(rs, lam, roots) + (1 if str(rs.lie_type) == "C3" else 0),
-        )
+        dim = verify.weyl_dim
+        monkeypatch.setattr(verify, "weyl_dim", lambda rs, lam: dim(rs, lam) + (1 if str(rs.lie_type) == "A2" else 0))
 
         def raised(pd):
             return ParabolicData(
@@ -440,6 +438,15 @@ def _one_case_report(params: dict, witness: tuple = (), annotations: tuple = (),
 )
 def test_json_writer_matches_json_dumps(make) -> None:
     _assert_writer_matches_oracle(make())
+
+
+@pytest.mark.parametrize("key", [1, True, None, (1, 2)], ids=["int", "bool", "none", "tuple"])
+def test_json_writer_refuses_a_key_that_is_not_a_str(key) -> None:
+    # the writer names the key, as it names an unsupported value, instead of failing on a str method
+    with pytest.raises(TypeError, match=f"^keys and labels must be str, got {re.escape(repr(key))}$"):
+        emit_report(Report("s", "v", {key: 2}), "json")
+    with pytest.raises(TypeError, match=f"^keys and labels must be str, got {re.escape(repr(key))}$"):
+        verify._json({"a": {key: 2}}, "")
 
 
 def test_json_writer_matches_json_dumps_on_any_text() -> None:
