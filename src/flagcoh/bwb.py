@@ -30,10 +30,10 @@ from .rootsys import (
     Weight,
     _check_len,
     _pairwise_prod,
+    _rank_of,
     _require_int,
     _root_pairings,
     _Value,
-    fundamental_weight,
 )
 
 if TYPE_CHECKING:
@@ -147,6 +147,8 @@ def partial_weyl_product(rs: RootSystem, lam: Weight, subset: Iterable[Root]) ->
     from fractions import Fraction  # imported here so that no other path pays for fractions and decimal
 
     shifted = _weyl_factors(rs, lam)
+    if not isinstance(subset, Iterable):
+        raise TypeError(f"subset must be an iterable of Roots, got {subset!r}")
     position = {root.sr_coords: k for k, root in enumerate(rs.positive_roots)}
     seen: set[int] = set()
     for r in subset:
@@ -188,20 +190,20 @@ def classify_cotangent_twist_weights(rs: RootSystem, r: int, a: int, twisted_wei
       (3)  -2 lambda_r + lambda' + a lambda_r
     with lambda' a weight whose r-th coordinate is 0.  Shape (1) is the
     special case of (3) with lambda' = 2 lambda_r - alpha_r.
-
-    This is a standalone, shape-checked classifier.
     """
     _require_int("node", r)
     _require_int("twist a", a)
-    if not 1 <= r <= rs.rank:
-        raise ConfigError(f"node {r} out of range 1..{rs.rank}")
+    rank = _rank_of(rs)
+    if not 1 <= r <= rank:
+        raise ConfigError(f"node {r} out of range 1..{rank}")
     if a < 1:
         raise ValueError(f"twist a must be >= 1, got {a}")
-    s = twisted_weight - a * fundamental_weight(rs.rank, r)
-    sr = s.fw_coords[r - 1]
-    if sr not in (-1, -2):
-        raise ValueError(
-            f"{twisted_weight.fw_coords} at node {r}, twist {a} matches none of the admissible shapes"
-        )
-    # lambda' = s + (-sr) lambda_r has r-th coordinate 0 by construction
+    try:
+        m = twisted_weight.fw_coords
+    except AttributeError:
+        raise TypeError(f"twisted_weight must be a Weight, got {twisted_weight!r}") from None
+    _check_len(rs, m)
+    # s = twisted_weight - a lambda_r has s_r = m_r - a, and lambda' = s - s_r lambda_r has r-th coordinate 0
+    if m[r - 1] - a not in (-1, -2):
+        raise ValueError(f"{m} at node {r}, twist {a} matches none of the admissible shapes")
     return classify(rs, twisted_weight + rs.weyl_vector)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import compress
-from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -48,6 +47,7 @@ from .rootsys import (
     Weight,
     _CACHE,
     _Record,
+    _node_multiple,
     _rank_of,
     _require_int,
     _unpack,
@@ -85,10 +85,10 @@ class ParabolicData(_Record):
 
     Fields, in order: ``lie_type``, ``node``, ``depth``, ``lowest_weights``,
     ``dim_y``, ``fano_index`` and ``root_system``.  ``levels`` is derived
-    on each read from ``root_system.positive_roots``: the nilradical roots
-    (coefficient of alpha_r positive; the others are the Levi roots)
-    grouped by that coefficient, in root order, as a read-only mapping;
-    ``depth``, the largest level, is stored.  Records compare by identity,
+    on each read from the node's column of ``root_system.coord_table``: the
+    nilradical roots (coefficient of alpha_r positive; the others are the
+    Levi roots) grouped by that coefficient, in root order, as a read-only
+    mapping; ``depth``, the largest level, is stored.  Records compare by identity,
     as ``parabolic_data`` shares one instance per pair; a shallow copy is
     the record itself.  The levels are exactly 1..depth whenever
     ``lowest_weights`` is set, and ``lowest_weights[i - 1]`` is the lowest
@@ -106,10 +106,9 @@ class ParabolicData(_Record):
     @property
     def levels(self) -> Mapping[int, tuple[Root, ...]]:
         """The nilradical roots by their coefficient at the node, levels ascending, each in root order."""
-        grouped: list[list[Root]] = [[] for _ in range(self.depth + 1)]
-        for root in self.root_system.positive_roots:
-            grouped[root.sr_coords[self.node - 1]].append(root)
-        return MappingProxyType({i: tuple(roots) for i, roots in enumerate(grouped) if i and roots})
+        rs = self.root_system
+        column, roots = rs.coord_table[self.node - 1 :: rs.rank], rs.positive_roots
+        return MappingProxyType({c: tuple(compress(roots, map(c.__eq__, column))) for c in range(1, self.depth + 1)})
 
 
 _PARABOLIC: dict[tuple[RootSystem, int], ParabolicData] = {}
@@ -135,48 +134,39 @@ def parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
 
 
 def _build_parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
-    # the node coefficient n_r of every positive root, in root order; nonzero on the nilradical
-    column = list(map(itemgetter(r - 1), map(attrgetter("sr_coords"), rs.positive_roots)))
+    # the node coefficient n_r of every positive root, in root order, one strided slice; nonzero on the nilradical
+    column = rs.coord_table[r - 1 :: rs.rank]
     dim_y = len(column) - column.count(0)
-    # the sum of the nilradical roots in weight coordinates
-    canonical = _unpack(sum(compress(rs.packed_weights, column)), rs.rank, dim_y)
-    for j in range(rs.rank):
-        if j != r - 1 and canonical[j] != 0:
-            raise ArithmeticError(
-                f"sum of nilradical roots is not a multiple of lambda_{r}: "
-                f"coordinate {j + 1} is {canonical[j]}"
-            )
-    k = canonical[r - 1]
+    levels = sorted(set(column) - {0})  # the grading of the nilradical, depth last
+    # the sum of the nilradical roots, packed, is k lambda_r; unpacked only to name a coordinate that is not 0
+    total = sum(compress(rs.packed_weights, column))
+    k = _node_multiple(total, rs.rank, r - 1, dim_y)
+    if k is None:
+        canonical = _unpack(total, rs.rank, dim_y)
+        j = next(j for j, c in enumerate(canonical) if c and j != r - 1)
+        raise ArithmeticError(
+            f"sum of nilradical roots is not a multiple of lambda_{r}: coordinate {j + 1} is {canonical[j]}"
+        )
     if k <= 0:
         raise ArithmeticError(f"Fano index {k} at node {r} is not positive")
-    return ParabolicData(
-        lie_type=rs.lie_type,
-        node=r,
-        depth=max(column),
-        lowest_weights=None if _canonical_form(rs.lie_type, r) else _derive_lowest_weights(rs, r, column),
-        dim_y=dim_y,
-        fano_index=k,
-        root_system=rs,
-    )
+    lowest = None if _canonical_form(rs.lie_type, r) else _derive_lowest_weights(rs, r, column, levels)
+    return ParabolicData(rs.lie_type, r, levels[-1], lowest, dim_y, k, rs)
 
 
-def _derive_lowest_weights(rs: RootSystem, r: int, column: list[int]) -> tuple[Weight, ...]:
+def _derive_lowest_weights(rs: RootSystem, r: int, column: bytes, levels: list[int]) -> tuple[Weight, ...]:
     """One weight per level: the level's one root that no Levi simple root lowers.
 
     The candidates are ``rs.lowest_index[r - 1]``, the roots that no simple
-    root but alpha_r lowers; ``column`` holds the node coefficient of every
-    root.  Each level must have exactly one candidate w, of node coefficient
+    root but alpha_r lowers; ``column`` is the node's column of
+    ``rs.coord_table`` and ``levels`` its distinct nonzero values, ascending.
+    Each level must have exactly one candidate w, of node coefficient
     c in {1, 2} with c*lambda_r - w dominant and zero at r, and the levels
     must be exactly 1..depth.
     """
     t = rs.lie_type
-    lowest: dict[int, list[int]] = {}
-    for idx in rs.lowest_index[r - 1]:
-        lowest.setdefault(column[idx], []).append(idx)
-    levels = sorted(set(column) - {0})
     weights: list[Weight] = []
     for level in levels:
-        candidates = lowest.get(level, ())
+        candidates = [idx for idx in rs.lowest_index[r - 1] if column[idx] == level]
         if len(candidates) != 1:
             raise ArithmeticError(f"level {level} of ({t}, node {r}) has {len(candidates)} lowest weights, not 1")
         w = _unpack(rs.packed_weights[candidates[0]], rs.rank)
@@ -187,9 +177,8 @@ def _derive_lowest_weights(rs: RootSystem, r: int, column: list[int]) -> tuple[W
         if max(w[: r - 1] + w[r:], default=0) > 0:
             raise ArithmeticError(f"{c}*lambda_{r} - {w} is not dominant with 0 at node {r}")
         weights.append(Weight._of(w))
-    depth = levels[-1]
-    if levels != list(range(1, depth + 1)):
-        raise ArithmeticError(f"levels {tuple(levels)} of ({t}, node {r}) do not cover 1..{depth}")
+    if levels[-1] != len(levels):  # distinct and ascending, so they are 1..depth exactly when depth is their count
+        raise ArithmeticError(f"levels {tuple(levels)} of ({t}, node {r}) do not cover 1..{levels[-1]}")
     return tuple(weights)
 
 

@@ -59,13 +59,17 @@ the way, as plain ints:
 * ``packed_weights[k]``: the weight coordinates m of beta_k as one int, a
   16-bit digit m_i + 3 per node, node 0 most significant.  As |m_i| <= 3,
   a digit of a sum of N <= MAX_RANK^2 roots is at most 6 N < 2^16; only
-  ``_unpack``, in this module, reads digits back, less 3 per root summed.
+  ``_unpack`` and ``_node_multiple``, in this module, read digits back,
+  less 3 per root summed.
 * ``lowest_index[i]``: the roots that no simple root but alpha_i lowers.
 
-The closure packs the coordinates n too (8-bit digits, at most 6, so
-numeric order within a height is coordinate order) and the string-down
-lengths p (digits p_i + 2^15 + 2): a digit of p - m is 2^15 + p_i - m_i - 1,
-so one subtract-and-mask per root finds every i with p_i > m_i.
+The closure packs the coordinates n too, 8-bit digits of at most 6, so
+numeric order within a height is coordinate order.  ``coord_table`` joins
+their bytes, node 0 first: root k's row n is ``[k*rank:(k+1)*rank]``, and
+node j's column, n_j of every root in root order, is the slice ``[j::rank]``.
+It packs the string-down lengths p as digits p_i + 2^15 + 2: a digit of
+p - m is 2^15 + p_i - m_i - 1, so one subtract-and-mask per root finds
+every i with p_i > m_i.
 
 It also keeps, read off the Cartan matrix once, the Dynkin graph as
 ``neighbours[k]``: the pairs (j, a_jk) with j != k and a_jk != 0.  The
@@ -76,6 +80,7 @@ these j only, so one reflection costs the degree of node k, at most 3.
 from __future__ import annotations
 
 import math
+import struct
 from enum import Enum
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
@@ -371,8 +376,16 @@ def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> tuple[list[tuple]
 
 
 def _unpack(packed: int, rank: int, count: int = 1) -> tuple[int, ...]:
-    """The weight coordinates of a sum of ``count`` packed weights, node 0 first."""
-    return tuple((packed >> _WIDTH * (rank - 1 - i) & (1 << _WIDTH) - 1) - _OFFSET * count for i in range(rank))
+    """The weight coordinates of a sum of ``count`` packed weights, node 0 first; H is a _WIDTH-bit digit."""
+    return tuple([c - _OFFSET * count for c in struct.unpack(f">{rank}H", packed.to_bytes(_WIDTH // 8 * rank, "big"))])
+
+
+def _node_multiple(packed: int, rank: int, i: int, count: int) -> int | None:
+    """k when a sum of ``count`` packed weights is k lambda_{i+1}, by one comparison; else None."""
+    shift = _WIDTH * (rank - 1 - i)
+    k = (packed >> shift & (1 << _WIDTH) - 1) - _OFFSET * count
+    ones = ((1 << _WIDTH * rank) - 1) // ((1 << _WIDTH) - 1)  # a 1 in every digit
+    return k if packed == _OFFSET * count * ones + (k << shift) else None
 
 
 class RootSystem(_Record):
@@ -381,19 +394,21 @@ class RootSystem(_Record):
     Fields, in order: ``lie_type``, ``cartan`` (rows), ``scaled_symmetrizer``
     (the D_i), ``positive_roots`` (in root order), ``weyl_vector`` (delta),
     and, left out of the repr and described in the module docstring,
-    ``root_chain``, ``weyl_denominator``, ``neighbours``, ``packed_weights``
-    and ``lowest_index``.  ``neighbours`` lists, per node k, the Dynkin
-    neighbours j of k with their Cartan entries a_jk, the only coordinates
-    besides m_k that s_k changes.  A ``ParabolicData`` stores its depth and
-    derives its levels on read from ``positive_roots``.  ``root_system``
-    shares one instance per type; they compare by identity.
+    ``root_chain``, ``weyl_denominator``, ``neighbours``, ``packed_weights``,
+    ``lowest_index`` and ``coord_table``.  ``neighbours`` lists, per node k,
+    the Dynkin neighbours j of k with their Cartan entries a_jk, the only
+    coordinates besides m_k that s_k changes.  ``coord_table`` holds the
+    coordinates of ``positive_roots`` as one ``bytes``: root k is the row
+    ``[k*rank:(k+1)*rank]``, node j the column ``[j::rank]`` that a
+    ``ParabolicData`` reads.  ``root_system`` shares one instance per type;
+    they compare by identity.
     """
 
     __slots__ = (
         "lie_type", "cartan", "scaled_symmetrizer", "positive_roots", "weyl_vector",
-        "root_chain", "weyl_denominator", "neighbours", "packed_weights", "lowest_index",
+        "root_chain", "weyl_denominator", "neighbours", "packed_weights", "lowest_index", "coord_table",
     )
-    _hidden = ("root_chain", "weyl_denominator", "neighbours", "packed_weights", "lowest_index")
+    _hidden = ("root_chain", "weyl_denominator", "neighbours", "packed_weights", "lowest_index", "coord_table")
 
     @property
     def rank(self) -> int:
@@ -438,17 +453,11 @@ def build_root_system(t: LieType) -> RootSystem:
     cartan, d = _cartan_matrix(t)
     roots, lowest = _positive_root_closure(cartan)
     packed, weights, root_chain = zip(*roots)
-    return RootSystem(
-        lie_type=t,
-        cartan=cartan,
-        scaled_symmetrizer=tuple(d),
-        positive_roots=tuple(Root._of(tuple(n.to_bytes(t.rank, "big"))) for n in packed),
-        weyl_vector=Weight._of((1,) * t.rank),
-        root_chain=root_chain,
-        weyl_denominator=_pairwise_prod(_root_pairings(root_chain, d, (1,) * t.rank)),
-        neighbours=_dynkin_neighbours(cartan),
-        packed_weights=weights,
-        lowest_index=tuple(map(tuple, lowest)),
+    rows = [n.to_bytes(t.rank, "big") for n in packed]  # each root's coordinates n, node 0 first
+    return RootSystem(  # the fields in __slots__ order
+        t, cartan, tuple(d), tuple(Root._of(tuple(row)) for row in rows), Weight._of((1,) * t.rank),
+        root_chain, _pairwise_prod(_root_pairings(root_chain, d, (1,) * t.rank)), _dynkin_neighbours(cartan),
+        weights, tuple(map(tuple, lowest)), b"".join(rows),
     )
 
 

@@ -369,6 +369,33 @@ def positive_roots_by_reflection(cartan) -> list[tuple[int, ...]]:
     return sorted(n for n in seen if min(n) >= 0)
 
 
+def parabolic_gradings(cartan) -> list[tuple[dict[int, list[tuple[int, ...]]], Fraction]]:
+    """Per node r, the nilradical of the maximal parabolic by level, and the Fano index k(Y).
+
+    Level i holds the positive roots (``positive_roots_by_reflection``) whose
+    coefficient of alpha_r is i > 0.  With 2 rho_n the sum of those roots,
+    k(Y) = <2 rho_n, alpha_r^vee> = 2 (alpha_r, 2 rho_n) / (alpha_r, alpha_r),
+    each pairing an ``invariant_form``, as alpha_r has weight coordinates
+    a_jr, column r of the Cartan matrix.  2 rho_n is orthogonal to every
+    other simple root; a pair where it is not raises.
+    """
+    rank = len(cartan)
+    roots = positive_roots_by_reflection(cartan)
+    alphas = [(tuple(row[i] for row in cartan), tuple(int(j == i) for j in range(rank))) for i in range(rank)]
+    out = []
+    for r in range(rank):
+        levels: dict[int, list[tuple[int, ...]]] = {}
+        for n in roots:
+            if n[r]:
+                levels.setdefault(n[r], []).append(n)
+        two_rho_n = tuple(map(sum, zip(*(n for level in levels.values() for n in level))))
+        pairings = [2 * invariant_form(cartan, m, two_rho_n) / invariant_form(cartan, m, e) for m, e in alphas]
+        if any(pairings[:r] + pairings[r + 1 :]):
+            raise ArithmeticError(f"node {r + 1}: the nilradical sum pairs to {pairings}")
+        out.append((dict(sorted(levels.items())), pairings[r]))
+    return out
+
+
 def lowest_roots(roots) -> list[list[tuple[int, ...]]]:
     """Per node i, the positive roots that no simple root but alpha_i lowers, in (height, coords) order.
 

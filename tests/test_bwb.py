@@ -216,6 +216,7 @@ def test_to_dominant_step_bound_and_length():
         neighbours=(((1, -2),), ((0, -2),)),
         packed_weights=rs.packed_weights,
         lowest_index=rs.lowest_index,
+        coord_table=rs.coord_table,
     )
     for walk in (to_dominant, classify):
         with pytest.raises(ArithmeticError, match="after \\|Phi\\+\\| = 3 reflections"):
@@ -233,8 +234,12 @@ def test_to_dominant_step_bound_and_length():
         lambda rs, c: weyl_dim(rs, Weight(c)),
         lambda rs, c: partial_weyl_product(rs, Weight(c), []),
         lambda rs, c: root_to_weight_coords(rs, Root(c)),
+        lambda rs, c: classify_cotangent_twist_weights(rs, 1, 1, Weight(c)),
     ],
-    ids=["bwb_cohomology", "to_dominant", "weyl_dim", "partial_weyl_product", "root_to_weight_coords"],
+    ids=[
+        "bwb_cohomology", "to_dominant", "weyl_dim", "partial_weyl_product", "root_to_weight_coords",
+        "classify_cotangent_twist_weights",
+    ],
 )
 @pytest.mark.parametrize("coords", [(1,), (1, 1, 1)], ids=["short", "long"])
 def test_wrong_length_names_the_rank(call, coords):
@@ -251,8 +256,12 @@ def test_wrong_length_names_the_rank(call, coords):
         (weyl_dim, "lam must be a Weight"),
         (lambda rs, x: partial_weyl_product(rs, x, []), "lam must be a Weight"),
         (root_to_weight_coords, "r must be a Root"),
+        (lambda rs, x: classify_cotangent_twist_weights(rs, 1, 1, x), "twisted_weight must be a Weight"),
     ],
-    ids=["bwb_cohomology", "to_dominant", "weyl_dim", "partial_weyl_product", "root_to_weight_coords"],
+    ids=[
+        "bwb_cohomology", "to_dominant", "weyl_dim", "partial_weyl_product", "root_to_weight_coords",
+        "classify_cotangent_twist_weights",
+    ],
 )
 @pytest.mark.parametrize("given", ["tuple", "list", "other record"])
 def test_non_record_arguments_name_the_argument(call, expected, given):
@@ -271,8 +280,12 @@ def test_non_record_arguments_name_the_argument(call, expected, given):
         lambda rs: weyl_dim(rs, Weight((1, 0))),
         lambda rs: partial_weyl_product(rs, Weight((1, 0)), []),
         lambda rs: root_to_weight_coords(rs, Root((1, 0))),
+        lambda rs: classify_cotangent_twist_weights(rs, 1, 1, Weight((1, 0))),
     ],
-    ids=["bwb_cohomology", "to_dominant", "weyl_dim", "partial_weyl_product", "root_to_weight_coords"],
+    ids=[
+        "bwb_cohomology", "to_dominant", "weyl_dim", "partial_weyl_product", "root_to_weight_coords",
+        "classify_cotangent_twist_weights",
+    ],
 )
 @pytest.mark.parametrize("given", ["none", "lie type", "parabolic data"])
 def test_non_root_system_names_the_argument(call, given):
@@ -464,6 +477,14 @@ def test_partial_weyl_product_rejects_repeated_root():
         partial_weyl_product(rs, lam, [alpha1, alpha1])
     with pytest.raises(ValueError, match="twice"):
         partial_weyl_product(rs, lam, [alpha1, Root((1, 1)), Root((1, 0))])
+
+
+def test_partial_weyl_product_refuses_a_subset_that_is_not_iterable():
+    # None or a single Root where a collection of roots belongs: a TypeError naming subset
+    rs = root_system("A", 2)
+    for bad in (None, 3, Root((1, 0))):
+        with pytest.raises(TypeError, match=f"^subset must be an iterable of Roots, got {re.escape(repr(bad))}$"):
+            partial_weyl_product(rs, Weight((1, 0)), bad)
 
 
 def test_partial_weyl_product_refuses_a_member_that_is_not_a_root():

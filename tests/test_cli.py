@@ -7,8 +7,10 @@ exit codes); the remaining handlers are exercised in-process through
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -749,3 +751,78 @@ def test_importing_main_module_runs_nothing() -> None:
     code = "import gc, sys, flagcoh.__main__\nif gc.get_freeze_count():\n    sys.exit('frozen')\n"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+
+
+# ---------------------------------------------------------------------------
+# the command-line contract over a grammar of argument lists
+
+# valid (family, rank) pairs, and values that are wrong in syntax or in domain
+TYPES = [("A", 1), ("A", 3), ("B", 2), ("b", 3), ("C", 3), ("D", 4), ("E", 6), ("F", 4), ("G", 2)]
+BAD_FAMILIES = ["Q", "", "AB", "1", "é"]
+BAD_RANKS = ["0", "-1", "101", "10" * 20, "3.0", "1_0", "٣", "x", ""]
+BAD_INTS = ["0", "-2", "9", "1.5", "x", "", "10" * 10]
+BAD_WEIGHTS = ["1,x", "1.0,2", ",", "", "١,0"]
+
+
+COMMANDS = ["info", "parabolic", "bwb", "dim", "h0-cotangent", "sigma", "macaulay", "verify", "frob"]
+
+
+def _cli_argv(st, tmp_path, command: str):
+    """A strategy for argv lists of one subcommand; each part is valid seven times in eight, else a bad
+    family, rank, node, twist, weight, format or ``--out`` path (a missing directory, a directory)."""
+
+    @st.composite
+    def argv(draw):
+        def pick(good, bad):
+            return draw(st.sampled_from(good if draw(st.integers(0, 7)) < 7 else bad))
+
+        if command == "verify":
+            sweep = pick(["lungo", "studiopesi"], ["other", ""])
+            args = [command, "--sweep", sweep, f"--max-rank={pick(['2', '3', '4'], BAD_RANKS)}"]
+            if sweep != "lungo" and draw(st.booleans()):
+                args += [f"--twist={pick(['1', '2', '3'], BAD_INTS)}" for _ in range(draw(st.integers(1, 2)))]
+            formats, bad_formats = [None, "text", "json", "csv"], ["xml", ""]
+        else:
+            family, rank = draw(st.sampled_from(TYPES))
+            args = [command, pick([family], BAD_FAMILIES), pick([str(rank)], BAD_RANKS)]
+            # a required --node or --weight is left out one time in eight: times pick([1], [0])
+            if command in ("parabolic", "h0-cotangent", "sigma", "macaulay"):
+                args += [f"--node={pick([str(r) for r in range(1, rank + 1)], BAD_INTS)}"] * pick([1], [0])
+            if command in ("bwb", "dim"):
+                size = rank + pick([0], [1, -1])
+                coords = draw(st.lists(st.integers(-12, 12) | st.just(10**30), min_size=size, max_size=size))
+                args += [f"--weight={pick([','.join(map(str, coords))], BAD_WEIGHTS)}"] * pick([1], [0])
+            if command in ("sigma", "macaulay"):
+                args.append(f"--degree={pick(['3', '4'], BAD_INTS)}")
+            if command in ("h0-cotangent", "macaulay"):
+                args.append(f"--twist={pick(['1', '2', '3'], BAD_INTS)}")
+            formats, bad_formats = [None, "text", "json"], ["csv", "xml", ""]
+        fmt = pick(formats, bad_formats)
+        args += [] if fmt is None else [f"--format={fmt}"]
+        out = pick([None, str(tmp_path / "out.txt")], [str(tmp_path / "no-such-dir" / "out.txt"), str(tmp_path)])
+        return args if out is None else [*args, f"--out={out}"]
+
+    return argv()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_contract_over_an_argv_grammar(command, tmp_path) -> None:
+    # every argument list exits 0 or 2; exit 2 prints exactly one error line; nothing prints a traceback
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(_cli_argv(st, tmp_path, command))
+    def check(argv) -> None:
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        text = err.getvalue()
+        assert code in (0, 2), (argv, code, text)
+        assert "Traceback" not in text, argv
+        if code == 2:
+            assert [line for line in text.splitlines() if "error:" in line] == [text.splitlines()[-1]], (argv, text)
+        else:
+            assert text == "", (argv, text)
+
+    check()

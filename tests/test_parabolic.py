@@ -49,6 +49,7 @@ from oracles import (
     h0_cotangent_projective_space,
     h0_cotangent_quadric,
     konno_table_rows,
+    parabolic_gradings,
     table_lowest_weights,
 )
 
@@ -110,6 +111,17 @@ def test_partition_and_purity_all_pairs() -> None:
         assert pd.fano_index >= 1
         # Fano index bound, with equality exactly for projective space.
         assert pd.fano_index <= pd.dim_y + 1
+
+
+@pytest.mark.parametrize("t", all_lie_types(8), ids=str)
+def test_grading_matches_the_reflection_oracle(t: LieType) -> None:
+    # every pair, omitted ones included: the levels, read off the root system's coordinate table, and
+    # dim Y, the depth and k(Y) against the Weyl-orbit roots and the invariant form
+    rs = root_system(t.family, t.rank)
+    for r, (levels, k) in enumerate(parabolic_gradings(rs.cartan), 1):
+        pd = parabolic_data(rs, r)
+        assert {i: sorted(root.sr_coords for root in roots) for i, roots in pd.levels.items()} == levels
+        assert (pd.dim_y, pd.depth, pd.fano_index) == (sum(map(len, levels.values())), max(levels), k)
 
 
 def _classical_dim_and_index(family: str, l: int, r: int) -> tuple[int, int]:
@@ -390,7 +402,7 @@ def test_parabolic_build_checks_raise_their_messages() -> None:
     weights[hi] = weights[a2]
     gapped = _tampered(rs, packed_weights=tuple(weights), lowest_index=((), (a2, hi), ()))
     with pytest.raises(ArithmeticError, match=f"^{re.escape('levels (1, 3) of (A3, node 2) do not cover 1..3')}$"):
-        parabolic._derive_lowest_weights(gapped, 2, column)
+        parabolic._derive_lowest_weights(gapped, 2, column, [1, 3])
 
 
 def test_parabolic_data_is_shared_and_read_only() -> None:

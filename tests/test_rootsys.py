@@ -124,6 +124,19 @@ def test_classical_root_sets_match_epsilon_model(t: LieType):
     assert {r.sr_coords for r in rs.positive_roots} == epsilon_positive_roots(t.family.value, t.rank)
 
 
+@pytest.mark.parametrize(
+    "t", ALL_TYPES_8 + [LieType(Family(f), rank) for rank in (16, 30, rootsys.MAX_RANK) for f in "ABCD"], ids=str
+)
+def test_coordinate_table_rows_and_columns(t: LieType):
+    # root k's row of the table is its coordinates, and node j's strided column is n_j of every root, in root order
+    rs = root_system(t.family, t.rank)
+    rank, table = t.rank, rs.coord_table
+    coords = [r.sr_coords for r in rs.positive_roots]
+    assert type(table) is bytes and len(table) == rank * len(coords)
+    assert [tuple(table[k * rank : (k + 1) * rank]) for k in range(len(coords))] == coords
+    assert [tuple(table[j::rank]) for j in range(rank)] == list(zip(*coords))
+
+
 @pytest.mark.parametrize("t", CLOSURE_SCALES, ids=str)
 def test_closure_at_every_scale(t: LieType):
     rs = root_system(t.family, t.rank)

@@ -255,6 +255,36 @@ def test_fraction_lives_only_in_bwb() -> None:
     assert any(_names_fraction(node) for node in ast.walk(_parse(PACKAGE / "bwb.py")))
 
 
+# the engine records whose every field must be read, each with the one function that builds them
+BUILDERS = {"RootSystem": "build_root_system", "ParabolicData": "_build_parabolic_data"}
+
+
+def test_every_record_field_is_read_outside_its_builder() -> None:
+    # a field that only its builder touches is dead weight: each must be read, as an attribute of that
+    # name, by some other function under src/flagcoh, so that a field nobody reads cannot come back unseen
+    fields = {}
+    readers: dict[str, set[str]] = {}
+    for path in SOURCES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef) and node.name in BUILDERS:
+                assigns = [s for s in node.body if isinstance(s, ast.Assign)]
+                (slots,) = [s.value for s in assigns if s.targets[0].id == "__slots__"]
+                fields[node.name] = ast.literal_eval(slots)
+            elif isinstance(node, ast.FunctionDef):
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                        readers.setdefault(sub.attr, set()).add(node.name)
+    assert fields.keys() == BUILDERS.keys()
+    assert "coord_table" in fields["RootSystem"]
+    unread = [
+        f"{cls}.{name}"
+        for cls, names in fields.items()
+        for name in names
+        if not readers.get(name, set()) - {BUILDERS[cls]}
+    ]
+    assert unread == []
+
+
 # the packed layout of the root closure: digit width, weight offset and the string-length digit
 PACKED_LAYOUT = {"_WIDTH", "_OFFSET", "_P_DIGIT"}
 
