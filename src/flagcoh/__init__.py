@@ -22,7 +22,6 @@ from .bwb import (  # noqa: F401
     bwb_cohomology,
     classify,
     classify_cotangent_twist_weights,
-    partial_weyl_product,
     to_dominant,
     weyl_dim,
 )

@@ -13,19 +13,16 @@ products read the scaled pairings s_k(v) = 6 (v, beta_k) of a weight with
 every positive root, from one integer pass along the root chain
 (``rootsys._root_pairings``), and the Weyl dimension of lam is
 prod s_k(lam + delta) / prod s_k(delta), the denominator read at delta.
-``weyl_dim`` and ``partial_weyl_product`` check lam and read the factors
-s_k(lam + delta) through one ``_weyl_factors``, and multiply pairwise
-(``rootsys._pairwise_prod``) once more than a fixed number of factors
-remain, rather than growing one running product a factor at a time.
+``weyl_dim`` multiplies the factors s_k(lam + delta) pairwise
+(``rootsys._pairwise_prod``) once more than a fixed number of them
+remain, rather than growing one running product a factor at a time, and
+divides once: every Weyl product here is an integer.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
-
 from .rootsys import (
     ConfigError,
-    Root,
     RootSystem,
     Weight,
     _check_len,
@@ -35,9 +32,6 @@ from .rootsys import (
     _root_pairings,
     _Value,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class CohomologyTable(_Value):
@@ -121,8 +115,8 @@ def classify(rs: RootSystem, v: Weight) -> int | None:
     return None if result is None else result[0]
 
 
-def _weyl_factors(rs: RootSystem, lam: Weight) -> list[int]:
-    """s_k(lam + delta) for every positive root, in root order, once lam is a dominant weight of rs."""
+def weyl_dim(rs: RootSystem, lam: Weight) -> int:
+    """Weyl dimension formula, exact: prod (lam+delta, a) / (delta, a) over positive roots a."""
     try:
         m = lam.fw_coords
     except AttributeError:
@@ -130,38 +124,11 @@ def _weyl_factors(rs: RootSystem, lam: Weight) -> list[int]:
     _check_len(rs, m)
     if not lam.is_dominant():
         raise ValueError(f"weight {m} is not dominant")
-    return _root_pairings(rs.root_chain, rs.scaled_symmetrizer, [c + 1 for c in m])
-
-
-def weyl_dim(rs: RootSystem, lam: Weight) -> int:
-    """Weyl dimension formula, exact: prod (lam+delta, a) / (delta, a) over positive roots a."""
-    num = _pairwise_prod(_weyl_factors(rs, lam))
+    num = _pairwise_prod(_root_pairings(rs.root_chain, rs.scaled_symmetrizer, [c + 1 for c in m]))
     q, r = divmod(num, rs.weyl_denominator)
     if r or q <= 0:
-        raise ArithmeticError(f"Weyl product {num}/{rs.weyl_denominator} at {lam.fw_coords} is not a positive integer")
+        raise ArithmeticError(f"Weyl product {num}/{rs.weyl_denominator} at {m} is not a positive integer")
     return q
-
-
-def partial_weyl_product(rs: RootSystem, lam: Weight, subset: Iterable[Root]) -> Fraction:
-    """The Weyl product prod s_k(lam + delta) / s_k(delta) restricted to a set of distinct positive roots."""
-    from fractions import Fraction  # imported here so that no other path pays for fractions and decimal
-
-    shifted = _weyl_factors(rs, lam)
-    if not isinstance(subset, Iterable):
-        raise TypeError(f"subset must be an iterable of Roots, got {subset!r}")
-    position = {root.sr_coords: k for k, root in enumerate(rs.positive_roots)}
-    seen: set[int] = set()
-    for r in subset:
-        if not isinstance(r, Root):
-            raise TypeError(f"subset members must be Roots, got {r!r}")
-        idx = position.get(r.sr_coords)
-        if idx is None:
-            raise ValueError(f"{r.sr_coords} is not a positive root of {rs.lie_type}")
-        if idx in seen:
-            raise ValueError(f"{r.sr_coords} appears twice in the subset")
-        seen.add(idx)
-    base = _root_pairings(rs.root_chain, rs.scaled_symmetrizer, rs.weyl_vector.fw_coords)
-    return Fraction(_pairwise_prod([shifted[k] for k in seen]), _pairwise_prod([base[k] for k in seen]))
 
 
 def bwb_cohomology(rs: RootSystem, lam: Weight) -> CohomologyTable:

@@ -17,9 +17,9 @@ Conventions, fixed once for the whole package:
   m_j = sum_i a_ji n_i.
 
 Everything is exact and there is no floating point.  Root-system
-construction and classification use integers only: the symmetrizer is
-carried scaled by 6 (``scaled_symmetrizer``, D_i = 6 d_i in {6, 3, 2}).
-``Fraction`` appears only in ``bwb.partial_weyl_product``, which no command calls.
+construction, classification and the Weyl products use integers only, and
+no module imports ``fractions``: the symmetrizer is carried scaled by 6
+(``scaled_symmetrizer``, D_i = 6 d_i in {6, 3, 2}).
 
 The records (``LieType``, ``Root``, ``Weight`` and ``RootSystem`` here,
 ``CohomologyTable``, ``ParabolicData``, ``CaseResult`` and ``Report``
@@ -200,9 +200,12 @@ def _require_int(name: str, value: object) -> None:
         raise TypeError(f"{name} must be an int, got {value!r}")
 
 
-def _int_coords(coords: Iterable[int]) -> tuple[int, ...]:
-    """The coordinates as a tuple; anything but a plain int (a bool too) is a TypeError."""
-    out = tuple(coords)
+def _int_coords(name: str, coords: Iterable[int]) -> tuple[int, ...]:
+    """The coordinates as a tuple; anything but an iterable of plain ints (no bool) is a TypeError naming ``name``."""
+    try:
+        out = tuple(coords)
+    except TypeError:
+        raise TypeError(f"{name} must be an iterable of ints, got {coords!r}") from None
     for c in out:
         if type(c) is not int:
             raise TypeError(f"coordinates must be ints, got {c!r}")
@@ -215,7 +218,7 @@ class Root(_Value):
     __slots__ = ("sr_coords",)
 
     def __init__(self, sr_coords: Iterable[int]) -> None:
-        object.__setattr__(self, "sr_coords", _int_coords(sr_coords))
+        object.__setattr__(self, "sr_coords", _int_coords("sr_coords", sr_coords))
 
     @classmethod
     def _of(cls, coords: tuple[int, ...]) -> "Root":
@@ -231,7 +234,7 @@ class Weight(_Value):
     __slots__ = ("fw_coords",)
 
     def __init__(self, fw_coords: Iterable[int]) -> None:
-        object.__setattr__(self, "fw_coords", _int_coords(fw_coords))
+        object.__setattr__(self, "fw_coords", _int_coords("fw_coords", fw_coords))
 
     @classmethod
     def _of(cls, coords: tuple[int, ...]) -> "Weight":

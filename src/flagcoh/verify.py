@@ -4,8 +4,8 @@ Two sweeps are provided.  ``check_theorem_lungo`` computes
 h^0(Y, Omega^1_Y(2)) for every supported pair with dim Y >= 3 up to a rank
 cap and checks h0 >= dim Y, together with golden subcases where the value
 has a closed form (quadric binomial, the restricted-product equality on
-Lagrangian Grassmannians, read as a Weyl dimension of A_{l-1} so that no
-sweep computes a ``Fraction``, the exact value 325 for (F4, node 4)).
+Lagrangian Grassmannians, read as the integer Weyl dimension of
+2 omega_{l-1} on A_{l-1}, the exact value 325 for (F4, node 4)).
 ``check_lemma_studiopesi`` replays the classification of the twisted
 lowest weights: for twist a = 1 the pieces with node coefficient 2 must be
 singular and those with coefficient 1 regular of index 0; for a >= 2
@@ -206,7 +206,10 @@ def check_lemma_studiopesi(
     _check_max_rank(max_rank)
     # one pass over the input, so that a generator is read once; the set
     # comes after the type check, so that (1, True) is refused, not {1}
-    twists = tuple(twists)
+    try:
+        twists = tuple(twists)
+    except TypeError:
+        raise TypeError(f"twists must be an iterable of ints, got {twists!r}") from None
     for a in twists:
         _require_int("each twist", a)
     twists = sorted(set(twists))
@@ -265,6 +268,10 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
     fields with ``h0`` as a string and ``summary`` last; they are written here without building
     ``d`` or loading ``json``.  The text form is the summary and one line per failed case.
     """
+    try:
+        cases = report.cases
+    except AttributeError:
+        raise TypeError(f"report must be a Report, got {report!r}") from None
     if fmt == "text":
         s = report.summary
         params = " ".join(f"{k}={v}" for k, v in report.params.items())
@@ -275,22 +282,22 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
         lines += [
             f"FAIL {c.family}{c.rank} node {c.node} twist {c.twist}: "
             f"h0 {c.h0}, dim Y {c.dim_y} ({'; '.join(c.annotations)})"
-            for c in report.cases
+            for c in cases
             if not c.passed
         ]
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
-        cases = ",\n".join(
+        rows = ",\n".join(
             f'    {{\n      "family": {_json_str(c.family)},\n      "rank": {c.rank},\n      "node": {c.node},\n'
             f'      "twist": {c.twist},\n      "h0": "{c.h0}",\n      "dim_y": {c.dim_y},\n'
             f'      "passed": {"true" if c.passed else "false"},\n      "witness": {_json(c.witness, "      ")},\n'
             f'      "annotations": {_json(c.annotations, "      ")}\n    }}'
-            for c in report.cases
+            for c in cases
         )
-        cases = f"[\n{cases}\n  ]" if cases else "[]"
+        rows = f"[\n{rows}\n  ]" if rows else "[]"
         return (
             f'{{\n  "sweep": {_json_str(report.sweep)},\n  "version": {_json_str(report.version)},\n'
-            f'  "params": {_json(report.params, "  ")},\n  "cases": {cases},\n'
+            f'  "params": {_json(report.params, "  ")},\n  "cases": {rows},\n'
             f'  "summary": {_json(report.summary, "  ")}\n}}\n'
         ).encode("utf-8")
     if fmt == "csv":
@@ -299,7 +306,7 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
-        for c in report.cases:
+        for c in cases:
             writer.writerow(
                 [
                     c.family,

@@ -369,6 +369,30 @@ def positive_roots_by_reflection(cartan) -> list[tuple[int, ...]]:
     return sorted(n for n in seen if min(n) >= 0)
 
 
+@lru_cache(maxsize=None)
+def cartan_oracle(cartan) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Positive roots (``positive_roots_by_reflection``) and their coroots of a Cartan matrix given as tuples."""
+    roots = positive_roots_by_reflection(cartan)
+    return roots, coroots_from_cartan(cartan, roots)
+
+
+def weyl_product(cartan, fw: tuple[int, ...], roots) -> Fraction:
+    """prod <fw + delta, beta^vee> / <delta, beta^vee> over the given positive roots beta.
+
+    Over all positive roots it is Weyl's dimension formula at a dominant fw,
+    and at any fw it is 0 exactly when fw + delta is singular, otherwise
+    (-1)^p times the dimension at the dominant representative, p the number
+    of negative pairings: the Weyl group permutes the roots up to sign.
+    """
+    coroot = dict(zip(*cartan_oracle(cartan)))
+    num = den = 1
+    for n in roots:
+        c = coroot[tuple(n)]
+        num *= sum((m + 1) * x for m, x in zip(fw, c))
+        den *= sum(c)
+    return Fraction(num, den)
+
+
 def parabolic_gradings(cartan) -> list[tuple[dict[int, list[tuple[int, ...]]], Fraction]]:
     """Per node r, the nilradical of the maximal parabolic by level, and the Fano index k(Y).
 

@@ -27,7 +27,6 @@ from conftest import record
 from flagcoh.bwb import (
     bwb_cohomology,
     classify,
-    partial_weyl_product,
     to_dominant,
     weyl_dim,
 )
@@ -50,7 +49,7 @@ from flagcoh.rootsys import (
 )
 from flagcoh.verify import check_lemma_studiopesi, check_theorem_lungo
 
-from oracles import binomial
+from oracles import binomial, weyl_product
 
 
 def pd_of(family: str, rank: int, node: int):
@@ -112,9 +111,10 @@ def test_criterion_2_substance_restricted_product() -> None:
         rs = root_system("C", l)
         pd = parabolic_data(rs, l)
         lam = 2 * fundamental_weight(l, l - 1)
-        levi = [r for r in rs.positive_roots if r.sr_coords[l - 1] == 0]
-        restricted = partial_weyl_product(rs, lam, levi)
-        assert restricted == pd.dim_y == l * (l + 1) // 2
+        levi = [r.sr_coords for r in rs.positive_roots if r.sr_coords[l - 1] == 0]
+        assert weyl_product(rs.cartan, lam.fw_coords, levi) == pd.dim_y == l * (l + 1) // 2
+        # the Levi roots are the roots of A_{l-1}, and 2 lambda_{l-1} restricts to 2 omega_{l-1}
+        assert weyl_dim(root_system("A", l - 1), 2 * fundamental_weight(l - 1, l - 1)) == pd.dim_y
         assert values[l] > pd.dim_y
     assert elapsed < 5.0
 

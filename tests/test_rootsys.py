@@ -334,6 +334,10 @@ def test_coordinates_must_be_ints(cls):
     hash(from_list)
     with pytest.raises(TypeError):
         cls([1, 2.0])
+    name = "sr_coords" if cls is Root else "fw_coords"
+    for bad in (None, 5):
+        with pytest.raises(TypeError, match=f"^{name} must be an iterable of ints, got {bad!r}$"):
+            cls(bad)
 
 
 def test_weight_arithmetic_keeps_int_check():

@@ -32,7 +32,7 @@ def test_no_assert_in_package_source() -> None:
 
 
 # the integer-only hot path: root-system build, the Dynkin neighbours, the
-# root-chain pass, the checked Weyl factors, the pairwise Weyl product, the chamber
+# root-chain pass, the pairwise Weyl product, the Weyl dimension, the chamber
 # walk, the root-to-weight conversion, the parabolic partition, the packed-weight
 # unpacking and the lowest-weight derivation
 INTEGER_ONLY = {
@@ -45,7 +45,6 @@ INTEGER_ONLY = {
     "_pairwise_prod",
     "classify",
     "to_dominant",
-    "_weyl_factors",
     "weyl_dim",
     "_derive_lowest_weights",
     "root_to_weight_coords",
@@ -79,7 +78,6 @@ PER_QUERY = {
     "__rmul__",
     "to_dominant",
     "bwb_cohomology",
-    "_weyl_factors",
     "weyl_dim",
     "root_to_weight_coords",
     "h0_twisted_cotangent",
@@ -114,7 +112,7 @@ def test_per_query_path_never_calls_a_validating_constructor() -> None:
 
 
 def test_cli_import_leaves_fractions_and_csv_out() -> None:
-    # fractions pulls in decimal, and only partial_weyl_product, which no command calls, needs it;
+    # no module imports fractions, which pulls in decimal (test_no_module_imports_fractions);
     # only CSV output needs csv, only a JSON string that needs escaping needs json, and
     # dataclasses pulls in inspect, ast and dis
     unwanted = "{'fractions', 'decimal', 'csv', 'json', 'dataclasses'}"
@@ -232,27 +230,17 @@ def test_one_record_constructor() -> None:
     assert set_names == []
 
 
-def _names_fraction(node: ast.AST) -> bool:
-    if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "fractions" for alias in node.names)
-    if isinstance(node, ast.ImportFrom):
-        return (node.module or "").split(".")[0] == "fractions"
-    return (isinstance(node, ast.Name) and node.id == "Fraction") or (
-        isinstance(node, ast.Attribute) and node.attr == "Fraction"
-    )
-
-
-def test_fraction_lives_only_in_bwb() -> None:
-    # partial_weyl_product is the one result that really is a fraction
+def test_no_module_imports_fractions() -> None:
+    # every Weyl product is an integer: no module imports fractions or decimal, or names Fraction
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
-        if path.name != "bwb.py"
         for node in ast.walk(_parse(path))
-        if _names_fraction(node)
+        if (isinstance(node, (ast.Import, ast.ImportFrom)) and {"fractions", "decimal"} & _imported_modules(node))
+        or (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
     ]
     assert found == []
-    assert any(_names_fraction(node) for node in ast.walk(_parse(PACKAGE / "bwb.py")))
 
 
 # the engine records whose every field must be read, each with the one function that builds them
@@ -382,7 +370,6 @@ PUBLIC_NAMES = [
     "konno_pairs",
     "macaulay_exceptions",
     "parabolic_data",
-    "partial_weyl_product",
     "root_system",
     "root_to_weight_coords",
     "sigma",

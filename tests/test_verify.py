@@ -147,6 +147,9 @@ def test_studiopesi_parameter_validation() -> None:
     for bad in (2.9, 2.0, True):
         with pytest.raises(TypeError):
             check_lemma_studiopesi(3, (1, bad))
+    for bad in (None, 3):
+        with pytest.raises(TypeError, match=f"^twists must be an iterable of ints, got {bad!r}$"):
+            check_lemma_studiopesi(3, bad)
     for bad in (2.0, 3.5, True, "3"):
         with pytest.raises(TypeError):
             check_lemma_studiopesi(bad, (1,))
@@ -498,6 +501,14 @@ def test_single_case_csv_row() -> None:
     )
     raw = emit_report(one, "csv").decode("utf-8").splitlines()
     assert raw[1] == "F,4,4,2,325,15,true,golden: exact value 325"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_emit_report_refuses_what_is_not_a_report(fmt) -> None:
+    # None, or a Report's fields as a tuple: a TypeError naming the argument, not an AttributeError
+    for bad in (None, ("lungo", "0", {}, ())):
+        with pytest.raises(TypeError, match=f"^{re.escape(f'report must be a Report, got {bad!r}')}$"):
+            emit_report(bad, fmt)
 
 
 def test_emit_unknown_format() -> None:
