@@ -82,7 +82,7 @@ def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
     if 0 in m:
         return None
     neighbours = rs.neighbours
-    limit = len(rs.positive_roots)
+    limit = len(rs.root_chain)
     steps = 0
     k = 0
     while True:

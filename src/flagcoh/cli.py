@@ -150,13 +150,13 @@ def _info(args: argparse.Namespace) -> tuple[dict, str]:
     data = {
         "family": rs.lie_type.family.value,
         "rank": rs.rank,
-        "positive_roots": len(rs.positive_roots),
+        "positive_roots": len(rs.root_chain),  # one link per positive root
         "cartan": [list(row) for row in rs.cartan],
     }
     lines = [
         f"type {rs.lie_type}",
         f"rank {rs.rank}",
-        f"positive roots {len(rs.positive_roots)}",
+        f"positive roots {data['positive_roots']}",
         "Cartan matrix:",
     ]
     lines += ["  " + " ".join(f"{v:2d}" for v in row) for row in rs.cartan]

@@ -83,32 +83,42 @@ class MacaulayStatus(Enum):
 class ParabolicData(_Record):
     """Root-theoretic data of Y = G/P for the maximal parabolic at ``node``.
 
-    Fields, in order: ``lie_type``, ``node``, ``depth``, ``lowest_weights``,
-    ``dim_y``, ``fano_index`` and ``root_system``.  ``levels`` is derived
-    on each read from the node's column of ``root_system.coord_table``: the
-    nilradical roots (coefficient of alpha_r positive; the others are the
-    Levi roots) grouped by that coefficient, in root order, as a read-only
-    mapping; ``depth``, the largest level, is stored.  Records compare by identity,
-    as ``parabolic_data`` shares one instance per pair; a shallow copy is
-    the record itself.  The levels are exactly 1..depth whenever
-    ``lowest_weights`` is set, and ``lowest_weights[i - 1]`` is the lowest
-    weight of the cotangent piece at level i; it is None for a pair
-    omitted in favour of an isomorphic listed pair.  ``dim_y`` is the
-    number of nilradical roots and ``fano_index`` the k with K_Y = O(-k).
+    Fields, in order: ``node``, ``lowest_weights``, ``dim_y``, ``fano_index``
+    and ``root_system``; ``lie_type`` is the root system's.  ``levels`` and
+    ``depth`` are derived on each read from the node's column of
+    ``root_system.coord_table``: the nilradical roots (coefficient of
+    alpha_r positive; the others are the Levi roots) grouped by that
+    coefficient, in root order, as a read-only mapping, and the largest
+    level.  Records compare by identity, as ``parabolic_data`` shares one
+    instance per pair; a shallow copy is the record itself.  The levels are
+    exactly 1..depth whenever ``lowest_weights`` is set, and
+    ``lowest_weights[i - 1]`` is the lowest weight of the cotangent piece at
+    level i; it is None for a pair omitted in favour of an isomorphic listed
+    pair.  ``dim_y`` is the number of nilradical roots and ``fano_index``
+    the k with K_Y = O(-k).
     """
 
-    __slots__ = ("lie_type", "node", "depth", "lowest_weights", "dim_y", "fano_index", "root_system")
-    _hidden = ("depth", "lowest_weights", "root_system")
+    __slots__ = ("node", "lowest_weights", "dim_y", "fano_index", "root_system")
+    _shown = ("lie_type", "node", "dim_y", "fano_index")
 
     def __copy__(self) -> ParabolicData:
         return self  # immutable, so a shallow copy may share everything, the record included
 
     @property
+    def lie_type(self) -> LieType:
+        return self.root_system.lie_type
+
+    @property
+    def depth(self) -> int:
+        return max(self.root_system.coord_table[self.node - 1 :: self.root_system.rank])
+
+    @property
     def levels(self) -> Mapping[int, tuple[Root, ...]]:
         """The nilradical roots by their coefficient at the node, levels ascending, each in root order."""
         rs = self.root_system
-        column, roots = rs.coord_table[self.node - 1 :: rs.rank], rs.positive_roots
-        return MappingProxyType({c: tuple(compress(roots, map(c.__eq__, column))) for c in range(1, self.depth + 1)})
+        rows = zip(rs.coord_table[self.node - 1 :: rs.rank], zip(*[iter(rs.coord_table)] * rs.rank))
+        nil = [(c, Root._of(row)) for c, row in rows if c]  # a Root for each nilradical row only
+        return MappingProxyType({c: tuple([r for level, r in nil if level == c]) for c in range(1, self.depth + 1)})
 
 
 _PARABOLIC: dict[tuple[RootSystem, int], ParabolicData] = {}
@@ -150,7 +160,7 @@ def _build_parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
     if k <= 0:
         raise ArithmeticError(f"Fano index {k} at node {r} is not positive")
     lowest = None if _canonical_form(rs.lie_type, r) else _derive_lowest_weights(rs, r, column, levels)
-    return ParabolicData(rs.lie_type, r, levels[-1], lowest, dim_y, k, rs)
+    return ParabolicData(r, lowest, dim_y, k, rs)
 
 
 def _derive_lowest_weights(rs: RootSystem, r: int, column: bytes, levels: list[int]) -> tuple[Weight, ...]:

@@ -36,16 +36,16 @@ the one value equality: by field tuple, never equal to another class.
 
 Validation happens once, at the boundary.  The public constructors
 ``LieType``, ``Weight`` and ``Root`` and the public entry points check
-what they are given: a bool, float or Fraction rank or coordinate, or a
-family that is neither a str nor a ``Family``, is a TypeError, never
-coerced, and an unknown family letter, a bad rank or a bad node is a
-ConfigError.  Engine arithmetic (the ``Weight`` operators, the chamber
+what they are given: a bool, float or Fraction rank or coordinate, a dict
+or set of coordinates, or a family that is neither a str nor a ``Family``,
+is a TypeError, never coerced, and an unknown family letter, a bad rank or
+a bad node is a ConfigError.  Engine arithmetic (the ``Weight`` operators, the chamber
 walk, basis conversion, the root-system build) derives its values from
 values already checked and builds them with the private trusted
 constructors ``Weight._of`` and ``Root._of``, which do not re-check.
 
-Besides the roots, a ``RootSystem`` keeps what the root closure learns on
-the way, as plain ints:
+A ``RootSystem`` stores no ``Root`` or ``Weight``: it keeps, as plain ints,
+the roots and what the root closure learns on the way:
 
 * ``root_chain[k] = (parent, i)``: root k is root ``parent`` plus
   alpha_i, or alpha_i itself when ``parent`` is -1.  Parents come first
@@ -105,7 +105,7 @@ class Family(Enum):
 
 # Largest rank accepted for the unbounded families A-D, so that a typo
 # cannot hang the command line: on a 2-vCPU VM with Python 3.11 building
-# A100 takes 0.04-0.06 s and B100, C100 or D100 0.08-0.11 s, and the cost
+# A100 takes 0.03-0.04 s and B100, C100 or D100 0.065-0.085 s, and the cost
 # grows with about the cube of the rank.
 MAX_RANK = 100
 
@@ -126,7 +126,7 @@ class _Record:
     """Base of the immutable records; its one constructor sets each of the ``__slots__`` once, in order."""
 
     __slots__ = ()
-    _hidden: tuple[str, ...] = ()  # fields the repr leaves out
+    _shown: tuple[str, ...] = ()  # the names the repr shows; () shows every field
     _defaults: dict[str, object] = {}  # values of the fields a caller may leave out
 
     def __init__(self, *values: object, **named: object) -> None:
@@ -157,7 +157,7 @@ class _Record:
         return type(self), self._fields()
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n not in self._hidden)
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown or self.__slots__)
         return f"{type(self).__qualname__}({shown})"
 
 
@@ -201,7 +201,9 @@ def _require_int(name: str, value: object) -> None:
 
 
 def _int_coords(name: str, coords: Iterable[int]) -> tuple[int, ...]:
-    """The coordinates as a tuple; anything but an iterable of plain ints (no bool) is a TypeError naming ``name``."""
+    """The coordinates as a tuple; anything but an ordered iterable (no dict or set) of plain ints is a TypeError."""
+    if type(coords) is not tuple and isinstance(coords, (dict, set, frozenset)):
+        raise TypeError(f"{name} must be an ordered iterable of ints, got {coords!r}")
     try:
         out = tuple(coords)
     except TypeError:
@@ -395,27 +397,35 @@ class RootSystem(_Record):
     """Immutable root-system data with precomputed pairing tables.
 
     Fields, in order: ``lie_type``, ``cartan`` (rows), ``scaled_symmetrizer``
-    (the D_i), ``positive_roots`` (in root order), ``weyl_vector`` (delta),
-    and, left out of the repr and described in the module docstring,
-    ``root_chain``, ``weyl_denominator``, ``neighbours``, ``packed_weights``,
-    ``lowest_index`` and ``coord_table``.  ``neighbours`` lists, per node k,
-    the Dynkin neighbours j of k with their Cartan entries a_jk, the only
-    coordinates besides m_k that s_k changes.  ``coord_table`` holds the
-    coordinates of ``positive_roots`` as one ``bytes``: root k is the row
-    ``[k*rank:(k+1)*rank]``, node j the column ``[j::rank]`` that a
-    ``ParabolicData`` reads.  ``root_system`` shares one instance per type;
-    they compare by identity.
+    (the D_i) and, left out of the repr and described in the module
+    docstring, ``root_chain``, ``weyl_denominator``, ``neighbours``,
+    ``packed_weights``, ``lowest_index`` and ``coord_table``.  ``neighbours``
+    lists, per node k, the Dynkin neighbours j of k with their Cartan
+    entries a_jk, the only coordinates besides m_k that s_k changes.
+    ``coord_table`` is the one copy of the roots: root k is the row
+    ``[k*rank:(k+1)*rank]``, node j the column ``[j::rank]``.  The repr
+    also shows two views built on each read, ``positive_roots`` (a ``Root``
+    per row) and ``weyl_vector`` (delta).  ``root_system`` shares one
+    instance per type; they compare by identity.
     """
 
     __slots__ = (
-        "lie_type", "cartan", "scaled_symmetrizer", "positive_roots", "weyl_vector",
-        "root_chain", "weyl_denominator", "neighbours", "packed_weights", "lowest_index", "coord_table",
+        "lie_type", "cartan", "scaled_symmetrizer", "root_chain", "weyl_denominator",
+        "neighbours", "packed_weights", "lowest_index", "coord_table",
     )
-    _hidden = ("root_chain", "weyl_denominator", "neighbours", "packed_weights", "lowest_index", "coord_table")
+    _shown = ("lie_type", "cartan", "scaled_symmetrizer", "positive_roots", "weyl_vector")
 
     @property
     def rank(self) -> int:
         return self.lie_type.rank
+
+    @property
+    def positive_roots(self) -> tuple[Root, ...]:
+        return tuple(map(Root._of, zip(*[iter(self.coord_table)] * self.rank)))  # rank bytes a row, in root order
+
+    @property
+    def weyl_vector(self) -> Weight:
+        return Weight._of((1,) * self.rank)
 
 
 def _dynkin_neighbours(cartan: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -456,11 +466,10 @@ def build_root_system(t: LieType) -> RootSystem:
     cartan, d = _cartan_matrix(t)
     roots, lowest = _positive_root_closure(cartan)
     packed, weights, root_chain = zip(*roots)
-    rows = [n.to_bytes(t.rank, "big") for n in packed]  # each root's coordinates n, node 0 first
+    table = b"".join([n.to_bytes(t.rank, "big") for n in packed])  # each root's coordinates n, node 0 first
     return RootSystem(  # the fields in __slots__ order
-        t, cartan, tuple(d), tuple(Root._of(tuple(row)) for row in rows), Weight._of((1,) * t.rank),
-        root_chain, _pairwise_prod(_root_pairings(root_chain, d, (1,) * t.rank)), _dynkin_neighbours(cartan),
-        weights, tuple(map(tuple, lowest)), b"".join(rows),
+        t, cartan, tuple(d), root_chain, _pairwise_prod(_root_pairings(root_chain, d, (1,) * t.rank)),
+        _dynkin_neighbours(cartan), weights, tuple(map(tuple, lowest)), table,
     )
 
 

@@ -73,7 +73,7 @@ class Report(_Value):
     """Sweep output, with summary counts; fields ``sweep``, ``version``, ``params`` and ``cases`` (default ())."""
 
     __slots__ = ("sweep", "version", "params", "cases")
-    _hidden = ("params",)
+    _shown = ("sweep", "version", "cases")
     _defaults = {"cases": ()}
 
     @property

@@ -195,8 +195,6 @@ def test_to_dominant_step_bound_and_length():
         lie_type=rs.lie_type,
         cartan=((2, -2), (-2, 2)),
         scaled_symmetrizer=rs.scaled_symmetrizer,
-        positive_roots=rs.positive_roots,
-        weyl_vector=rs.weyl_vector,
         root_chain=rs.root_chain,
         weyl_denominator=rs.weyl_denominator,
         neighbours=(((1, -2),), ((0, -2),)),

@@ -98,14 +98,14 @@ def test_node_must_be_an_int(capsys) -> None:
 
 def test_partition_and_purity_all_pairs() -> None:
     for pd in all_pairs(8):
-        rs = pd.root_system
+        positive, levels = pd.root_system.positive_roots, pd.levels  # views built on each read, so read once
         # the Levi roots are the positive roots outside the levels
-        nilradical = {root for roots in pd.levels.values() for root in roots}
-        levi = [root for root in rs.positive_roots if root not in nilradical]
-        assert len(levi) + pd.dim_y == len(rs.positive_roots)
-        assert sum(len(v) for v in pd.levels.values()) == pd.dim_y
+        nilradical = {root for roots in levels.values() for root in roots}
+        levi = [root for root in positive if root not in nilradical]
+        assert len(levi) + pd.dim_y == len(positive)
+        assert sum(len(v) for v in levels.values()) == pd.dim_y
         assert all(root.sr_coords[pd.node - 1] == 0 for root in levi)
-        for level, roots in pd.levels.items():
+        for level, roots in levels.items():
             assert level >= 1
             assert all(root.sr_coords[pd.node - 1] == level for root in roots)
         assert pd.fano_index >= 1
@@ -252,10 +252,11 @@ def test_json_round_shape(capsys) -> None:
 
 def lowest_weights_by_levi_action(rs, r):
     """Independent recomputation: level-i roots killed by every Levi lowering."""
-    pos = {root.sr_coords for root in rs.positive_roots}
+    positive = rs.positive_roots
+    pos = {root.sr_coords for root in positive}
     rank, cartan = rs.rank, rs.cartan
     out: dict[int, list[tuple[int, ...]]] = {}
-    for root in rs.positive_roots:
+    for root in positive:
         n = root.sr_coords
         level = n[r - 1]
         if level == 0:

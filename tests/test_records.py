@@ -106,9 +106,7 @@ def test_root_systems_and_parabolic_data_compare_by_identity() -> None:
     assert hash(rs) == object.__hash__(rs) and len({rs, fresh}) == 2
     pd = parabolic_data(rs, 1)
     twin = ParabolicData(
-        lie_type=pd.lie_type,
         node=pd.node,
-        depth=pd.depth,
         lowest_weights=pd.lowest_weights,
         dim_y=pd.dim_y,
         fano_index=pd.fano_index,

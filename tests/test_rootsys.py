@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -140,8 +141,8 @@ def test_coordinate_table_rows_and_columns(t: LieType):
 @pytest.mark.parametrize("t", CLOSURE_SCALES, ids=str)
 def test_closure_at_every_scale(t: LieType):
     rs = root_system(t.family, t.rank)
-    rank = t.rank
-    coords = [r.sr_coords for r in rs.positive_roots]
+    rank, roots = t.rank, rs.positive_roots  # a view built on each read, so read once
+    coords = [r.sr_coords for r in roots]
     assert coords == sorted(coords, key=lambda n: (sum(n), n))
     # a root as one int, a byte per node, node 0 first: alpha_j is 256^(rank - 1 - j)
     keys = [int.from_bytes(bytes(n), "big") for n in coords]
@@ -158,7 +159,7 @@ def test_closure_at_every_scale(t: LieType):
         oracle = positive_roots_by_reflection(rs.cartan)
     assert [[coords[k] for k in ks] for ks in rs.lowest_index] == lowest_roots(oracle)
     assert [keys[ks[0]] for ks in rs.lowest_index] == units
-    weights = [root_to_weight_coords(rs, root).fw_coords for root in rs.positive_roots]
+    weights = [root_to_weight_coords(rs, root).fw_coords for root in roots]
     assert [rootsys._unpack(w, rank) for w in rs.packed_weights] == weights
 
 
@@ -297,7 +298,8 @@ def test_delta_double_identity(t: LieType):
 def test_conversion_round_trip(t: LieType):
     # A is invertible, so every root, positive or negative, comes back from its weight coordinates
     rs = root_system(t.family, t.rank)
-    roots = list(rs.positive_roots) + [Root(tuple(-c for c in r.sr_coords)) for r in rs.positive_roots]
+    positive = rs.positive_roots
+    roots = list(positive) + [Root(tuple(-c for c in r.sr_coords)) for r in positive]
     back = {root_to_weight_coords(rs, r): r for r in roots}
     assert len(back) == len(roots)
 
@@ -316,9 +318,10 @@ def test_conversion_spot_values():
 def test_pairing_symmetry_on_roots():
     for t in [LieType(Family.B, 4), LieType(Family.C, 4), LieType(Family.F, 4), LieType(Family.G, 2), LieType(Family.E, 6)]:
         rs = root_system(t.family, t.rank)
-        for b in rs.positive_roots:
+        roots = rs.positive_roots
+        for b in roots:
             wb = root_to_weight_coords(rs, b).fw_coords
-            for g in rs.positive_roots:
+            for g in roots:
                 wg = root_to_weight_coords(rs, g).fw_coords
                 assert invariant_form(rs.cartan, wb, g.sr_coords) == invariant_form(rs.cartan, wg, b.sr_coords)
 
@@ -338,6 +341,17 @@ def test_coordinates_must_be_ints(cls):
     for bad in (None, 5):
         with pytest.raises(TypeError, match=f"^{name} must be an iterable of ints, got {bad!r}$"):
             cls(bad)
+
+
+# unordered containers: a dict would give its keys as coordinates, a set its hash order
+UNORDERED = {"dict": {1: 2}, "set": {1, 0}, "frozenset": frozenset({1, 0}), "dict-subclass": Counter({1: 2})}
+
+
+@pytest.mark.parametrize("container", UNORDERED.values(), ids=UNORDERED.keys())
+@pytest.mark.parametrize("cls, name", [(Weight, "fw_coords"), (Root, "sr_coords")], ids=["Weight", "Root"])
+def test_unordered_coordinates_are_refused(cls, name, container):
+    with pytest.raises(TypeError, match=f"^{name} must be an ordered iterable of ints, got "):
+        cls(container)
 
 
 def test_weight_arithmetic_keeps_int_check():

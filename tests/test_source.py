@@ -245,6 +245,13 @@ def test_no_module_imports_fractions() -> None:
 
 # the engine records whose every field must be read, each with the one function that builds them
 BUILDERS = {"RootSystem": "build_root_system", "ParabolicData": "_build_parabolic_data"}
+# their stored fields: each fact once, so nothing another stored value gives (the roots as Root
+# objects, delta, the type of a pair or its depth) is stored; those are views built on each read
+STORED_ROOT_SYSTEM = (
+    "lie_type", "cartan", "scaled_symmetrizer", "root_chain", "weyl_denominator",
+    "neighbours", "packed_weights", "lowest_index", "coord_table",
+)
+STORED_PARABOLIC_DATA = ("node", "lowest_weights", "dim_y", "fano_index", "root_system")
 
 
 def test_every_record_field_is_read_outside_its_builder() -> None:
@@ -263,7 +270,7 @@ def test_every_record_field_is_read_outside_its_builder() -> None:
                     if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
                         readers.setdefault(sub.attr, set()).add(node.name)
     assert fields.keys() == BUILDERS.keys()
-    assert "coord_table" in fields["RootSystem"]
+    assert fields == {"RootSystem": STORED_ROOT_SYSTEM, "ParabolicData": STORED_PARABOLIC_DATA}
     unread = [
         f"{cls}.{name}"
         for cls, names in fields.items()
@@ -271,6 +278,28 @@ def test_every_record_field_is_read_outside_its_builder() -> None:
         if not readers.get(name, set()) - {BUILDERS[cls]}
     ]
     assert unread == []
+
+
+def _nested(value: object):
+    """``value`` and everything inside it through tuples; a record is not opened."""
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _nested(item)
+
+
+def test_built_records_store_no_root_or_weight() -> None:
+    # the roots are stored once, as coord_table: a built RootSystem holds no Root or Weight anywhere in its
+    # slots, and a ParabolicData none but the lowest weights it derived
+    points = (flagcoh.Root, flagcoh.Weight)
+    for t in flagcoh.all_lie_types(8):
+        rs = flagcoh.root_system(t.family, t.rank)
+        assert not any(isinstance(v, points) for value in rs._fields() for v in _nested(value))
+        for r in range(1, t.rank + 1):
+            pd = flagcoh.parabolic_data(rs, r)
+            held = {name for name in pd.__slots__ for v in _nested(getattr(pd, name)) if isinstance(v, points)}
+            assert held == (set() if pd.lowest_weights is None else {"lowest_weights"})
+            assert not any(isinstance(getattr(pd, name), points) for name in pd.__slots__)
 
 
 # the packed layout of the root closure: digit width, weight offset and the string-length digit

@@ -294,9 +294,7 @@ def test_lungo_c3_dim_y_off_the_closed_form_is_a_golden_mismatch(monkeypatch) ->
 
         def raised(pd):
             return ParabolicData(
-                lie_type=pd.lie_type,
                 node=pd.node,
-                depth=pd.depth,
                 lowest_weights=pd.lowest_weights,
                 dim_y=pd.dim_y + 1,
                 fano_index=pd.fano_index,
