@@ -11,8 +11,8 @@ induced structures in exact arithmetic:
 * dim Y and the Fano index k(Y), read off from the sum of the nilradical
   roots, which is a multiple of lambda_r exactly;
 * the lowest weights of the graded pieces of the cotangent module (the
-  level-i root that no Levi simple root lowers), read off the root
-  system's lowest-weight index and kept on the one memoized record per pair;
+  level-i root that no Levi simple root lowers, the level's first root in
+  root order), kept on the one memoized record per pair;
 * h^0(Y, Omega^1_Y(a)) for a >= 1 as the sum of the Borel-Weil-Bott
   dimensions of the graded pieces;
 * sigma(d) = (dim Y + 1) d - 2 k(Y) and the static lookup of the pairs
@@ -164,22 +164,20 @@ def _build_parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
 
 
 def _derive_lowest_weights(rs: RootSystem, r: int, column: bytes, levels: list[int]) -> tuple[Weight, ...]:
-    """One weight per level: the level's one root that no Levi simple root lowers.
+    """One weight per level: the lowest weight of the level's piece, its first root in root order.
 
-    The candidates are ``rs.lowest_index[r - 1]``, the roots that no simple
-    root but alpha_r lowers; ``column`` is the node's column of
-    ``rs.coord_table`` and ``levels`` its distinct nonzero values, ascending.
-    Each level must have exactly one candidate w, of node coefficient
-    c in {1, 2} with c*lambda_r - w dominant and zero at r, and the levels
-    must be exactly 1..depth.
+    ``column`` is the node's column of ``rs.coord_table`` and ``levels`` its
+    distinct nonzero values, ascending.  The level-c piece is an irreducible
+    Levi module (Kostant, Ann. Math. 74, 1961), so each of its roots is its
+    lowest weight plus Levi simple roots: the lowest weight is the level's
+    one root of least height, and the roots are in (height, coords) order.
+    Each weight w must have node coefficient c in {1, 2} with c*lambda_r - w
+    dominant and zero at r, and the levels must be exactly 1..depth.
     """
     t = rs.lie_type
     weights: list[Weight] = []
     for level in levels:
-        candidates = [idx for idx in rs.lowest_index[r - 1] if column[idx] == level]
-        if len(candidates) != 1:
-            raise ArithmeticError(f"level {level} of ({t}, node {r}) has {len(candidates)} lowest weights, not 1")
-        w = _unpack(rs.packed_weights[candidates[0]], rs.rank)
+        w = _unpack(rs.packed_weights[column.index(level)], rs.rank)
         c = w[r - 1]
         if c not in (1, 2):
             raise ArithmeticError(f"lowest weight {w} of ({t}, node {r}) has node coefficient {c}")

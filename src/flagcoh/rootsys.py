@@ -36,8 +36,8 @@ the one value equality: by field tuple, never equal to another class.
 
 Validation happens once, at the boundary.  The public constructors
 ``LieType``, ``Weight`` and ``Root`` and the public entry points check
-what they are given: a bool, float or Fraction rank or coordinate, a dict
-or set of coordinates, or a family that is neither a str nor a ``Family``,
+what they are given: a bool, float or Fraction rank or coordinate, a
+mapping or set of coordinates, or a family that is neither a str nor a ``Family``,
 is a TypeError, never coerced, and an unknown family letter, a bad rank or
 a bad node is a ConfigError.  Engine arithmetic (the ``Weight`` operators, the chamber
 walk, basis conversion, the root-system build) derives its values from
@@ -61,7 +61,6 @@ the roots and what the root closure learns on the way:
   a digit of a sum of N <= MAX_RANK^2 roots is at most 6 N < 2^16; only
   ``_unpack`` and ``_node_multiple``, in this module, read digits back,
   less 3 per root summed.
-* ``lowest_index[i]``: the roots that no simple root but alpha_i lowers.
 
 The closure packs the coordinates n too, 8-bit digits of at most 6, so
 numeric order within a height is coordinate order.  ``coord_table`` joins
@@ -81,6 +80,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Mapping, Set
 from enum import Enum
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
@@ -201,8 +201,8 @@ def _require_int(name: str, value: object) -> None:
 
 
 def _int_coords(name: str, coords: Iterable[int]) -> tuple[int, ...]:
-    """The coordinates as a tuple; anything but an ordered iterable (no dict or set) of plain ints is a TypeError."""
-    if type(coords) is not tuple and isinstance(coords, (dict, set, frozenset)):
+    """The coordinates as a tuple; anything but an ordered iterable (no mapping or set) of plain ints is a TypeError."""
+    if type(coords) is not tuple and isinstance(coords, (Mapping, Set)):
         raise TypeError(f"{name} must be an ordered iterable of ints, got {coords!r}")
     try:
         out = tuple(coords)
@@ -326,7 +326,7 @@ _OFFSET = 3
 _P_DIGIT = (1 << (_WIDTH - 1)) + _OFFSET - 1
 
 
-def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> tuple[list[tuple], list[list[int]]]:
+def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> list[tuple[int, int, tuple[int, int]]]:
     """Enumerate positive roots from the simple ones by root-string closure.
 
     For a root beta and a simple root alpha_i, the alpha_i-string through
@@ -340,9 +340,7 @@ def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> tuple[list[tuple]
 
     Returns, sorted by (height, coords), one tuple per root: its packed
     coords and weight coordinates and the (parent index, node) of the first
-    step that reached it ((-1, i) for alpha_i).  Also returns, per node i,
-    the roots that no simple root but alpha_i lowers, in root order: the
-    ones whose mask of the nodes j with p_j > 0 (beta - alpha_j a root) is 0 or 1 << i.
+    step that reached it ((-1, i) for alpha_i).
     """
     rank = len(cartan)
     shifts = [_WIDTH * (rank - 1 - i) for i in range(rank)]
@@ -355,17 +353,14 @@ def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> tuple[list[tuple]
         unit = 1 << 8 * (rank - 1 - i)
         column = sum(row[i] << t for row, t in zip(cartan, shifts))
         steps[1 << (s + _WIDTH - 1)] = (i, unit, column, ((1 << _WIDTH) - 1) << s, (1 - _P_DIGIT) << s)
-        frontier[unit] = [_OFFSET * ones + column, no_p, (-1, i), 0]
+        frontier[unit] = [_OFFSET * ones + column, no_p, (-1, i)]
     roots: list[tuple[int, int, tuple[int, int]]] = []
-    lowest: list[list[int]] = [[] for _ in range(rank)]
     while frontier:
         nxt: dict[int, list] = {}
         for n in sorted(frontier):
-            m, p, link, mask = frontier[n]
+            m, p, link = frontier[n]
             k = len(roots)
             roots.append((n, m, link))
-            if not mask & (mask - 1):
-                lowest[link[1]].append(k)
             up = (p - m) & guard
             while up:
                 bit = up & -up
@@ -373,11 +368,10 @@ def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> tuple[list[tuple]
                 i, unit, column, digit, step = steps[bit]
                 entry = nxt.get(n + unit)
                 if entry is None:
-                    entry = nxt[n + unit] = [m + column, no_p, (k, i), 0]
+                    entry = nxt[n + unit] = [m + column, no_p, (k, i)]
                 entry[1] += (p & digit) + step
-                entry[3] |= 1 << i
         frontier = nxt
-    return roots, lowest
+    return roots
 
 
 def _unpack(packed: int, rank: int, count: int = 1) -> tuple[int, ...]:
@@ -399,10 +393,10 @@ class RootSystem(_Record):
     Fields, in order: ``lie_type``, ``cartan`` (rows), ``scaled_symmetrizer``
     (the D_i) and, left out of the repr and described in the module
     docstring, ``root_chain``, ``weyl_denominator``, ``neighbours``,
-    ``packed_weights``, ``lowest_index`` and ``coord_table``.  ``neighbours``
-    lists, per node k, the Dynkin neighbours j of k with their Cartan
-    entries a_jk, the only coordinates besides m_k that s_k changes.
-    ``coord_table`` is the one copy of the roots: root k is the row
+    ``packed_weights`` and ``coord_table``.  ``neighbours`` lists, per node
+    k, the Dynkin neighbours j of k with their Cartan entries a_jk, the only
+    coordinates besides m_k that s_k changes.  ``coord_table`` is the one
+    copy of the roots, in (height, coords) order: root k is the row
     ``[k*rank:(k+1)*rank]``, node j the column ``[j::rank]``.  The repr
     also shows two views built on each read, ``positive_roots`` (a ``Root``
     per row) and ``weyl_vector`` (delta).  ``root_system`` shares one
@@ -411,7 +405,7 @@ class RootSystem(_Record):
 
     __slots__ = (
         "lie_type", "cartan", "scaled_symmetrizer", "root_chain", "weyl_denominator",
-        "neighbours", "packed_weights", "lowest_index", "coord_table",
+        "neighbours", "packed_weights", "coord_table",
     )
     _shown = ("lie_type", "cartan", "scaled_symmetrizer", "positive_roots", "weyl_vector")
 
@@ -464,12 +458,11 @@ def _pairwise_prod(s: list[int]) -> int:
 
 def build_root_system(t: LieType) -> RootSystem:
     cartan, d = _cartan_matrix(t)
-    roots, lowest = _positive_root_closure(cartan)
-    packed, weights, root_chain = zip(*roots)
+    packed, weights, root_chain = zip(*_positive_root_closure(cartan))
     table = b"".join([n.to_bytes(t.rank, "big") for n in packed])  # each root's coordinates n, node 0 first
     return RootSystem(  # the fields in __slots__ order
         t, cartan, tuple(d), root_chain, _pairwise_prod(_root_pairings(root_chain, d, (1,) * t.rank)),
-        _dynkin_neighbours(cartan), weights, tuple(map(tuple, lowest)), table,
+        _dynkin_neighbours(cartan), weights, table,
     )
 
 

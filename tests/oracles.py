@@ -14,7 +14,7 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 from pathlib import Path
 
 
@@ -205,6 +205,35 @@ def h0_cotangent_quadric(n: int, a: int) -> int:
         + (a == 2)
         - h0_structure_sheaf_quadric(n, a - 2)
     )
+
+
+def binomial_polynomial(x: int, k: int) -> int:
+    """C(x, k) = x (x - 1) ... (x - k + 1) / k! as a polynomial in x, so at a negative x too."""
+    return prod(range(x - k + 1, x + 1)) // factorial(k)
+
+
+def euler_characteristic_cotangent_projective_space(n: int, a: int) -> int:
+    """chi(P^n, Omega^1(a)) = (n + 1) C(n + a - 1, n) - C(n + a, n), at every integer a.
+
+    From the Euler sequence 0 -> Omega^1 -> O(-1)^(n+1) -> O -> 0 twisted by
+    a, with chi(P^n, O(b)) = C(n + b, n) as a polynomial in b.
+    """
+    return (n + 1) * binomial_polynomial(n + a - 1, n) - binomial_polynomial(n + a, n)
+
+
+def euler_characteristic_cotangent_quadric(n: int, a: int) -> int:
+    """chi(Q^n, Omega^1(a)) for the quadric Q^n in P = P^(n+1), at every integer a.
+
+    The Euler sequence restricted to Q gives (n + 2) chi_Q(a - 1) - chi_Q(a)
+    for Omega_P|Q(a), and the conormal sequence
+    0 -> O_Q(a - 2) -> Omega_P|Q(a) -> Omega_Q(a) -> 0 removes chi_Q(a - 2),
+    where chi_Q(b) = chi(P, O(b)) - chi(P, O(b - 2)).
+    """
+
+    def chi_q(b: int) -> int:
+        return binomial_polynomial(n + 1 + b, n + 1) - binomial_polynomial(n - 1 + b, n + 1)
+
+    return (n + 2) * chi_q(a - 1) - chi_q(a) - chi_q(a - 2)
 
 
 # ---------------------------------------------------------------------------

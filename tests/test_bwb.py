@@ -44,7 +44,6 @@ from oracles import (
     cartan_oracle,
     dominant_by_highest_reflection,
     epsilon_weyl_dim,
-    lowest_roots,
     symmetrizer_from_cartan,
     type_a_weyl_dim,
     weyl_product,
@@ -85,8 +84,6 @@ def test_chain_tables_match_cartan_oracle(t: LieType):
     # (delta, alpha) = sum_j n_j d_j, since (lambda_i, alpha_j) = delta_ij d_j
     assert rs.weyl_denominator == math.prod(6 * sum(x * y for x, y in zip(n, d)) for n in roots)
     assert {r.sr_coords for r in rs.positive_roots} == set(roots)
-    # the roots that no simple root but alpha_i lowers, by membership in the oracle's root set
-    assert [[rs.positive_roots[k].sr_coords for k in ks] for ks in rs.lowest_index] == lowest_roots(roots)
 
 
 def test_classify_delta():
@@ -199,7 +196,6 @@ def test_to_dominant_step_bound_and_length():
         weyl_denominator=rs.weyl_denominator,
         neighbours=(((1, -2),), ((0, -2),)),
         packed_weights=rs.packed_weights,
-        lowest_index=rs.lowest_index,
         coord_table=rs.coord_table,
     )
     for walk in (to_dominant, classify):

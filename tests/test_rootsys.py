@@ -5,10 +5,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
 from flagcoh import rootsys
+from flagcoh.parabolic import _canonical_form, konno_lowest_weights, parabolic_data
 from flagcoh.rootsys import (
     ConfigError,
     Family,
@@ -152,15 +154,33 @@ def test_closure_at_every_scale(t: LieType):
             assert key == units[i]
         else:
             assert parent < k and keys[parent] + units[i] == key
-    # the roots that no simple root but alpha_i lowers, alpha_i first, by membership in the oracle's root set
+    weights = [root_to_weight_coords(rs, root).fw_coords for root in roots]
+    assert [rootsys._unpack(w, rank) for w in rs.packed_weights] == weights
+    # at every node, the lowest weights are the roots that no simple root but alpha_r lowers, one per level,
+    # found by membership in the oracle's root set; an omitted pair has none
     if t.family in (Family.A, Family.B, Family.C, Family.D):
         oracle = epsilon_positive_roots(t.family.value, rank)
     else:
         oracle = positive_roots_by_reflection(rs.cartan)
-    assert [[coords[k] for k in ks] for ks in rs.lowest_index] == lowest_roots(oracle)
-    assert [keys[ks[0]] for ks in rs.lowest_index] == units
-    weights = [root_to_weight_coords(rs, root).fw_coords for root in roots]
-    assert [rootsys._unpack(w, rank) for w in rs.packed_weights] == weights
+    # m = A n, m_j = sum_i a_ji n_i, from the nonzero entries a_ji of each column i
+    columns = [[(j, row[i]) for j, row in enumerate(rs.cartan) if row[i]] for i in range(rank)]
+
+    def weight(n: tuple[int, ...]) -> Weight:
+        m = [0] * rank
+        for i, c in enumerate(n):
+            if c:
+                for j, a in columns[i]:
+                    m[j] += a * c
+        return Weight(m)
+
+    for r, candidates in enumerate(lowest_roots(oracle), 1):
+        assert [n[r - 1] for n in candidates] == list(range(1, len(candidates) + 1))  # one per level, ascending
+        expected = tuple(map(weight, candidates))
+        pd = parabolic_data(rs, r)
+        if _canonical_form(t, r):
+            assert pd.lowest_weights is None
+        else:
+            assert konno_lowest_weights(pd) == expected
 
 
 @pytest.mark.parametrize("t", ALL_TYPES_8, ids=str)
@@ -344,7 +364,15 @@ def test_coordinates_must_be_ints(cls):
 
 
 # unordered containers: a dict would give its keys as coordinates, a set its hash order
-UNORDERED = {"dict": {1: 2}, "set": {1, 0}, "frozenset": frozenset({1, 0}), "dict-subclass": Counter({1: 2})}
+UNORDERED = {
+    "dict": {1: 2},
+    "set": {1, 0},
+    "frozenset": frozenset({1, 0}),
+    "dict-subclass": Counter({1: 2}),
+    "keys-view": {1: 2}.keys(),
+    "items-view": {1: 2}.items(),
+    "mappingproxy": MappingProxyType({1: 2}),
+}
 
 
 @pytest.mark.parametrize("container", UNORDERED.values(), ids=UNORDERED.keys())

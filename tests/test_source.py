@@ -249,7 +249,7 @@ BUILDERS = {"RootSystem": "build_root_system", "ParabolicData": "_build_paraboli
 # objects, delta, the type of a pair or its depth) is stored; those are views built on each read
 STORED_ROOT_SYSTEM = (
     "lie_type", "cartan", "scaled_symmetrizer", "root_chain", "weyl_denominator",
-    "neighbours", "packed_weights", "lowest_index", "coord_table",
+    "neighbours", "packed_weights", "coord_table",
 )
 STORED_PARABOLIC_DATA = ("node", "lowest_weights", "dim_y", "fano_index", "root_system")
 
