@@ -13,6 +13,18 @@ an ``--out`` that cannot be written.
 after ``run`` returns it freezes the heap so that the interpreter's exit-time
 collections skip every object the process built.  ``run`` is the in-process
 entry point and leaves the caller's digit limit and collector alone.
+
+A command runs only the engine modules it uses, since the package loads
+each on first use: ``--version``, ``--help`` and usage errors run none,
+``info`` runs ``rootsys``, ``bwb`` and ``dim`` add ``bwb``, ``parabolic``,
+``h0-cotangent``, ``sigma`` and ``macaulay`` add ``parabolic``, and only
+``verify`` runs ``verify``.  So this module holds the modules, not their
+functions, and reads ``rootsys.root_system`` and the rest inside the
+handlers; the modules stay in ``sys.modules`` all along, so that a caller
+that patches or traces ``verify.check_theorem_lungo`` reaches these calls.
+JSON comes from ``_writer``, which imports no engine module and is
+imported only where JSON is written.  An error raised in a handler also
+loads ``parabolic``, whose ``UnsupportedPairError`` the ``except`` names.
 """
 
 from __future__ import annotations
@@ -23,17 +35,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from . import __version__
-from .bwb import bwb_cohomology, weyl_dim
-from .parabolic import (
-    UnsupportedPairError,
-    h0_twisted_cotangent,
-    macaulay_exceptions,
-    parabolic_data,
-    sigma,
-)
-from .rootsys import MAX_RANK, Weight, root_system
-from .verify import _json, check_lemma_studiopesi, check_theorem_lungo, emit_report, pieces_json
+from . import MAX_RANK, __version__, bwb, parabolic, rootsys, verify
 
 __all__ = ["main", "run"]
 
@@ -122,14 +124,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_weight(text: str, rank: int) -> Weight:
+def _parse_weight(text: str, rank: int) -> rootsys.Weight:
     try:
         coords = tuple(_strict_int(part.strip()) for part in text.split(","))
     except (argparse.ArgumentTypeError, ValueError):
         raise ValueError(f"--weight expects comma-separated integers, got {text!r}")
     if len(coords) != rank:
         raise ValueError(f"--weight needs {rank} coordinates, got {len(coords)}")
-    return Weight(coords)
+    return rootsys.Weight(coords)
 
 
 def _emit(data: bytes, out: Optional[str]) -> None:
@@ -146,7 +148,7 @@ def _emit(data: bytes, out: Optional[str]) -> None:
 
 
 def _info(args: argparse.Namespace) -> tuple[dict, str]:
-    rs = root_system(args.family, args.rank)
+    rs = rootsys.root_system(args.family, args.rank)
     data = {
         "family": rs.lie_type.family.value,
         "rank": rs.rank,
@@ -164,7 +166,7 @@ def _info(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _parabolic(args: argparse.Namespace) -> tuple[dict, str]:
-    pd = parabolic_data(root_system(args.family, args.rank), args.node)
+    pd = parabolic.parabolic_data(rootsys.root_system(args.family, args.rank), args.node)
     levels = pd.levels
     data = {
         "family": pd.lie_type.family.value,
@@ -185,8 +187,8 @@ def _parabolic(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _bwb(args: argparse.Namespace) -> tuple[dict, str]:
-    rs = root_system(args.family, args.rank)
-    table = bwb_cohomology(rs, _parse_weight(args.weight, rs.rank))
+    rs = rootsys.root_system(args.family, args.rank)
+    table = bwb.bwb_cohomology(rs, _parse_weight(args.weight, rs.rank))
     if table.vanishes:
         data = {"vanishes": True, "degree": None, "mu_fw_coords": None, "dim": None}
         return data, "all cohomology vanishes\n"
@@ -196,21 +198,23 @@ def _bwb(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _dim(args: argparse.Namespace) -> tuple[dict, str]:
-    rs = root_system(args.family, args.rank)
-    value = weyl_dim(rs, _parse_weight(args.weight, rs.rank))
+    rs = rootsys.root_system(args.family, args.rank)
+    value = bwb.weyl_dim(rs, _parse_weight(args.weight, rs.rank))
     return {"dim": str(value)}, f"{value}\n"
 
 
 def _h0(args: argparse.Namespace) -> tuple[dict, str]:
-    pd = parabolic_data(root_system(args.family, args.rank), args.node)
-    total, pieces = h0_twisted_cotangent(pd, args.twist)
+    from . import _writer
+
+    pd = parabolic.parabolic_data(rootsys.root_system(args.family, args.rank), args.node)
+    total, pieces = parabolic.h0_twisted_cotangent(pd, args.twist)
     data = {
         "family": pd.lie_type.family.value,
         "rank": pd.lie_type.rank,
         "node": args.node,
         "twist": args.twist,
         "total": str(total),
-        "pieces": pieces_json(pieces),
+        "pieces": _writer.pieces_json(pieces),
     }
     lines = [
         f"pair ({pd.lie_type}, node {args.node}), twist {args.twist}",
@@ -221,14 +225,14 @@ def _h0(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _sigma(args: argparse.Namespace) -> tuple[dict, str]:
-    pd = parabolic_data(root_system(args.family, args.rank), args.node)
-    value = sigma(pd, args.degree)
+    pd = parabolic.parabolic_data(rootsys.root_system(args.family, args.rank), args.node)
+    value = parabolic.sigma(pd, args.degree)
     return {"dim_y": pd.dim_y, "k": pd.fano_index, "degree": args.degree, "sigma": value}, f"sigma {value}\n"
 
 
 def _macaulay(args: argparse.Namespace) -> tuple[dict, str]:
-    pd = parabolic_data(root_system(args.family, args.rank), args.node)
-    status = macaulay_exceptions(pd, args.degree, args.twist)
+    pd = parabolic.parabolic_data(rootsys.root_system(args.family, args.rank), args.node)
+    status = parabolic.macaulay_exceptions(pd, args.degree, args.twist)
     return {"degree": args.degree, "twist": args.twist, "status": status.value}, f"{status.value}\n"
 
 
@@ -247,11 +251,11 @@ def _verify(args: argparse.Namespace) -> tuple[bytes, int]:
     if args.sweep == "lungo":
         if args.twist:
             raise ValueError("--twist applies to the studiopesi sweep only")
-        report = check_theorem_lungo(args.max_rank)
+        report = verify.check_theorem_lungo(args.max_rank)
     else:
         twists = tuple(args.twist) if args.twist else (1, 2, 3)
-        report = check_lemma_studiopesi(args.max_rank, twists)
-    return emit_report(report, args.format), 0 if report.all_passed else 1
+        report = verify.check_lemma_studiopesi(args.max_rank, twists)
+    return verify.emit_report(report, args.format), 0 if report.all_passed else 1
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -267,11 +271,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         else:
             obj, text = _QUERIES[args.command](args)
             if args.format == "json":
-                text = _json(obj, "") + "\n"
+                from . import _writer
+
+                text = _writer._json(obj, "") + "\n"
             data, code = text.encode("utf-8"), 0
         _emit(data, args.out)
         return code
-    except (UnsupportedPairError, ValueError, OSError) as exc:
+    except (parabolic.UnsupportedPairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

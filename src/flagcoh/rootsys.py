@@ -85,6 +85,8 @@ from enum import Enum
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
+from . import MAX_RANK  # defined in the package, so that the command line reads it without this module
+
 
 class ConfigError(ValueError):
     """Invalid family/rank/node combination."""
@@ -102,12 +104,6 @@ class Family(Enum):
     def __str__(self) -> str:
         return self.value
 
-
-# Largest rank accepted for the unbounded families A-D, so that a typo
-# cannot hang the command line: on a 2-vCPU VM with Python 3.11 building
-# A100 takes 0.03-0.04 s and B100, C100 or D100 0.065-0.085 s, and the cost
-# grows with about the cube of the rank.
-MAX_RANK = 100
 
 # Inclusive rank bounds per family (D3 is allowed; C2 and D2 are not,
 # they duplicate B2 and A1 x A1).

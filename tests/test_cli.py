@@ -19,6 +19,7 @@ import time
 import pytest
 
 import flagcoh.cli as cli
+from flagcoh import verify
 from flagcoh.bwb import bwb_cohomology, weyl_dim
 from flagcoh.rootsys import Weight, root_system
 from flagcoh.verify import CaseResult, Report, check_theorem_lungo
@@ -401,7 +402,8 @@ def test_verify_exit_1_on_failures(monkeypatch, capsys) -> None:
             ),
         ),
     )
-    monkeypatch.setattr(cli, "check_theorem_lungo", lambda max_rank: failing)
+    # cli calls the sweep through the verify module, so the patch goes there
+    monkeypatch.setattr(verify, "check_theorem_lungo", lambda max_rank: failing)
     assert cli.run(["verify", "--sweep", "lungo", "--max-rank", "2"]) == 1
     out = capsys.readouterr().out
     assert "failed 1" in out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -155,7 +156,7 @@ QUERY_RUNS = [
 
 
 def test_query_json_leaves_json_out() -> None:
-    # the query commands write JSON through the report writer, so they do not load json, nor fractions
+    # the query commands write JSON through the one JSON writer, _writer, so they do not load json, nor fractions
     runs = [[*argv, "--format", "json"] for argv in QUERY_RUNS]
     assert _exit_codes_and_modules_loaded(runs) == f"({[0] * len(runs)}, False, False, False)"
 
@@ -183,8 +184,8 @@ def _json_imports(node: ast.AST) -> set[int]:
 
 
 def test_one_value_equality_and_one_json_writer() -> None:
-    # records compare by value through rootsys._Value alone, and all JSON comes from verify's
-    # writer: nothing calls json.dumps, and only _json_str imports json, to escape a string
+    # records compare by value through rootsys._Value alone, and all JSON comes from the one writer,
+    # _writer: nothing calls json.dumps, and only _json_str imports json, to escape a string
     equality = []
     stray_json = []
     for path in SOURCES:
@@ -362,7 +363,7 @@ def test_only_the_command_line_freezes_the_heap() -> None:
 
 
 def test_engine_modules_leave_the_wire_format_to_the_front_end() -> None:
-    # every JSON shape lives in verify and cli
+    # every JSON shape lives in the front end: the writer _writer, verify's reports and cli's queries
     for name in ("rootsys.py", "bwb.py", "parabolic.py"):
         tree = _parse(PACKAGE / name)
         defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -408,7 +409,9 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_the_listed_ones() -> None:
-    names = set()
+    # the package defines MAX_RANK and reads every other public name off its lazy name -> module table;
+    # the engine modules are attributes of the package but not public names
+    names = set(flagcoh._HOME)
     for node in _parse(PACKAGE / "__init__.py").body:
         if isinstance(node, ast.ImportFrom):
             names.update(alias.asname or alias.name for alias in node.names)
@@ -419,3 +422,115 @@ def test_public_names_are_the_listed_ones() -> None:
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert sorted(n for n in names if not n.startswith("_")) == PUBLIC_NAMES
     assert all(hasattr(flagcoh, n) for n in PUBLIC_NAMES)
+
+
+# records, in a fresh interpreter, the package files that run: an audit hook on the exec event, which
+# importlib raises for each module it runs and runpy for __main__
+_RAN = """
+import os, sys
+ran = []
+
+def _hook(event, args):
+    path = getattr(args[0], "co_filename", "") if event == "exec" else ""
+    if os.path.basename(os.path.dirname(path)) == "flagcoh":
+        ran.append(os.path.basename(path)[:-3])
+
+sys.addaudithook(_hook)
+"""
+
+# imports flagcoh afresh and prints what the package promises its callers, bench/tracing.py among them
+PACKAGE_CONTRACT = _RAN + """
+import importlib, json
+import flagcoh
+engine = ("rootsys", "bwb", "parabolic", "verify")
+facts = {"ran on import": list(ran)}
+facts["registered"] = [m for m in engine if sys.modules[f"flagcoh.{m}"] is getattr(flagcoh, m)]
+try:
+    flagcoh.no_such_name
+except AttributeError as exc:
+    facts["missing"] = str(exc)
+star = {}
+exec("from flagcoh import *", star)
+facts["star"] = sorted(set(star) - {"__builtins__"})
+facts["dir covers"] = set(star) - {"__builtins__"} <= set(dir(flagcoh))
+facts["max rank"] = flagcoh.MAX_RANK is flagcoh.rootsys.MAX_RANK
+from flagcoh.rootsys import ConfigError
+from flagcoh.parabolic import UnsupportedPairError
+import flagcoh.cli as cli
+facts["one class"] = [
+    len({id(c) for c in paths})
+    for paths in (
+        (ConfigError, flagcoh.ConfigError, flagcoh.bwb.ConfigError, flagcoh.parabolic.ConfigError,
+         flagcoh.verify.ConfigError, importlib.import_module("flagcoh.rootsys").ConfigError),
+        (UnsupportedPairError, flagcoh.UnsupportedPairError, cli.parabolic.UnsupportedPairError,
+         importlib.import_module("flagcoh.parabolic").UnsupportedPairError),
+    )
+]
+facts["loaded once"] = sorted(ran) == sorted(set(ran))
+before = len(ran)
+importlib.reload(flagcoh)  # runs __init__ again, and keeps the modules
+facts["reload keeps"] = ConfigError is flagcoh.rootsys.ConfigError and ran[before:] == ["__init__"]
+print(json.dumps(facts))
+"""
+
+
+def test_package_contract() -> None:
+    # import flagcoh runs no engine module, yet all four sit in sys.modules as package attributes
+    out = subprocess.run(
+        [sys.executable, *["-O"] * sys.flags.optimize, "-c", PACKAGE_CONTRACT],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {
+        "ran on import": ["__init__"],
+        "registered": ["rootsys", "bwb", "parabolic", "verify"],
+        "missing": "module 'flagcoh' has no attribute 'no_such_name'",
+        "star": PUBLIC_NAMES,
+        "dir covers": True,
+        "max rank": True,
+        "one class": [1, 1],
+        "reload keeps": True,
+        "loaded once": True,
+    }
+
+
+# runs one argv as ``python -m flagcoh`` would and prints the package files that ran, in order
+COMMAND_RUN = _RAN + """
+import runpy
+sys.argv = ["flagcoh", *ARGV]
+try:
+    runpy.run_module("flagcoh", run_name="__main__")
+except SystemExit:
+    pass
+sys.stderr.write("\\n" + " ".join(ran))
+"""
+
+FRONT_END = {"__init__", "__main__", "cli"}
+# each command and the modules it runs besides the front end; the JSON writer only where JSON is written
+LOAD_SETS = [
+    (["--version"], set()),
+    (["--help"], set()),
+    (["info", "E", "8", "--format", "xml"], set()),
+    (["info", "E", "8"], {"rootsys"}),
+    (["info", "E", "8", "--format", "json"], {"_writer", "rootsys"}),
+    (["dim", "E", "7", "--weight", "1,0,0,0,0,0,0"], {"rootsys", "bwb"}),
+    (["bwb", "A", "2", "--weight=-1,0"], {"rootsys", "bwb"}),
+    (["parabolic", "F", "4", "--node", "4"], {"rootsys", "bwb", "parabolic"}),
+    (
+        ["h0-cotangent", "B", "4", "--node", "2", "--twist", "1", "--format", "json"],
+        {"_writer", "rootsys", "bwb", "parabolic"},
+    ),
+    (["verify", "--sweep", "lungo", "--max-rank", "3"], {"_writer", "rootsys", "bwb", "parabolic", "verify"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", LOAD_SETS, ids=[" ".join(argv) for argv, _ in LOAD_SETS])
+def test_each_command_runs_only_the_modules_it_uses(argv, modules) -> None:
+    code = COMMAND_RUN.replace("ARGV", repr(argv))
+    out = subprocess.run(
+        [sys.executable, *["-O"] * sys.flags.optimize, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr  # the command's own exit is caught in the child
+    ran = out.stderr.rsplit("\n", 1)[-1].split()
+    assert len(ran) == len(set(ran)), ran
+    assert set(ran) == FRONT_END | modules
