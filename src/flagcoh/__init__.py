@@ -27,8 +27,8 @@ MAX_RANK = 100
 # each engine module, in import order, with the public names it defines
 _EXPORTS = {
     "rootsys": (
-        "ConfigError", "Family", "LieType", "Root", "RootSystem", "Weight", "all_lie_types",
-        "build_root_system", "fundamental_weight", "root_system", "root_to_weight_coords",
+        "ConfigError", "Family", "LieType", "RootSystem", "Weight", "all_lie_types", "build_root_system",
+        "fundamental_weight", "root_system",
     ),
     "bwb": (
         "CohomologyTable", "bwb_cohomology", "classify", "classify_cotangent_twist_weights", "to_dominant",

@@ -174,7 +174,7 @@ def _parabolic(args: argparse.Namespace) -> tuple[dict, str]:
         "node": pd.node,
         "dim_y": pd.dim_y,
         "k": pd.fano_index,
-        "levels": {str(i): [list(r.sr_coords) for r in roots] for i, roots in levels.items()},
+        "levels": {str(i): [list(row) for row in roots] for i, roots in levels.items()},
     }
     counts = " ".join(f"{i}:{len(roots)}" for i, roots in levels.items())
     lines = [

@@ -42,7 +42,6 @@ from .rootsys import (
     ConfigError,
     Family,
     LieType,
-    Root,
     RootSystem,
     Weight,
     _CACHE,
@@ -54,18 +53,6 @@ from .rootsys import (
     all_lie_types,
     root_system,
 )
-
-__all__ = [
-    "MacaulayStatus",
-    "ParabolicData",
-    "UnsupportedPairError",
-    "h0_twisted_cotangent",
-    "konno_lowest_weights",
-    "konno_pairs",
-    "macaulay_exceptions",
-    "parabolic_data",
-    "sigma",
-]
 
 
 class UnsupportedPairError(LookupError):
@@ -87,10 +74,10 @@ class ParabolicData(_Record):
     and ``root_system``; ``lie_type`` is the root system's.  ``levels`` and
     ``depth`` are derived on each read from the node's column of
     ``root_system.coord_table``: the nilradical roots (coefficient of
-    alpha_r positive; the others are the Levi roots) grouped by that
-    coefficient, in root order, as a read-only mapping, and the largest
-    level.  Records compare by identity, as ``parabolic_data`` shares one
-    instance per pair; a shallow copy is the record itself.  The levels are
+    alpha_r positive; the others are the Levi roots), as rows of ints,
+    grouped by that coefficient, in root order, as a read-only mapping, and
+    the largest level.  Records compare by identity, as ``parabolic_data``
+    shares one instance per pair; a shallow copy is the record itself.  The levels are
     exactly 1..depth whenever ``lowest_weights`` is set, and
     ``lowest_weights[i - 1]`` is the lowest weight of the cotangent piece at
     level i; it is None for a pair omitted in favour of an isomorphic listed
@@ -113,11 +100,10 @@ class ParabolicData(_Record):
         return max(self.root_system.coord_table[self.node - 1 :: self.root_system.rank])
 
     @property
-    def levels(self) -> Mapping[int, tuple[Root, ...]]:
-        """The nilradical roots by their coefficient at the node, levels ascending, each in root order."""
+    def levels(self) -> Mapping[int, tuple[tuple[int, ...], ...]]:
+        """The nilradical rows of ``coord_table`` by their coefficient at the node, levels ascending, in root order."""
         rs = self.root_system
-        rows = zip(rs.coord_table[self.node - 1 :: rs.rank], zip(*[iter(rs.coord_table)] * rs.rank))
-        nil = [(c, Root._of(row)) for c, row in rows if c]  # a Root for each nilradical row only
+        nil = [(c, row) for c, row in zip(rs.coord_table[self.node - 1 :: rs.rank], rs.positive_roots) if c]
         return MappingProxyType({c: tuple([r for level, r in nil if level == c]) for c in range(1, self.depth + 1)})
 
 

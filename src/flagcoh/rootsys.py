@@ -11,17 +11,17 @@ Conventions, fixed once for the whole package:
   the symmetrizer d_i = (alpha_i, alpha_i) / 2 then lies in {1, 1/2, 1/3}.
 * On a Dynkin edge (i, j) the longer root sees the shorter one as -1, so
   (alpha_i, alpha_j) = -max(d_i, d_j): a diagram is its d and its edges.
-* Roots are stored by integer coordinates in the simple-root basis
-  (``sr_coords``), weights by integer coordinates in the fundamental-weight
-  basis (``fw_coords``).  The two bases are related by m = A n, that is
-  m_j = sum_i a_ji n_i.
+* A root is a row of ``coord_table``, its integer coordinates n over the
+  simple roots; a ``Weight`` holds integer coordinates m over the
+  fundamental weights (``fw_coords``).  The two bases are related by
+  m = A n, that is m_j = sum_i a_ji n_i.
 
 Everything is exact and there is no floating point.  Root-system
 construction, classification and the Weyl products use integers only, and
 no module imports ``fractions``: the symmetrizer is carried scaled by 6
 (``scaled_symmetrizer``, D_i = 6 d_i in {6, 3, 2}).
 
-The records (``LieType``, ``Root``, ``Weight`` and ``RootSystem`` here,
+The records (``LieType``, ``Weight`` and ``RootSystem`` here,
 ``CohomologyTable``, ``ParabolicData``, ``CaseResult`` and ``Report``
 elsewhere) are slotted classes on ``_Record``: immutable, closed to new
 attributes, with a ``Name(field=value, ...)`` repr.  ``_Record`` has the one
@@ -29,22 +29,22 @@ constructor: values bind to ``__slots__`` in order, by position or keyword,
 a class's ``_defaults`` fill the fields a caller may leave out, and a
 missing, unknown or repeated field or a value too many is a TypeError
 naming the class.  Only a record that checks its input (``LieType``,
-``Root``, ``Weight``) or is built per query (``CohomologyTable``, whose
+``Weight``) or is built per query (``CohomologyTable``, whose
 hand-set fields are faster) has its own.  ``RootSystem`` and
 ``ParabolicData`` compare by identity.  The others subclass ``_Value``,
 the one value equality: by field tuple, never equal to another class.
 
 Validation happens once, at the boundary.  The public constructors
-``LieType``, ``Weight`` and ``Root`` and the public entry points check
+``LieType`` and ``Weight`` and the public entry points check
 what they are given: a bool, float or Fraction rank or coordinate, a
 mapping or set of coordinates, or a family that is neither a str nor a ``Family``,
 is a TypeError, never coerced, and an unknown family letter, a bad rank or
 a bad node is a ConfigError.  Engine arithmetic (the ``Weight`` operators, the chamber
-walk, basis conversion, the root-system build) derives its values from
-values already checked and builds them with the private trusted
-constructors ``Weight._of`` and ``Root._of``, which do not re-check.
+walk, the views of a ``RootSystem``) derives its values from values already
+checked and builds its weights with the private trusted constructor
+``Weight._of``, which does not re-check.
 
-A ``RootSystem`` stores no ``Root`` or ``Weight``: it keeps, as plain ints,
+A ``RootSystem`` stores no ``Weight``: it keeps, as plain ints,
 the roots and what the root closure learns on the way:
 
 * ``root_chain[k] = (parent, i)``: root k is root ``parent`` plus
@@ -196,43 +196,23 @@ def _require_int(name: str, value: object) -> None:
         raise TypeError(f"{name} must be an int, got {value!r}")
 
 
-def _int_coords(name: str, coords: Iterable[int]) -> tuple[int, ...]:
-    """The coordinates as a tuple; anything but an ordered iterable (no mapping or set) of plain ints is a TypeError."""
-    if type(coords) is not tuple and isinstance(coords, (Mapping, Set)):
-        raise TypeError(f"{name} must be an ordered iterable of ints, got {coords!r}")
-    try:
-        out = tuple(coords)
-    except TypeError:
-        raise TypeError(f"{name} must be an iterable of ints, got {coords!r}") from None
-    for c in out:
-        if type(c) is not int:
-            raise TypeError(f"coordinates must be ints, got {c!r}")
-    return out
-
-
-class Root(_Value):
-    """Element of the root lattice; integer coefficients n_i over the simple roots."""
-
-    __slots__ = ("sr_coords",)
-
-    def __init__(self, sr_coords: Iterable[int]) -> None:
-        object.__setattr__(self, "sr_coords", _int_coords("sr_coords", sr_coords))
-
-    @classmethod
-    def _of(cls, coords: tuple[int, ...]) -> "Root":
-        """A root from a tuple of ints the engine derived from checked values; no re-check."""
-        r = object.__new__(cls)
-        object.__setattr__(r, "sr_coords", coords)
-        return r
-
-
 class Weight(_Value):
     """Element of the weight lattice; integer coefficients m_i over the fundamental weights."""
 
     __slots__ = ("fw_coords",)
 
     def __init__(self, fw_coords: Iterable[int]) -> None:
-        object.__setattr__(self, "fw_coords", _int_coords("fw_coords", fw_coords))
+        # anything but an ordered iterable (no mapping or set) of plain ints is a TypeError
+        if type(fw_coords) is not tuple and isinstance(fw_coords, (Mapping, Set)):
+            raise TypeError(f"fw_coords must be an ordered iterable of ints, got {fw_coords!r}")
+        try:
+            coords = tuple(fw_coords)
+        except TypeError:
+            raise TypeError(f"fw_coords must be an iterable of ints, got {fw_coords!r}") from None
+        for c in coords:
+            if type(c) is not int:
+                raise TypeError(f"coordinates must be ints, got {c!r}")
+        object.__setattr__(self, "fw_coords", coords)
 
     @classmethod
     def _of(cls, coords: tuple[int, ...]) -> "Weight":
@@ -394,9 +374,9 @@ class RootSystem(_Record):
     coordinates besides m_k that s_k changes.  ``coord_table`` is the one
     copy of the roots, in (height, coords) order: root k is the row
     ``[k*rank:(k+1)*rank]``, node j the column ``[j::rank]``.  The repr
-    also shows two views built on each read, ``positive_roots`` (a ``Root``
-    per row) and ``weyl_vector`` (delta).  ``root_system`` shares one
-    instance per type; they compare by identity.
+    also shows two views built on each read, ``positive_roots`` (the rows,
+    as tuples of ints) and ``weyl_vector`` (delta).  ``root_system`` shares
+    one instance per type; they compare by identity.
     """
 
     __slots__ = (
@@ -410,8 +390,8 @@ class RootSystem(_Record):
         return self.lie_type.rank
 
     @property
-    def positive_roots(self) -> tuple[Root, ...]:
-        return tuple(map(Root._of, zip(*[iter(self.coord_table)] * self.rank)))  # rank bytes a row, in root order
+    def positive_roots(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*[iter(self.coord_table)] * self.rank))  # rank bytes a row, in root order
 
     @property
     def weyl_vector(self) -> Weight:
@@ -453,6 +433,8 @@ def _pairwise_prod(s: list[int]) -> int:
 
 
 def build_root_system(t: LieType) -> RootSystem:
+    if not isinstance(t, LieType):
+        raise TypeError(f"t must be a LieType, got {t!r}")
     cartan, d = _cartan_matrix(t)
     packed, weights, root_chain = zip(*_positive_root_closure(cartan))
     table = b"".join([n.to_bytes(t.rank, "big") for n in packed])  # each root's coordinates n, node 0 first
@@ -503,24 +485,6 @@ def _check_len(rs: RootSystem, coords: Sequence[int]) -> int:
     if len(coords) != rank:
         raise ValueError(f"expected {rank} coordinates, got {len(coords)}")
     return rank
-
-
-def root_to_weight_coords(rs: RootSystem, r: Root) -> Weight:
-    """The weight coordinates m = A n of a root-lattice vector, read off the Dynkin graph.
-
-    m_j = 2 n_j + sum a_ji n_i over the Dynkin neighbours i of j.
-    """
-    try:
-        n = r.sr_coords
-    except AttributeError:
-        raise TypeError(f"r must be a Root, got {r!r}") from None
-    _check_len(rs, n)
-    m = [2 * c for c in n]
-    for i, c in enumerate(n):
-        if c:
-            for j, a in rs.neighbours[i]:
-                m[j] += a * c
-    return Weight._of(tuple(m))
 
 
 def all_lie_types(max_rank: int) -> list[LieType]:

@@ -34,14 +34,6 @@ from .bwb import weyl_dim
 from .parabolic import ParabolicData, h0_twisted_cotangent, konno_pairs
 from .rootsys import ConfigError, Family, _require_int, _Value, fundamental_weight, root_system
 
-__all__ = [
-    "CaseResult",
-    "Report",
-    "check_lemma_studiopesi",
-    "check_theorem_lungo",
-    "emit_report",
-]
-
 # Pairs excluded from the degree-3 statement of the main theorem: the
 # three-dimensional quadric and the three-dimensional spinor variety.
 _DEGREE_THREE_EXCEPTIONS = {("B", 2, 1), ("D", 3, 2)}

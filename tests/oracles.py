@@ -306,7 +306,26 @@ def table_lowest_weights(family: str, rank: int, node: int, cartan) -> list[tupl
 
 
 # ---------------------------------------------------------------------------
-# Weyl-chamber walk and coroots from the Cartan matrix alone
+# Weights of roots, the Weyl-chamber walk and coroots from the Cartan matrix alone
+
+
+def root_weights(cartan, roots) -> list[tuple[int, ...]]:
+    """The weight coordinates m = A n of each root-lattice vector n, m_j = sum_i a_ji n_i.
+
+    This is the product over the Cartan rows; each coordinate n_i adds
+    n_i times column i, read once as its nonzero entries.
+    """
+    rank = len(cartan)
+    columns = [[(j, cartan[j][i]) for j in range(rank) if cartan[j][i]] for i in range(rank)]
+    out = []
+    for n in roots:
+        m = [0] * rank
+        for i, c in enumerate(n):
+            if c:
+                for j, a in columns[i]:
+                    m[j] += a * c
+        out.append(tuple(m))
+    return out
 
 
 def dominant_by_highest_reflection(cartan, coords: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:

@@ -40,16 +40,15 @@ from flagcoh.parabolic import (
     sigma,
 )
 from flagcoh.rootsys import (
-    Root,
     Weight,
+    _unpack,
     all_lie_types,
     fundamental_weight,
     root_system,
-    root_to_weight_coords,
 )
 from flagcoh.verify import check_lemma_studiopesi, check_theorem_lungo
 
-from oracles import binomial, weyl_product
+from oracles import binomial, root_weights, weyl_product
 
 
 def pd_of(family: str, rank: int, node: int):
@@ -111,7 +110,7 @@ def test_criterion_2_substance_restricted_product() -> None:
         rs = root_system("C", l)
         pd = parabolic_data(rs, l)
         lam = 2 * fundamental_weight(l, l - 1)
-        levi = [r.sr_coords for r in rs.positive_roots if r.sr_coords[l - 1] == 0]
+        levi = [n for n in rs.positive_roots if n[l - 1] == 0]
         assert weyl_product(rs.cartan, lam.fw_coords, levi) == pd.dim_y == l * (l + 1) // 2
         # the Levi roots are the roots of A_{l-1}, and 2 lambda_{l-1} restricts to 2 omega_{l-1}
         assert weyl_dim(root_system("A", l - 1), 2 * fundamental_weight(l - 1, l - 1)) == pd.dim_y
@@ -200,12 +199,12 @@ def _check_root_counts() -> bool:
 def _check_delta_identity() -> bool:
     for f, l in _REPRESENTATIVE_TYPES:
         rs = root_system(f, l)
-        total = [0] * rs.rank
-        for root in rs.positive_roots:
-            for j, c in enumerate(root.sr_coords):
-                total[j] += c
+        total = tuple(map(sum, zip(*rs.positive_roots)))
         # the positive roots sum to 2 delta; A is invertible, so weight coordinates decide it
-        if root_to_weight_coords(rs, Root(tuple(total))) != 2 * rs.weyl_vector:
+        if root_weights(rs.cartan, [total]) != [(2,) * rs.rank]:
+            return False
+        # and so do the weights the engine stores for them
+        if _unpack(sum(rs.packed_weights), rs.rank, len(rs.packed_weights)) != (2,) * rs.rank:
             return False
     return True
 
@@ -264,12 +263,10 @@ def _check_purity() -> bool:
         rs = root_system(t.family, t.rank)
         for r in range(1, t.rank + 1):
             pd = parabolic_data(rs, r)  # purity asserted internally
-            total = fundamental_weight(rs.rank, 0)
-            for roots in pd.levels.values():
-                for root in roots:
-                    total = total + root_to_weight_coords(rs, root)
+            nilradical = [n for roots in pd.levels.values() for n in roots]
+            total = tuple(map(sum, zip(*root_weights(rs.cartan, nilradical))))
             expected = pd.fano_index * fundamental_weight(rs.rank, r)
-            if total != expected:
+            if total != expected.fw_coords:
                 return False
     return True
 
@@ -286,8 +283,8 @@ def _check_table_validity() -> bool:
                 continue
             seen += 1
             # w is the weight coordinates of a root of its level; A is invertible, so of one root only
-            for level, w in zip(pd.levels, weights):
-                if not any(root_to_weight_coords(rs, root) == w for root in pd.levels[level]):
+            for (level, roots), w in zip(pd.levels.items(), weights):
+                if w.fw_coords not in root_weights(rs.cartan, roots):
                     return False
     return seen == 142
 

@@ -30,13 +30,11 @@ from flagcoh.parabolic import (
 from flagcoh.rootsys import (
     Family,
     LieType,
-    Root,
     RootSystem,
     Weight,
     all_lie_types,
     fundamental_weight,
     root_system,
-    root_to_weight_coords,
 )
 
 from oracles import (
@@ -44,6 +42,7 @@ from oracles import (
     cartan_oracle,
     dominant_by_highest_reflection,
     epsilon_weyl_dim,
+    root_weights,
     symmetrizer_from_cartan,
     type_a_weyl_dim,
     weyl_product,
@@ -83,7 +82,7 @@ def test_chain_tables_match_cartan_oracle(t: LieType):
     d = symmetrizer_from_cartan(rs.cartan)
     # (delta, alpha) = sum_j n_j d_j, since (lambda_i, alpha_j) = delta_ij d_j
     assert rs.weyl_denominator == math.prod(6 * sum(x * y for x, y in zip(n, d)) for n in roots)
-    assert {r.sr_coords for r in rs.positive_roots} == set(roots)
+    assert set(rs.positive_roots) == set(roots)
 
 
 def test_classify_delta():
@@ -100,8 +99,8 @@ def test_classify_lemma_singular_shape():
     for fam, l in [("A", 3), ("B", 4), ("F", 4), ("G", 2)]:
         rs = root_system(fam, l)
         for r in range(1, l + 1):
-            alpha_r = Root(tuple(int(j == r) for j in range(1, l + 1)))
-            v = fundamental_weight(l, r) - root_to_weight_coords(rs, alpha_r) + rs.weyl_vector
+            (alpha_r,) = root_weights(rs.cartan, [tuple(int(j == r) for j in range(1, l + 1))])
+            v = fundamental_weight(l, r) - Weight(alpha_r) + rs.weyl_vector
             assert classify(rs, v) is None
 
 
@@ -111,8 +110,8 @@ def test_to_dominant_spot():
         assert to_dominant(rs, rs.weyl_vector) == (0, rs.weyl_vector)
         for i in range(1, l + 1):
             # s_i(delta) = delta - alpha_i
-            alpha_i = Root(tuple(int(j == i) for j in range(1, l + 1)))
-            assert to_dominant(rs, rs.weyl_vector - root_to_weight_coords(rs, alpha_i)) == (1, rs.weyl_vector)
+            (alpha_i,) = root_weights(rs.cartan, [tuple(int(j == i) for j in range(1, l + 1))])
+            assert to_dominant(rs, rs.weyl_vector - Weight(alpha_i)) == (1, rs.weyl_vector)
     rs1 = root_system("A", 1)
     assert to_dominant(rs1, Weight((-1,))) == (1, Weight((1,)))
     assert to_dominant(rs1, Weight((0,))) is None
@@ -212,11 +211,10 @@ def test_to_dominant_step_bound_and_length():
         lambda rs, c: bwb_cohomology(rs, Weight(c)),
         lambda rs, c: to_dominant(rs, Weight(c)),
         lambda rs, c: weyl_dim(rs, Weight(c)),
-        lambda rs, c: root_to_weight_coords(rs, Root(c)),
         lambda rs, c: classify_cotangent_twist_weights(rs, 1, 1, Weight(c)),
     ],
     ids=[
-        "bwb_cohomology", "to_dominant", "weyl_dim", "root_to_weight_coords", "classify_cotangent_twist_weights",
+        "bwb_cohomology", "to_dominant", "weyl_dim", "classify_cotangent_twist_weights",
     ],
 )
 @pytest.mark.parametrize("coords", [(1,), (1, 1, 1)], ids=["short", "long"])
@@ -232,18 +230,16 @@ def test_wrong_length_names_the_rank(call, coords):
         (bwb_cohomology, "lam must be a Weight"),
         (to_dominant, "v must be a Weight"),
         (weyl_dim, "lam must be a Weight"),
-        (root_to_weight_coords, "r must be a Root"),
         (lambda rs, x: classify_cotangent_twist_weights(rs, 1, 1, x), "twisted_weight must be a Weight"),
     ],
     ids=[
-        "bwb_cohomology", "to_dominant", "weyl_dim", "root_to_weight_coords", "classify_cotangent_twist_weights",
+        "bwb_cohomology", "to_dominant", "weyl_dim", "classify_cotangent_twist_weights",
     ],
 )
 @pytest.mark.parametrize("given", ["tuple", "list", "other record"])
 def test_non_record_arguments_name_the_argument(call, expected, given):
     # a tuple, a list, or the other record type: a TypeError naming the argument, not an AttributeError
-    other = Weight((1, 0)) if expected.endswith("Root") else Root((1, 0))
-    bad = {"tuple": (1, 0), "list": [1, 0], "other record": other}[given]
+    bad = {"tuple": (1, 0), "list": [1, 0], "other record": LieType("A", 2)}[given]
     with pytest.raises(TypeError, match=f"^{re.escape(f'{expected}, got {bad!r}')}$"):
         call(root_system("A", 2), bad)
 
@@ -254,11 +250,10 @@ def test_non_record_arguments_name_the_argument(call, expected, given):
         lambda rs: bwb_cohomology(rs, Weight((1, 0))),
         lambda rs: to_dominant(rs, Weight((1, 0))),
         lambda rs: weyl_dim(rs, Weight((1, 0))),
-        lambda rs: root_to_weight_coords(rs, Root((1, 0))),
         lambda rs: classify_cotangent_twist_weights(rs, 1, 1, Weight((1, 0))),
     ],
     ids=[
-        "bwb_cohomology", "to_dominant", "weyl_dim", "root_to_weight_coords", "classify_cotangent_twist_weights",
+        "bwb_cohomology", "to_dominant", "weyl_dim", "classify_cotangent_twist_weights",
     ],
 )
 @pytest.mark.parametrize("given", ["none", "lie type", "parabolic data"])
@@ -312,7 +307,7 @@ def test_weyl_dim_trivial_and_f4():
         rs = root_system(t.family, t.rank)
         assert weyl_dim(rs, Weight((0,) * t.rank)) == 1
     rs = root_system("F", 4)
-    lam = 2 * fundamental_weight(4, 4) - root_to_weight_coords(rs, Root((0, 0, 0, 1)))
+    lam = 2 * fundamental_weight(4, 4) - Weight(*root_weights(rs.cartan, [(0, 0, 0, 1)]))
     assert lam == fundamental_weight(4, 3)
     assert weyl_dim(rs, lam) == 273
     assert weyl_dim(rs, fundamental_weight(4, 1)) == 52
@@ -432,7 +427,7 @@ def test_weyl_dim_rejects_non_dominant():
 def test_partial_weyl_product():
     rs = root_system("C", 5)
     lam = 2 * fundamental_weight(5, 2)
-    roots = [r.sr_coords for r in rs.positive_roots]
+    roots = rs.positive_roots
     assert weyl_product(rs.cartan, lam.fw_coords, []) == 1
     assert weyl_product(rs.cartan, lam.fw_coords, roots) == weyl_dim(rs, lam)
     # the subset of roots avoiding the long simple root, for the 2 lambda_{r-1}
@@ -453,8 +448,8 @@ def test_partial_weyl_product_levi_and_nilradical_split_weyl_dim(t: LieType):
     weights = [(0,) * t.rank] + [tuple(rng.randint(0, 3) for _ in range(t.rank)) for _ in range(3)]
     for r in range(1, t.rank + 1):
         pd = parabolic_data(rs, r)
-        levi = [root.sr_coords for root in rs.positive_roots if root.sr_coords[r - 1] == 0]
-        nilradical = [root.sr_coords for level in pd.levels.values() for root in level]
+        levi = [n for n in rs.positive_roots if n[r - 1] == 0]
+        nilradical = [n for level in pd.levels.values() for n in level]
         for m in weights:
             product = weyl_product(rs.cartan, m, levi) * weyl_product(rs.cartan, m, nilradical)
             assert product == weyl_dim(rs, Weight(m))
@@ -466,7 +461,7 @@ def test_partial_weyl_product_monotone():
     for fam, l in [("B", 4), ("C", 4), ("F", 4)]:
         rs = root_system(fam, l)
         lam = Weight(tuple(rng.randint(0, 3) for _ in range(l)))
-        roots = [r.sr_coords for r in rs.positive_roots]
+        roots = rs.positive_roots
         small = roots[: len(roots) // 2]
         assert weyl_product(rs.cartan, lam.fw_coords, small) <= weyl_product(rs.cartan, lam.fw_coords, roots)
         assert weyl_product(rs.cartan, lam.fw_coords, roots) <= weyl_dim(rs, lam)
@@ -485,7 +480,7 @@ def test_restricted_product_equals_dim_y_for_c_last_node():
         assert levi == l * (l + 1) // 2
         assert weyl_dim(rs, lam) > levi  # full product is strictly bigger
         if l <= 16:
-            subset_a = [r.sr_coords for r in rs.positive_roots if r.sr_coords[-1] == 0]
+            subset_a = [n for n in rs.positive_roots if n[-1] == 0]
             assert weyl_product(rs.cartan, lam.fw_coords, subset_a) == levi
 
 
@@ -540,9 +535,9 @@ def test_engine_builds_plain_int_coordinates():
         rs = root_system(t.family, t.rank)
         l = t.rank
         assert _plain_ints(rs.weyl_vector.fw_coords)
-        for root in rs.positive_roots:
-            assert _plain_ints(root.sr_coords)
-            assert _plain_ints(root_to_weight_coords(rs, root).fw_coords)
+        for n in rs.positive_roots:
+            assert _plain_ints(n)
+        assert all(_plain_ints(flagcoh.rootsys._unpack(w, l)) for w in rs.packed_weights)
         for i in range(l + 1):
             lam = fundamental_weight(l, i)
             for w in (lam, lam + rs.weyl_vector, lam - rs.weyl_vector, -lam, 3 * lam):
@@ -571,7 +566,7 @@ def test_engine_builds_plain_int_coordinates():
 
 def test_bwb_f4_example():
     rs = root_system("F", 4)
-    lam = 2 * fundamental_weight(4, 4) - root_to_weight_coords(rs, Root((0, 0, 0, 1)))
+    lam = 2 * fundamental_weight(4, 4) - Weight(*root_weights(rs.cartan, [(0, 0, 0, 1)]))
     table = bwb_cohomology(rs, lam)
     assert (table.vanishes, table.degree, table.dimension) == (False, 0, 273)
 
@@ -580,7 +575,7 @@ def test_bwb_projective_space_cotangent():
     # h0 of the cotangent bundle twisted by 2 on projective n-space
     for n in range(1, 7):
         rs = root_system("A", n)
-        lam = 2 * fundamental_weight(n, 1) - root_to_weight_coords(rs, Root((1,) + (0,) * (n - 1)))
+        lam = 2 * fundamental_weight(n, 1) - Weight(*root_weights(rs.cartan, [(1,) + (0,) * (n - 1)]))
         table = bwb_cohomology(rs, lam)
         assert (table.vanishes, table.degree) == (False, 0)
         assert table.dimension == n * (n + 1) // 2
@@ -620,7 +615,7 @@ def test_bwb_degree_bound_and_consistency(capsys):
 def test_classify_cotangent_twist_weights_shapes():
     rs = root_system("F", 4)
     lam4 = fundamental_weight(4, 4)
-    alpha4 = root_to_weight_coords(rs, Root((0, 0, 0, 1)))
+    alpha4 = Weight(*root_weights(rs.cartan, [(0, 0, 0, 1)]))
     # shape 1: -alpha_r + a lambda_r
     assert classify_cotangent_twist_weights(rs, 4, 1, lam4 - alpha4) is None
     for a in (2, 3, 4):

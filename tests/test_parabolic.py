@@ -52,6 +52,7 @@ from oracles import (
     h0_cotangent_quadric,
     konno_table_rows,
     parabolic_gradings,
+    root_weights,
     table_lowest_weights,
 )
 
@@ -102,14 +103,14 @@ def test_partition_and_purity_all_pairs() -> None:
     for pd in all_pairs(8):
         positive, levels = pd.root_system.positive_roots, pd.levels  # views built on each read, so read once
         # the Levi roots are the positive roots outside the levels
-        nilradical = {root for roots in levels.values() for root in roots}
-        levi = [root for root in positive if root not in nilradical]
+        nilradical = {n for roots in levels.values() for n in roots}
+        levi = [n for n in positive if n not in nilradical]
         assert len(levi) + pd.dim_y == len(positive)
         assert sum(len(v) for v in levels.values()) == pd.dim_y
-        assert all(root.sr_coords[pd.node - 1] == 0 for root in levi)
+        assert all(n[pd.node - 1] == 0 for n in levi)
         for level, roots in levels.items():
             assert level >= 1
-            assert all(root.sr_coords[pd.node - 1] == level for root in roots)
+            assert all(n[pd.node - 1] == level for n in roots)
         assert pd.fano_index >= 1
         # Fano index bound, with equality exactly for projective space.
         assert pd.fano_index <= pd.dim_y + 1
@@ -122,7 +123,7 @@ def test_grading_matches_the_reflection_oracle(t: LieType) -> None:
     rs = root_system(t.family, t.rank)
     for r, (levels, k) in enumerate(parabolic_gradings(rs.cartan), 1):
         pd = parabolic_data(rs, r)
-        assert {i: sorted(root.sr_coords for root in roots) for i, roots in pd.levels.items()} == levels
+        assert {i: sorted(roots) for i, roots in pd.levels.items()} == levels
         assert (pd.dim_y, pd.depth, pd.fano_index) == (sum(map(len, levels.values())), max(levels), k)
 
 
@@ -153,9 +154,9 @@ def test_parabolic_data_at_every_node_of_max_rank(family) -> None:
 def test_derived_levels_group_the_roots_in_root_order() -> None:
     for pd in all_pairs(12):
         grouped: dict[int, list] = {}
-        for root in pd.root_system.positive_roots:
-            if root.sr_coords[pd.node - 1]:
-                grouped.setdefault(root.sr_coords[pd.node - 1], []).append(root)
+        for n in pd.root_system.positive_roots:
+            if n[pd.node - 1]:
+                grouped.setdefault(n[pd.node - 1], []).append(n)
         levels = pd.levels
         assert isinstance(levels, MappingProxyType)
         assert list(levels.items()) == [(i, tuple(grouped[i])) for i in sorted(grouped)]
@@ -255,11 +256,9 @@ def test_json_round_shape(capsys) -> None:
 def lowest_weights_by_levi_action(rs, r):
     """Independent recomputation: level-i roots killed by every Levi lowering."""
     positive = rs.positive_roots
-    pos = {root.sr_coords for root in positive}
-    rank, cartan = rs.rank, rs.cartan
+    pos = set(positive)
     out: dict[int, list[tuple[int, ...]]] = {}
-    for root in positive:
-        n = root.sr_coords
+    for n in positive:
         level = n[r - 1]
         if level == 0:
             continue
@@ -272,9 +271,7 @@ def lowest_weights_by_levi_action(rs, r):
                 lowest = False
                 break
         if lowest:
-            # weight coordinates m = A n, m_j = sum_i a_ji n_i
-            m = tuple(sum(cartan[j][i] * n[i] for i in range(rank)) for j in range(rank))
-            out.setdefault(level, []).append(m)
+            out.setdefault(level, []).extend(root_weights(rs.cartan, [n]))
     return out
 
 
@@ -378,7 +375,7 @@ def _tampered(rs, **fields):
 def test_parabolic_build_checks_raise_their_messages() -> None:
     # Gr(2, 4) at (A3, node 2): nilradical (0,1,0), (1,1,0), (0,1,1), (1,1,1), lowest weight alpha_2
     rs = root_system("A", 3)
-    coords = [root.sr_coords for root in rs.positive_roots]
+    coords = rs.positive_roots
     a2, a12, hi = coords.index((0, 1, 0)), coords.index((1, 1, 0)), coords.index((1, 1, 1))
     node1, node2 = 1 << 32, 1 << 16  # one unit in the packed weight digit of node 1, of node 2
 

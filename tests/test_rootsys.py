@@ -1,8 +1,9 @@
-"""Root-system construction, pairings, and basis conversions."""
+"""Root-system construction, the stored roots and their weights, and pairings."""
 
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
@@ -10,17 +11,16 @@ from types import MappingProxyType
 import pytest
 
 from flagcoh import rootsys
+from flagcoh.bwb import classify
 from flagcoh.parabolic import _canonical_form, konno_lowest_weights, parabolic_data
 from flagcoh.rootsys import (
     ConfigError,
     Family,
     LieType,
-    Root,
     Weight,
     all_lie_types,
     fundamental_weight,
     root_system,
-    root_to_weight_coords,
 )
 
 from oracles import (
@@ -30,6 +30,7 @@ from oracles import (
     invariant_form,
     lowest_roots,
     positive_roots_by_reflection,
+    root_weights,
     symmetrizer_from_cartan,
 )
 
@@ -106,15 +107,16 @@ def test_positive_root_counts(t: LieType):
 
 def test_a2_closure_by_hand():
     rs = root_system("A", 2)
-    assert {r.sr_coords for r in rs.positive_roots} == {(1, 0), (0, 1), (1, 1)}
+    assert set(rs.positive_roots) == {(1, 0), (0, 1), (1, 1)}
 
 
 def test_g2_closure():
     rs = root_system("G", 2)
     assert len(rs.positive_roots) == 6
-    assert [r.sr_coords for r in rs.positive_roots].count((3, 2)) == 1
-    # highest root converts to the second fundamental weight
-    assert root_to_weight_coords(rs, Root((3, 2))) == Weight((0, 1))
+    assert rs.positive_roots.count((3, 2)) == 1
+    # the highest root's stored weight is the second fundamental weight
+    assert rootsys._unpack(rs.packed_weights[rs.positive_roots.index((3, 2))], 2) == (0, 1)
+    assert root_weights(rs.cartan, [(3, 2)]) == [(0, 1)]
 
 
 @pytest.mark.parametrize(
@@ -124,7 +126,7 @@ def test_g2_closure():
 )
 def test_classical_root_sets_match_epsilon_model(t: LieType):
     rs = root_system(t.family, t.rank)
-    assert {r.sr_coords for r in rs.positive_roots} == epsilon_positive_roots(t.family.value, t.rank)
+    assert set(rs.positive_roots) == epsilon_positive_roots(t.family.value, t.rank)
 
 
 @pytest.mark.parametrize(
@@ -134,7 +136,7 @@ def test_coordinate_table_rows_and_columns(t: LieType):
     # root k's row of the table is its coordinates, and node j's strided column is n_j of every root, in root order
     rs = root_system(t.family, t.rank)
     rank, table = t.rank, rs.coord_table
-    coords = [r.sr_coords for r in rs.positive_roots]
+    coords = list(rs.positive_roots)
     assert type(table) is bytes and len(table) == rank * len(coords)
     assert [tuple(table[k * rank : (k + 1) * rank]) for k in range(len(coords))] == coords
     assert [tuple(table[j::rank]) for j in range(rank)] == list(zip(*coords))
@@ -143,8 +145,7 @@ def test_coordinate_table_rows_and_columns(t: LieType):
 @pytest.mark.parametrize("t", CLOSURE_SCALES, ids=str)
 def test_closure_at_every_scale(t: LieType):
     rs = root_system(t.family, t.rank)
-    rank, roots = t.rank, rs.positive_roots  # a view built on each read, so read once
-    coords = [r.sr_coords for r in roots]
+    rank, coords = t.rank, list(rs.positive_roots)  # a view built on each read, so read once
     assert coords == sorted(coords, key=lambda n: (sum(n), n))
     # a root as one int, a byte per node, node 0 first: alpha_j is 256^(rank - 1 - j)
     keys = [int.from_bytes(bytes(n), "big") for n in coords]
@@ -154,28 +155,16 @@ def test_closure_at_every_scale(t: LieType):
             assert key == units[i]
         else:
             assert parent < k and keys[parent] + units[i] == key
-    weights = [root_to_weight_coords(rs, root).fw_coords for root in roots]
-    assert [rootsys._unpack(w, rank) for w in rs.packed_weights] == weights
+    assert [rootsys._unpack(w, rank) for w in rs.packed_weights] == root_weights(rs.cartan, coords)
     # at every node, the lowest weights are the roots that no simple root but alpha_r lowers, one per level,
     # found by membership in the oracle's root set; an omitted pair has none
     if t.family in (Family.A, Family.B, Family.C, Family.D):
         oracle = epsilon_positive_roots(t.family.value, rank)
     else:
         oracle = positive_roots_by_reflection(rs.cartan)
-    # m = A n, m_j = sum_i a_ji n_i, from the nonzero entries a_ji of each column i
-    columns = [[(j, row[i]) for j, row in enumerate(rs.cartan) if row[i]] for i in range(rank)]
-
-    def weight(n: tuple[int, ...]) -> Weight:
-        m = [0] * rank
-        for i, c in enumerate(n):
-            if c:
-                for j, a in columns[i]:
-                    m[j] += a * c
-        return Weight(m)
-
     for r, candidates in enumerate(lowest_roots(oracle), 1):
         assert [n[r - 1] for n in candidates] == list(range(1, len(candidates) + 1))  # one per level, ascending
-        expected = tuple(map(weight, candidates))
+        expected = tuple(map(Weight, root_weights(rs.cartan, candidates)))
         pd = parabolic_data(rs, r)
         if _canonical_form(t, r):
             assert pd.lowest_weights is None
@@ -223,12 +212,15 @@ def test_symmetrizer_and_coroots_match_cartan_oracle(t: LieType):
 
 @pytest.mark.parametrize("t", ALL_TYPES_8 + [LieType(Family(f), 30) for f in "ABCD"], ids=str)
 def test_root_to_weight_coords_matches_dense_product(t: LieType):
+    # the weight coordinates m = A n the engine stores for each root, and the oracle's for any lattice vector,
+    # are the dense product over the Cartan rows
     rs = root_system(t.family, t.rank)
     rng = random.Random(f"A n {t}")
-    samples = [[rng.choice((-3, -1, 0, 0, 1, 2, 5)) for _ in range(t.rank)] for _ in range(40)]
-    for n in samples + [list(r.sr_coords) for r in rs.positive_roots]:
-        dense = tuple(sum(a * c for a, c in zip(row, n)) for row in rs.cartan)
-        assert root_to_weight_coords(rs, Root(n)) == Weight(dense)
+    samples = [tuple(rng.choice((-3, -1, 0, 0, 1, 2, 5)) for _ in range(t.rank)) for _ in range(40)]
+    roots = list(rs.positive_roots)
+    dense = [tuple(sum(a * c for a, c in zip(row, n)) for row in rs.cartan) for n in samples + roots]
+    assert root_weights(rs.cartan, samples + roots) == dense
+    assert [rootsys._unpack(w, t.rank) for w in rs.packed_weights] == dense[len(samples) :]
 
 
 def test_inconsistent_diagram_raises(monkeypatch):
@@ -240,6 +232,13 @@ def test_inconsistent_diagram_raises(monkeypatch):
     monkeypatch.setattr(rootsys, "_diagram", lambda t: ([12, 3], [(0, 1)]))
     with pytest.raises(ArithmeticError, match="-12/3"):
         rootsys.build_root_system(LieType(Family.A, 2))
+
+
+def test_build_root_system_refuses_anything_but_a_lie_type():
+    # refused at the boundary, not by an AttributeError from deep in the Cartan matrix
+    for bad in (None, root_system("A", 2), (1, 0), "A"):
+        with pytest.raises(TypeError, match=f"^{re.escape(f't must be a LieType, got {bad!r}')}$"):
+            rootsys.build_root_system(bad)
 
 
 def test_cartan_matrices_spot():
@@ -283,7 +282,7 @@ def test_pairing_delta_vs_half_sum():
     theta = (3, 2)
     direct = invariant_form(rs.cartan, rs.weyl_vector.fw_coords, theta)
     half_sum = sum(
-        (invariant_form(rs.cartan, root_to_weight_coords(rs, a).fw_coords, theta) for a in rs.positive_roots),
+        (invariant_form(rs.cartan, m, theta) for m in root_weights(rs.cartan, rs.positive_roots)),
         Fraction(0),
     ) / 2
     assert direct == half_sum
@@ -297,7 +296,8 @@ def test_copairing_examples():
             for j in range(1, t.rank + 1):
                 assert _copairing(rs.cartan, fundamental_weight(t.rank, j), alpha) == (1 if i == j else 0)
     rs = root_system("A", 2)
-    assert _copairing(rs.cartan, root_to_weight_coords(rs, Root((1, 0))), (0, 1)) == -1
+    (alpha_1,) = root_weights(rs.cartan, [(1, 0)])
+    assert _copairing(rs.cartan, Weight(alpha_1), (0, 1)) == -1
 
 
 @pytest.mark.parametrize("t", ALL_TYPES_8, ids=str)
@@ -305,11 +305,10 @@ def test_delta_double_identity(t: LieType):
     # the sum of the positive roots is 2 delta; the Cartan matrix is invertible,
     # so comparing weight coordinates compares the roots themselves
     rs = root_system(t.family, t.rank)
-    total = [0] * t.rank
-    for r in rs.positive_roots:
-        for j, n in enumerate(r.sr_coords):
-            total[j] += n
-    assert root_to_weight_coords(rs, Root(total)) == 2 * rs.weyl_vector
+    total = tuple(map(sum, zip(*rs.positive_roots)))
+    assert root_weights(rs.cartan, [total]) == [(2,) * t.rank]
+    # and the stored weights sum to 2 delta
+    assert rootsys._unpack(sum(rs.packed_weights), t.rank, len(rs.packed_weights)) == (2,) * t.rank
     for alpha in _simple_roots(t.rank):
         assert _copairing(rs.cartan, rs.weyl_vector, alpha) == 1
 
@@ -318,48 +317,47 @@ def test_delta_double_identity(t: LieType):
 def test_conversion_round_trip(t: LieType):
     # A is invertible, so every root, positive or negative, comes back from its weight coordinates
     rs = root_system(t.family, t.rank)
-    positive = rs.positive_roots
-    roots = list(positive) + [Root(tuple(-c for c in r.sr_coords)) for r in positive]
-    back = {root_to_weight_coords(rs, r): r for r in roots}
+    positive = list(rs.positive_roots)
+    roots = positive + [tuple(-c for c in n) for n in positive]
+    back = dict(zip(root_weights(rs.cartan, roots), roots))
     assert len(back) == len(roots)
+    # the stored weights are those of the positive roots, so they tell the roots apart too
+    assert [back[rootsys._unpack(w, t.rank)] for w in rs.packed_weights] == positive
 
 
 def test_conversion_spot_values():
     rs = root_system("A", 2)
-    assert root_to_weight_coords(rs, Root((1, 0))) == Weight((2, -1))
-    assert root_to_weight_coords(rs, Root((0, 0))) == Weight((0, 0))
+    assert rootsys._unpack(rs.packed_weights[rs.positive_roots.index((1, 0))], 2) == (2, -1)
+    assert root_weights(rs.cartan, [(1, 0), (0, 0)]) == [(2, -1), (0, 0)]
     rs1 = root_system("A", 1)
-    assert root_to_weight_coords(rs1, Root((1,))) == 2 * fundamental_weight(1, 1)
+    assert [rootsys._unpack(rs1.packed_weights[0], 1)] == root_weights(rs1.cartan, [(1,)]) == [(2,)]
     # 2 delta of F4 in the simple-root basis: every coordinate positive
-    rsf = root_system("F", 4)
-    assert root_to_weight_coords(rsf, Root((16, 30, 42, 22))) == 2 * rsf.weyl_vector
+    assert root_weights(root_system("F", 4).cartan, [(16, 30, 42, 22)]) == [(2, 2, 2, 2)]
 
 
 def test_pairing_symmetry_on_roots():
     for t in [LieType(Family.B, 4), LieType(Family.C, 4), LieType(Family.F, 4), LieType(Family.G, 2), LieType(Family.E, 6)]:
         rs = root_system(t.family, t.rank)
-        roots = rs.positive_roots
-        for b in roots:
-            wb = root_to_weight_coords(rs, b).fw_coords
-            for g in roots:
-                wg = root_to_weight_coords(rs, g).fw_coords
-                assert invariant_form(rs.cartan, wb, g.sr_coords) == invariant_form(rs.cartan, wg, b.sr_coords)
+        # each root with the weight coordinates the engine stores for it
+        roots = list(zip(rs.positive_roots, (rootsys._unpack(w, t.rank) for w in rs.packed_weights)))
+        for b, wb in roots:
+            for g, wg in roots:
+                assert invariant_form(rs.cartan, wb, g) == invariant_form(rs.cartan, wg, b)
 
 
-@pytest.mark.parametrize("cls", [Weight, Root])
+@pytest.mark.parametrize("cls", [Weight])
 def test_coordinates_must_be_ints(cls):
     for bad in [(1.7, 2), (1.0, 0), (0.5,), (1, Fraction(5, 2)), (Fraction(2), 0), (True, 0), (True,), (1, False)]:
         with pytest.raises(TypeError):
             cls(bad)
     from_list = cls([1, -2, 3])
     assert from_list == cls((1, -2, 3))
-    assert type(from_list.sr_coords if cls is Root else from_list.fw_coords) is tuple
+    assert type(from_list.fw_coords) is tuple
     hash(from_list)
     with pytest.raises(TypeError):
         cls([1, 2.0])
-    name = "sr_coords" if cls is Root else "fw_coords"
     for bad in (None, 5):
-        with pytest.raises(TypeError, match=f"^{name} must be an iterable of ints, got {bad!r}$"):
+        with pytest.raises(TypeError, match=f"^fw_coords must be an iterable of ints, got {bad!r}$"):
             cls(bad)
 
 
@@ -376,7 +374,7 @@ UNORDERED = {
 
 
 @pytest.mark.parametrize("container", UNORDERED.values(), ids=UNORDERED.keys())
-@pytest.mark.parametrize("cls, name", [(Weight, "fw_coords"), (Root, "sr_coords")], ids=["Weight", "Root"])
+@pytest.mark.parametrize("cls, name", [(Weight, "fw_coords")], ids=["Weight"])
 def test_unordered_coordinates_are_refused(cls, name, container):
     with pytest.raises(TypeError, match=f"^{name} must be an ordered iterable of ints, got "):
         cls(container)
@@ -408,7 +406,7 @@ def test_root_system_hit_keeps_the_type_check():
 
 def test_weight_arithmetic_refuses_other_operands():
     w = Weight((1, 2))
-    for other in (Root((1, 0)), (1, 2), 1):
+    for other in (LieType("A", 2), (1, 2), 1):
         with pytest.raises(TypeError):
             w + other
         with pytest.raises(TypeError):
@@ -420,11 +418,11 @@ def test_weight_arithmetic_refuses_other_operands():
 
 
 def test_length_validation():
+    # classify refuses a weight of the wrong length with the message of the chamber walk it reads
     rs = root_system("A", 3)
-    with pytest.raises(ValueError):
-        root_to_weight_coords(rs, Root((1, 0)))
-    with pytest.raises(ValueError):
-        root_to_weight_coords(rs, Root((1, 0, 0, 0)))
+    for bad in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match=f"^expected 3 coordinates, got {len(bad)}$"):
+            classify(rs, Weight(bad))
 
 
 def test_all_lie_types_enumeration():

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -34,8 +35,8 @@ def test_no_assert_in_package_source() -> None:
 
 # the integer-only hot path: root-system build, the Dynkin neighbours, the
 # root-chain pass, the pairwise Weyl product, the Weyl dimension, the chamber
-# walk, the root-to-weight conversion, the parabolic partition, the packed-weight
-# unpacking and the lowest-weight derivation
+# walk, the parabolic partition, the packed-weight unpacking and the
+# lowest-weight derivation
 INTEGER_ONLY = {
     "_cartan_matrix",
     "_positive_root_closure",
@@ -48,7 +49,6 @@ INTEGER_ONLY = {
     "to_dominant",
     "weyl_dim",
     "_derive_lowest_weights",
-    "root_to_weight_coords",
     "_build_parabolic_data",
 }
 
@@ -70,8 +70,8 @@ def test_hot_path_never_references_fraction() -> None:
     assert found == []
 
 
-# the per-query path: it builds its values with Weight._of and Root._of,
-# from values already checked, and never re-validates them
+# the per-query path: it builds its values with Weight._of, from values
+# already checked, and never re-validates them
 PER_QUERY = {
     "__add__",
     "__sub__",
@@ -80,10 +80,9 @@ PER_QUERY = {
     "to_dominant",
     "bwb_cohomology",
     "weyl_dim",
-    "root_to_weight_coords",
     "h0_twisted_cotangent",
 }
-VALIDATING = {"Weight", "Root", "LieType", "fundamental_weight"}
+VALIDATING = {"Weight", "LieType", "fundamental_weight"}
 
 
 def _per_query_functions():
@@ -227,7 +226,7 @@ def test_one_record_constructor() -> None:
 
     records = {n for n in bases if is_record(n)} - {"_Record"}
     assert {"RootSystem", "ParabolicData", "CaseResult", "Report"} <= records
-    assert sorted(records.intersection(own_init)) == ["CohomologyTable", "LieType", "Root", "Weight"]
+    assert sorted(records.intersection(own_init)) == ["CohomologyTable", "LieType", "Weight"]
     assert set_names == []
 
 
@@ -246,8 +245,8 @@ def test_no_module_imports_fractions() -> None:
 
 # the engine records whose every field must be read, each with the one function that builds them
 BUILDERS = {"RootSystem": "build_root_system", "ParabolicData": "_build_parabolic_data"}
-# their stored fields: each fact once, so nothing another stored value gives (the roots as Root
-# objects, delta, the type of a pair or its depth) is stored; those are views built on each read
+# their stored fields: each fact once, so nothing another stored value gives (the roots as tuples,
+# delta, the type of a pair or its depth) is stored; those are views built on each read
 STORED_ROOT_SYSTEM = (
     "lie_type", "cartan", "scaled_symmetrizer", "root_chain", "weyl_denominator",
     "neighbours", "packed_weights", "coord_table",
@@ -290,17 +289,16 @@ def _nested(value: object):
 
 
 def test_built_records_store_no_root_or_weight() -> None:
-    # the roots are stored once, as coord_table: a built RootSystem holds no Root or Weight anywhere in its
+    # the roots are stored once, as coord_table: a built RootSystem holds no Weight anywhere in its
     # slots, and a ParabolicData none but the lowest weights it derived
-    points = (flagcoh.Root, flagcoh.Weight)
     for t in flagcoh.all_lie_types(8):
         rs = flagcoh.root_system(t.family, t.rank)
-        assert not any(isinstance(v, points) for value in rs._fields() for v in _nested(value))
+        assert not any(isinstance(v, flagcoh.Weight) for value in rs._fields() for v in _nested(value))
         for r in range(1, t.rank + 1):
             pd = flagcoh.parabolic_data(rs, r)
-            held = {name for name in pd.__slots__ for v in _nested(getattr(pd, name)) if isinstance(v, points)}
+            held = {name for name in pd.__slots__ for v in _nested(getattr(pd, name)) if isinstance(v, flagcoh.Weight)}
             assert held == (set() if pd.lowest_weights is None else {"lowest_weights"})
-            assert not any(isinstance(getattr(pd, name), points) for name in pd.__slots__)
+            assert not any(isinstance(getattr(pd, name), flagcoh.Weight) for name in pd.__slots__)
 
 
 # the packed layout of the root closure: digit width, weight offset and the string-length digit
@@ -371,6 +369,15 @@ def test_engine_modules_leave_the_wire_format_to_the_front_end() -> None:
         assert "json" not in _imported_modules(tree), name
 
 
+def test_oracles_import_no_package_module() -> None:
+    # the test oracles stay independent of the engine they check: tests/oracles.py imports no flagcoh module,
+    # at any depth, and no module by a relative or a dynamic import
+    tree = _parse(Path(__file__).parent / "oracles.py")
+    assert "flagcoh" not in _imported_modules(tree)
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level] == []
+    assert {"import_module", "__import__", "flagcoh"}.isdisjoint(set().union(*map(_names_referenced, ast.walk(tree))))
+
+
 # every public name of the package, so that unused API cannot grow back unseen
 PUBLIC_NAMES = [
     "CaseResult",
@@ -382,7 +389,6 @@ PUBLIC_NAMES = [
     "MacaulayStatus",
     "ParabolicData",
     "Report",
-    "Root",
     "RootSystem",
     "UnsupportedPairError",
     "Weight",
@@ -401,7 +407,6 @@ PUBLIC_NAMES = [
     "macaulay_exceptions",
     "parabolic_data",
     "root_system",
-    "root_to_weight_coords",
     "sigma",
     "to_dominant",
     "weyl_dim",
@@ -422,6 +427,94 @@ def test_public_names_are_the_listed_ones() -> None:
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert sorted(n for n in names if not n.startswith("_")) == PUBLIC_NAMES
     assert all(hasattr(flagcoh, n) for n in PUBLIC_NAMES)
+
+
+# wrong values of every kind, the library twin of test_cli's argv grammar; each is made afresh, as an
+# iterator is read once
+WRONG = {
+    "none": lambda: None,
+    "float": lambda: 2.0,
+    "bool": lambda: True,
+    "str": lambda: "X",
+    "dict": lambda: {0: 0},
+    "set": lambda: {0},
+    "mapping proxy": lambda: MappingProxyType({0: 0}),
+    "iterator": lambda: iter((0,)),
+    "tuple": lambda: (1, 0),
+    "list": lambda: [1, 0],
+    "root system": lambda: flagcoh.root_system("B", 3),
+    "parabolic data": lambda: flagcoh.parabolic_data(flagcoh.root_system("B", 3), 2),
+    "negative int": lambda: -1,
+    "large int": lambda: 10**6,
+}
+# the public names that check no argument: the error classes, and the records only the engine builds
+UNCHECKED = {"CaseResult", "CohomologyTable", "ConfigError", "MAX_RANK", "ParabolicData", "Report", "RootSystem",
+             "UnsupportedPairError"}
+
+
+def _library_contract() -> dict[str, list[tuple[object, tuple[str, ...], set[str]]]]:
+    """Per public callable, its arguments of one valid call: each value, the names a TypeError may give the
+    argument, and the WRONG kinds the argument accepts (the grammar's record where that record is valid)."""
+    rs = flagcoh.root_system("B", 3)
+    pd = flagcoh.parabolic_data(rs, 2)
+    w = flagcoh.Weight((1, 0, 0))
+    twisted = 2 * flagcoh.fundamental_weight(3, 2) - flagcoh.konno_lowest_weights(pd)[0]
+    rs_arg, pd_arg = (rs, ("rs",), {"root system"}), (pd, ("pd",), {"parabolic data"})
+    return {
+        "Family": [("B", (), set())],
+        "MacaulayStatus": [("no-exception", (), set())],
+        "LieType": [("B", ("family",), set()), (3, ("rank",), set())],
+        "Weight": [((1, 0, 0), ("fw_coords", "coordinates"), {"tuple", "list", "iterator"})],
+        "all_lie_types": [(3, ("max_rank",), {"negative int", "large int"})],  # every type up to that rank
+        "build_root_system": [(flagcoh.LieType("B", 3), ("t",), set())],
+        "fundamental_weight": [(3, ("rank",), set()), (1, ("node",), set())],
+        "root_system": [("B", ("family",), set()), (3, ("rank",), set())],
+        "bwb_cohomology": [rs_arg, (w, ("lam",), set())],
+        "classify": [rs_arg, (w, ("v",), set())],
+        "to_dominant": [rs_arg, (w, ("v",), set())],
+        "weyl_dim": [rs_arg, (w, ("lam",), set())],
+        "classify_cotangent_twist_weights": [
+            rs_arg, (2, ("node",), set()), (2, ("twist a",), set()), (twisted, ("twisted_weight",), set()),
+        ],
+        "h0_twisted_cotangent": [pd_arg, (2, ("twist a",), {"large int"})],
+        "konno_lowest_weights": [pd_arg],
+        "konno_pairs": [(3, ("max_rank",), {"negative int", "large int"})],  # every pair up to that rank
+        "macaulay_exceptions": [
+            pd_arg, (3, ("hypersurface degree d",), {"large int"}), (1, ("twist a",), {"large int"}),
+        ],
+        "parabolic_data": [rs_arg, (2, ("node",), set())],
+        "sigma": [pd_arg, (3, ("hypersurface degree d",), {"large int"})],
+        "check_lemma_studiopesi": [(2, ("max_rank",), set()), ((1,), ("twists", "each twist"), set())],
+        "check_theorem_lungo": [(2, ("max_rank",), set())],
+        "emit_report": [(flagcoh.Report("s", "v", {}), ("report",), set()), ("json", (), set())],
+    }
+
+
+def test_library_contract_over_a_value_grammar() -> None:
+    # every public callable, given one wrong argument at a time, raises TypeError, ValueError, ConfigError or
+    # UnsupportedPairError, never AttributeError, and a TypeError names the argument as its message does
+    contract = _library_contract()
+    assert sorted([*contract, *UNCHECKED]) == PUBLIC_NAMES
+    failures = []
+    for name, args in contract.items():
+        for k, (_, names, accepted) in enumerate(args):
+            for kind, make in WRONG.items():
+                if kind in accepted:
+                    continue
+                call = [value for value, _, _ in args]
+                call[k] = make()
+                try:
+                    getattr(flagcoh, name)(*call)
+                except TypeError as exc:
+                    if not str(exc).startswith(tuple(f"{n} must be " for n in names)):
+                        failures.append(f"{name} argument {k} given {kind}: {exc!r}")
+                except (ValueError, flagcoh.UnsupportedPairError):
+                    pass
+                except Exception as exc:
+                    failures.append(f"{name} argument {k} given {kind}: {exc!r}")
+                else:
+                    failures.append(f"{name} argument {k} given {kind}: accepted")
+    assert failures == []
 
 
 # records, in a fresh interpreter, the package files that run: an audit hook on the exec event, which
