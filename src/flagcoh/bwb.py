@@ -74,10 +74,9 @@ def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
     first negative node above k.  The walk costs O(index x max degree)
     after an O(rank) entry check, not O(index x rank).
     """
-    try:
-        m = list(v.fw_coords)
-    except AttributeError:
-        raise TypeError(f"v must be a Weight, got {v!r}") from None
+    if not isinstance(v, Weight):
+        raise TypeError(f"v must be a Weight, got {v!r}")
+    m = list(v.fw_coords)
     rank = _check_len(rs, m)
     if 0 in m:
         return None
@@ -117,10 +116,9 @@ def classify(rs: RootSystem, v: Weight) -> int | None:
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Weyl dimension formula, exact: prod (lam+delta, a) / (delta, a) over positive roots a."""
-    try:
-        m = lam.fw_coords
-    except AttributeError:
-        raise TypeError(f"lam must be a Weight, got {lam!r}") from None
+    if not isinstance(lam, Weight):
+        raise TypeError(f"lam must be a Weight, got {lam!r}")
+    m = lam.fw_coords
     _check_len(rs, m)
     if not lam.is_dominant():
         raise ValueError(f"weight {m} is not dominant")
@@ -133,10 +131,9 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
 
 def bwb_cohomology(rs: RootSystem, lam: Weight) -> CohomologyTable:
     """Cohomology of the irreducible bundle with lowest weight -lam."""
-    try:
-        m = lam.fw_coords
-    except AttributeError:
-        raise TypeError(f"lam must be a Weight, got {lam!r}") from None
+    if not isinstance(lam, Weight):
+        raise TypeError(f"lam must be a Weight, got {lam!r}")
+    m = lam.fw_coords
     # lam + delta from the coordinates, delta = (1, ..., 1); to_dominant checks the length
     result = to_dominant(rs, Weight._of(tuple([c + 1 for c in m])))
     if result is None:
@@ -165,10 +162,9 @@ def classify_cotangent_twist_weights(rs: RootSystem, r: int, a: int, twisted_wei
         raise ConfigError(f"node {r} out of range 1..{rank}")
     if a < 1:
         raise ValueError(f"twist a must be >= 1, got {a}")
-    try:
-        m = twisted_weight.fw_coords
-    except AttributeError:
-        raise TypeError(f"twisted_weight must be a Weight, got {twisted_weight!r}") from None
+    if not isinstance(twisted_weight, Weight):
+        raise TypeError(f"twisted_weight must be a Weight, got {twisted_weight!r}")
+    m = twisted_weight.fw_coords
     _check_len(rs, m)
     # s = twisted_weight - a lambda_r has s_r = m_r - a, and lambda' = s - s_r lambda_r has r-th coordinate 0
     if m[r - 1] - a not in (-1, -2):

@@ -14,17 +14,22 @@ after ``run`` returns it freezes the heap so that the interpreter's exit-time
 collections skip every object the process built.  ``run`` is the in-process
 entry point and leaves the caller's digit limit and collector alone.
 
+Each query command is one row of ``_QUERIES``: its handler, its help, whether
+it takes ``--weight``, and its required int options after the pair, with their
+help.  ``_build_parser`` builds the subparsers from it, and ``_query`` resolves
+the pair for every handler: the root system, then the parabolic data for a row
+with ``--node``.  ``verify`` keeps its own subparser and branch.
+
 A command runs only the engine modules it uses, since the package loads
 each on first use: ``--version``, ``--help`` and usage errors run none,
-``info`` runs ``rootsys``, ``bwb`` and ``dim`` add ``bwb``, ``parabolic``,
-``h0-cotangent``, ``sigma`` and ``macaulay`` add ``parabolic``, and only
-``verify`` runs ``verify``.  So this module holds the modules, not their
-functions, and reads ``rootsys.root_system`` and the rest inside the
-handlers; the modules stay in ``sys.modules`` all along, so that a caller
-that patches or traces ``verify.check_theorem_lungo`` reaches these calls.
-JSON comes from ``_writer``, which imports no engine module and is
-imported only where JSON is written.  An error raised in a handler also
-loads ``parabolic``, whose ``UnsupportedPairError`` the ``except`` names.
+``info`` runs ``rootsys``, ``bwb`` and ``dim`` add ``bwb``, the rows with
+``--node`` add ``parabolic``, and only ``verify`` runs ``verify``.  So the
+table holds handlers, which read each engine function off its module at call
+time, and a caller that patches or traces ``verify.check_theorem_lungo``
+reaches these calls.  JSON comes from ``_writer``, which imports no engine
+module and is imported only where JSON is written.  An error raised in a
+handler also loads ``parabolic``, whose ``UnsupportedPairError`` the
+``except`` names.
 """
 
 from __future__ import annotations
@@ -57,11 +62,8 @@ def _strict_int(text: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flagcoh",
-        description=(
-            "Exact root-system and Borel-Weil-Bott computations on "
-            "Picard-rank-one homogeneous varieties. Weights are given in "
-            "fundamental-weight coordinates (comma-separated integers)."
-        ),
+        description="Exact root-system and Borel-Weil-Bott computations on Picard-rank-one homogeneous varieties. "
+        "Weights are given in fundamental-weight coordinates (comma-separated integers).",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -74,50 +76,17 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="fundamental-weight coordinates, e.g. 0,1,0; write --weight=-1,0 for a leading negative",
     )
-
-    def add_pair(p: argparse.ArgumentParser, node: bool = False) -> None:
+    for name, (_, text, weighted, ints) in _QUERIES.items():
+        p = sub.add_parser(name, help=text, parents=[output, weight] if weighted else [output])
         p.add_argument("family", help="family letter A-G")
         p.add_argument("rank", type=_strict_int, help="rank of the root system")
-        if node:
-            p.add_argument("--node", type=_strict_int, required=True, help="marked node r (1-based)")
-
-    p = sub.add_parser("info", help="root-system summary: counts and Cartan matrix", parents=[output])
-    add_pair(p)
-
-    p = sub.add_parser("parabolic", help="parabolic data at a node: partition, dim Y, k(Y)", parents=[output])
-    add_pair(p, node=True)
-
-    p = sub.add_parser(
-        "bwb", help="cohomology table of the irreducible bundle for a weight", parents=[output, weight]
-    )
-    add_pair(p)
-
-    p = sub.add_parser("dim", help="Weyl dimension of a dominant weight", parents=[output, weight])
-    add_pair(p)
-
-    p = sub.add_parser(
-        "h0-cotangent", help="sections of the twisted cotangent bundle on G/P", parents=[output]
-    )
-    add_pair(p, node=True)
-    p.add_argument("--twist", type=_strict_int, required=True, help="twist a >= 1")
-
-    p = sub.add_parser("sigma", help="socle degree sigma = (N+1)d - 2k(Y)", parents=[output])
-    add_pair(p, node=True)
-    p.add_argument("--degree", type=_strict_int, required=True, help="hypersurface degree d >= 3")
-
-    p = sub.add_parser("macaulay", help="duality-pairing exception lookup for (d, a)", parents=[output])
-    add_pair(p, node=True)
-    p.add_argument("--degree", type=_strict_int, required=True, help="hypersurface degree d >= 3")
-    p.add_argument("--twist", type=_strict_int, required=True, help="twist a >= 0")
-
+        for flag, text in ints:
+            p.add_argument(flag, type=_strict_int, required=True, help=text)
     p = sub.add_parser("verify", help="run a verification sweep and emit a report")
     p.add_argument("--sweep", choices=("lungo", "studiopesi"), required=True)
     p.add_argument("--max-rank", type=_strict_int, default=8, help=f"largest rank swept, 2 to {MAX_RANK}")
     p.add_argument(
-        "--twist",
-        type=_strict_int,
-        action="append",
-        help="twist for the studiopesi sweep; repeatable (default 1 2 3)",
+        "--twist", type=_strict_int, action="append", help="twist for the studiopesi sweep; repeatable (default 1 2 3)"
     )
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out")
@@ -144,11 +113,7 @@ def _emit(data: bytes, out: Optional[str]) -> None:
             fh.write(data)
 
 
-# Each query command returns its JSON object and its text form; run picks one.
-
-
-def _info(args: argparse.Namespace) -> tuple[dict, str]:
-    rs = rootsys.root_system(args.family, args.rank)
+def _info(rs: rootsys.RootSystem, args: argparse.Namespace) -> tuple[dict, str]:
     data = {
         "family": rs.lie_type.family.value,
         "rank": rs.rank,
@@ -165,8 +130,7 @@ def _info(args: argparse.Namespace) -> tuple[dict, str]:
     return data, "\n".join(lines) + "\n"
 
 
-def _parabolic(args: argparse.Namespace) -> tuple[dict, str]:
-    pd = parabolic.parabolic_data(rootsys.root_system(args.family, args.rank), args.node)
+def _parabolic(pd: parabolic.ParabolicData, args: argparse.Namespace) -> tuple[dict, str]:
     levels = pd.levels
     data = {
         "family": pd.lie_type.family.value,
@@ -186,8 +150,7 @@ def _parabolic(args: argparse.Namespace) -> tuple[dict, str]:
     return data, "\n".join(lines) + "\n"
 
 
-def _bwb(args: argparse.Namespace) -> tuple[dict, str]:
-    rs = rootsys.root_system(args.family, args.rank)
+def _bwb(rs: rootsys.RootSystem, args: argparse.Namespace) -> tuple[dict, str]:
     table = bwb.bwb_cohomology(rs, _parse_weight(args.weight, rs.rank))
     if table.vanishes:
         data = {"vanishes": True, "degree": None, "mu_fw_coords": None, "dim": None}
@@ -197,16 +160,14 @@ def _bwb(args: argparse.Namespace) -> tuple[dict, str]:
     return data, f"degree {table.degree}\ndominant weight {mu}\ndim {table.dimension}\n"
 
 
-def _dim(args: argparse.Namespace) -> tuple[dict, str]:
-    rs = rootsys.root_system(args.family, args.rank)
+def _dim(rs: rootsys.RootSystem, args: argparse.Namespace) -> tuple[dict, str]:
     value = bwb.weyl_dim(rs, _parse_weight(args.weight, rs.rank))
     return {"dim": str(value)}, f"{value}\n"
 
 
-def _h0(args: argparse.Namespace) -> tuple[dict, str]:
+def _h0(pd: parabolic.ParabolicData, args: argparse.Namespace) -> tuple[dict, str]:
     from . import _writer
 
-    pd = parabolic.parabolic_data(rootsys.root_system(args.family, args.rank), args.node)
     total, pieces = parabolic.h0_twisted_cotangent(pd, args.twist)
     data = {
         "family": pd.lie_type.family.value,
@@ -224,27 +185,39 @@ def _h0(args: argparse.Namespace) -> tuple[dict, str]:
     return data, "\n".join(lines) + "\n"
 
 
-def _sigma(args: argparse.Namespace) -> tuple[dict, str]:
-    pd = parabolic.parabolic_data(rootsys.root_system(args.family, args.rank), args.node)
+def _sigma(pd: parabolic.ParabolicData, args: argparse.Namespace) -> tuple[dict, str]:
     value = parabolic.sigma(pd, args.degree)
     return {"dim_y": pd.dim_y, "k": pd.fano_index, "degree": args.degree, "sigma": value}, f"sigma {value}\n"
 
 
-def _macaulay(args: argparse.Namespace) -> tuple[dict, str]:
-    pd = parabolic.parabolic_data(rootsys.root_system(args.family, args.rank), args.node)
+def _macaulay(pd: parabolic.ParabolicData, args: argparse.Namespace) -> tuple[dict, str]:
     status = parabolic.macaulay_exceptions(pd, args.degree, args.twist)
     return {"degree": args.degree, "twist": args.twist, "status": status.value}, f"{status.value}\n"
 
 
+_NODE, _DEGREE = ("--node", "marked node r (1-based)"), ("--degree", "hypersurface degree d >= 3")
 _QUERIES = {
-    "info": _info,
-    "parabolic": _parabolic,
-    "bwb": _bwb,
-    "dim": _dim,
-    "h0-cotangent": _h0,
-    "sigma": _sigma,
-    "macaulay": _macaulay,
+    "info": (_info, "root-system summary: counts and Cartan matrix", False, ()),
+    "parabolic": (_parabolic, "parabolic data at a node: partition, dim Y, k(Y)", False, (_NODE,)),
+    "bwb": (_bwb, "cohomology table of the irreducible bundle for a weight", True, ()),
+    "dim": (_dim, "Weyl dimension of a dominant weight", True, ()),
+    "h0-cotangent": (
+        _h0, "sections of the twisted cotangent bundle on G/P", False, (_NODE, ("--twist", "twist a >= 1"))
+    ),
+    "sigma": (_sigma, "socle degree sigma = (N+1)d - 2k(Y)", False, (_NODE, _DEGREE)),
+    "macaulay": (
+        _macaulay, "duality-pairing exception lookup for (d, a)", False, (_NODE, _DEGREE, ("--twist", "twist a >= 0"))
+    ),
 }
+
+
+def _query(args: argparse.Namespace) -> tuple[dict, str]:
+    """A query's JSON object and text, from its handler given the root system, or the parabolic data at --node."""
+    handler, _, _, ints = _QUERIES[args.command]
+    pair = rootsys.root_system(args.family, args.rank)
+    if _NODE in ints:
+        pair = parabolic.parabolic_data(pair, args.node)
+    return handler(pair, args)
 
 
 def _verify(args: argparse.Namespace) -> tuple[bytes, int]:
@@ -269,7 +242,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify":
             data, code = _verify(args)
         else:
-            obj, text = _QUERIES[args.command](args)
+            obj, text = _query(args)
             if args.format == "json":
                 from . import _writer
 

@@ -208,10 +208,9 @@ def konno_lowest_weights(pd: ParabolicData) -> tuple[Weight, ...]:
 
 def _listed_weights(pd: ParabolicData, table: str) -> tuple[Weight, ...]:
     """The lowest weights of ``pd``; a pair omitted from ``table`` is refused, naming its canonical form."""
-    try:
-        weights = pd.lowest_weights
-    except AttributeError:
-        raise TypeError(f"pd must be a ParabolicData, got {pd!r}") from None
+    if not isinstance(pd, ParabolicData):
+        raise TypeError(f"pd must be a ParabolicData, got {pd!r}")
+    weights = pd.lowest_weights
     if weights is None:
         tf, tl, tr = _canonical_form(pd.lie_type, pd.node)
         raise UnsupportedPairError(
@@ -261,11 +260,9 @@ def sigma(pd: ParabolicData, d: int) -> int:
     """sigma = (N + 1) d - 2 k(Y) with N = dim Y, for hypersurface degree d >= 3."""
     _require_int("hypersurface degree d", d)
     _check_degree(d)
-    try:
-        n = pd.dim_y
-    except AttributeError:
-        raise TypeError(f"pd must be a ParabolicData, got {pd!r}") from None
-    return (n + 1) * d - 2 * pd.fano_index
+    if not isinstance(pd, ParabolicData):
+        raise TypeError(f"pd must be a ParabolicData, got {pd!r}")
+    return (pd.dim_y + 1) * d - 2 * pd.fano_index
 
 
 def _check_degree(d: int) -> None:
@@ -317,7 +314,7 @@ def macaulay_exceptions(pd: ParabolicData, d: int, a: int) -> MacaulayStatus:
 
 
 def konno_pairs(max_rank: int) -> list[ParabolicData]:
-    """All supported pairs, for every type up to ``max_rank``.
+    """All supported pairs, for every type up to ``max_rank`` (1 to ``MAX_RANK``, checked before any is built).
 
     Only the pairs that the lowest-weight table files under an isomorphic
     twin are skipped; other isomorphic presentations stay, for instance

@@ -473,11 +473,10 @@ def root_system(family: Family | str, rank: int) -> RootSystem:
 
 
 def _rank_of(rs: RootSystem) -> int:
-    """The rank of rs, one Cartan row per node; a TypeError for anything else (a LieType has no Cartan matrix)."""
-    try:
-        return len(rs.cartan)
-    except AttributeError:
-        raise TypeError(f"rs must be a RootSystem, got {rs!r}") from None
+    """The rank of rs, one Cartan row per node; a TypeError for anything but a RootSystem."""
+    if not isinstance(rs, RootSystem):
+        raise TypeError(f"rs must be a RootSystem, got {rs!r}")
+    return len(rs.cartan)
 
 
 def _check_len(rs: RootSystem, coords: Sequence[int]) -> int:
@@ -487,9 +486,18 @@ def _check_len(rs: RootSystem, coords: Sequence[int]) -> int:
     return rank
 
 
-def all_lie_types(max_rank: int) -> list[LieType]:
-    """Every valid LieType with rank <= max_rank, ordered by (family, rank)."""
+def _check_max_rank(max_rank: int, least: int = 1) -> None:
+    """The one rank cap of every sweep: ``least <= max_rank <= MAX_RANK``, checked in that order."""
     _require_int("max_rank", max_rank)
+    if max_rank < least:
+        raise ValueError(f"max_rank must be >= {least}, got {max_rank}")
+    if max_rank > MAX_RANK:
+        raise ConfigError(f"max_rank must be <= {MAX_RANK}, got {max_rank}")
+
+
+def all_lie_types(max_rank: int) -> list[LieType]:
+    """Every valid LieType with rank <= max_rank, ordered by (family, rank); 1 <= max_rank <= MAX_RANK."""
+    _check_max_rank(max_rank)
     out: list[LieType] = []
     for fam in Family:
         lo, hi = _RANK_BOUNDS[fam]

@@ -28,23 +28,15 @@ from __future__ import annotations
 import io
 from typing import Iterable
 
-from . import MAX_RANK, __version__
+from . import __version__
 from ._writer import _json, _json_str, pieces_json
 from .bwb import weyl_dim
 from .parabolic import ParabolicData, h0_twisted_cotangent, konno_pairs
-from .rootsys import ConfigError, Family, _require_int, _Value, fundamental_weight, root_system
+from .rootsys import ConfigError, Family, _check_max_rank, _require_int, _Value, fundamental_weight, root_system
 
 # Pairs excluded from the degree-3 statement of the main theorem: the
 # three-dimensional quadric and the three-dimensional spinor variety.
 _DEGREE_THREE_EXCEPTIONS = {("B", 2, 1), ("D", 3, 2)}
-
-
-def _check_max_rank(max_rank: int) -> None:
-    _require_int("max_rank", max_rank)
-    if max_rank < 2:
-        raise ValueError(f"max_rank must be >= 2, got {max_rank}")
-    if max_rank > MAX_RANK:
-        raise ConfigError(f"max_rank must be <= {MAX_RANK}, got {max_rank}")
 
 
 class CaseResult(_Value):
@@ -152,7 +144,7 @@ def check_theorem_lungo(max_rank: int = 8) -> Report:
     equality counts as a pass.  Golden subcases additionally pin the exact
     values where a closed form exists.
     """
-    _check_max_rank(max_rank)
+    _check_max_rank(max_rank, 2)
     inputs = [(pd, 2) for pd in konno_pairs(max_rank) if pd.dim_y >= 3]
     return _sweep("lungo", {"max_rank": max_rank, "twist": 2, "min_dim_y": 3}, inputs, _lungo_case)
 
@@ -187,7 +179,7 @@ def check_lemma_studiopesi(
     compared against the class read off the h0 piece; a case passes when
     every weight matches.
     """
-    _check_max_rank(max_rank)
+    _check_max_rank(max_rank, 2)
     # one pass over the input, so that a generator is read once; the set
     # comes after the type check, so that (1, True) is refused, not {1}
     try:
@@ -215,10 +207,9 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
     fields with ``h0`` as a string and ``summary`` last; they are written here without building
     ``d`` or loading ``json``.  The text form is the summary and one line per failed case.
     """
-    try:
-        cases = report.cases
-    except AttributeError:
-        raise TypeError(f"report must be a Report, got {report!r}") from None
+    if not isinstance(report, Report):
+        raise TypeError(f"report must be a Report, got {report!r}")
+    cases = report.cases
     if fmt == "text":
         s = report.summary
         params = " ".join(f"{k}={v}" for k, v in report.params.items())

@@ -12,6 +12,7 @@ import gc
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -709,6 +710,28 @@ def test_help_exits_0() -> None:
     proc = invoke("--help")
     assert proc.returncode == 0
     assert b"info" in proc.stdout and b"verify" in proc.stdout
+
+
+# each subcommand's usage line without its bracketed optional parts: the required options, then the positionals
+SUBCOMMAND_USAGE = {
+    "info": "family rank",
+    "parabolic": "--node NODE family rank",
+    "bwb": "--weight WEIGHT family rank",
+    "dim": "--weight WEIGHT family rank",
+    "h0-cotangent": "--node NODE --twist TWIST family rank",
+    "sigma": "--node NODE --degree DEGREE family rank",
+    "macaulay": "--node NODE --degree DEGREE --twist TWIST family rank",
+    "verify": "--sweep {lungo,studiopesi}",
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_USAGE)
+def test_subcommand_help_names_its_required_options(command, capsys) -> None:
+    assert cli.run([command, "--help"]) == 0
+    usage = " ".join(capsys.readouterr().out.split("\n\n", 1)[0].split())  # argparse may wrap it
+    prefix = f"usage: flagcoh {command} [-h] "
+    assert usage.startswith(prefix)
+    assert " ".join(re.sub(r"\[[^]]*\]", "", usage[len(prefix):]).split()) == SUBCOMMAND_USAGE[command]
 
 
 # ---------------------------------------------------------------------------

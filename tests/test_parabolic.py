@@ -18,7 +18,7 @@ from types import MappingProxyType
 import pytest
 
 import flagcoh.cli as cli
-from flagcoh import parabolic
+from flagcoh import parabolic, rootsys
 from flagcoh.bwb import bwb_cohomology, classify_cotangent_twist_weights, weyl_dim
 from flagcoh.parabolic import (
     MacaulayStatus,
@@ -401,6 +401,17 @@ def test_parabolic_build_checks_raise_their_messages() -> None:
     gapped = _tampered(rs, packed_weights=tuple(weights))
     with pytest.raises(ArithmeticError, match=f"^{re.escape('levels (1, 3) of (A3, node 2) do not cover 1..3')}$"):
         parabolic._derive_lowest_weights(gapped, 2, column, [1, 3])
+
+
+def test_konno_pairs_checks_max_rank_before_it_builds() -> None:
+    # above the cap it would build every type up to rank 100; it refuses, as the sweeps do, before building any
+    built = dict(rootsys._CACHE), dict(parabolic._PARABOLIC)
+    with pytest.raises(ConfigError, match=f"^max_rank must be <= {MAX_RANK}, got {MAX_RANK + 1}$"):
+        konno_pairs(MAX_RANK + 1)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"^max_rank must be >= 1, got {bad}$"):
+            konno_pairs(bad)
+    assert (rootsys._CACHE, parabolic._PARABOLIC) == built
 
 
 def test_parabolic_data_is_shared_and_read_only() -> None:

@@ -50,7 +50,13 @@ def test_rank_bounds():
         ("A", 1), ("B", 2), ("C", 3), ("D", 3), ("E", 6), ("F", 4), ("G", 2), ("D", rootsys.MAX_RANK),
     ]:
         assert LieType(Family(fam), ok).rank == ok
-    assert max(t.rank for t in all_lie_types(10**6)) == rootsys.MAX_RANK
+    assert max(t.rank for t in all_lie_types(rootsys.MAX_RANK)) == rootsys.MAX_RANK
+    # a larger cap is refused, as the sweeps refuse it, not read as MAX_RANK
+    with pytest.raises(ConfigError, match=f"^max_rank must be <= {rootsys.MAX_RANK}, got {too_big}$"):
+        all_lie_types(too_big)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"^max_rank must be >= 1, got {bad}$"):
+            all_lie_types(bad)
 
 
 def test_rank_must_be_an_int():

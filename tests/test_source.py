@@ -7,7 +7,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
@@ -444,6 +444,16 @@ WRONG = {
     "list": lambda: [1, 0],
     "root system": lambda: flagcoh.root_system("B", 3),
     "parabolic data": lambda: flagcoh.parabolic_data(flagcoh.root_system("B", 3), 2),
+    "case result": lambda: flagcoh.CaseResult("B", 2, 1, 2, 3, 3, True),
+    "cohomology table": lambda: flagcoh.bwb_cohomology(flagcoh.root_system("B", 3), flagcoh.Weight((1, 0, 0))),
+    "lie type": lambda: flagcoh.LieType("B", 3),
+    "weight": lambda: flagcoh.Weight((1, 0, 0)),
+    "report": lambda: flagcoh.Report("s", "v", {}),
+    # not a record, yet it has the fields that the records' readers read, the numeric ones floats
+    "impostor": lambda: SimpleNamespace(
+        fw_coords=(0.5, -1.0, 2.0), cartan=((2.0, -1.0, 0.0),) * 3, lowest_weights=(), dim_y=2.5, fano_index=1.0,
+        cases=(), summary={}, params={}, sweep="s", version="v",
+    ),
     "negative int": lambda: -1,
     "large int": lambda: 10**6,
 }
@@ -465,20 +475,20 @@ def _library_contract() -> dict[str, list[tuple[object, tuple[str, ...], set[str
         "MacaulayStatus": [("no-exception", (), set())],
         "LieType": [("B", ("family",), set()), (3, ("rank",), set())],
         "Weight": [((1, 0, 0), ("fw_coords", "coordinates"), {"tuple", "list", "iterator"})],
-        "all_lie_types": [(3, ("max_rank",), {"negative int", "large int"})],  # every type up to that rank
-        "build_root_system": [(flagcoh.LieType("B", 3), ("t",), set())],
+        "all_lie_types": [(3, ("max_rank",), set())],
+        "build_root_system": [(flagcoh.LieType("B", 3), ("t",), {"lie type"})],
         "fundamental_weight": [(3, ("rank",), set()), (1, ("node",), set())],
         "root_system": [("B", ("family",), set()), (3, ("rank",), set())],
-        "bwb_cohomology": [rs_arg, (w, ("lam",), set())],
-        "classify": [rs_arg, (w, ("v",), set())],
-        "to_dominant": [rs_arg, (w, ("v",), set())],
-        "weyl_dim": [rs_arg, (w, ("lam",), set())],
+        "bwb_cohomology": [rs_arg, (w, ("lam",), {"weight"})],
+        "classify": [rs_arg, (w, ("v",), {"weight"})],
+        "to_dominant": [rs_arg, (w, ("v",), {"weight"})],
+        "weyl_dim": [rs_arg, (w, ("lam",), {"weight"})],
         "classify_cotangent_twist_weights": [
-            rs_arg, (2, ("node",), set()), (2, ("twist a",), set()), (twisted, ("twisted_weight",), set()),
+            rs_arg, (2, ("node",), set()), (2, ("twist a",), set()), (twisted, ("twisted_weight",), {"weight"}),
         ],
         "h0_twisted_cotangent": [pd_arg, (2, ("twist a",), {"large int"})],
         "konno_lowest_weights": [pd_arg],
-        "konno_pairs": [(3, ("max_rank",), {"negative int", "large int"})],  # every pair up to that rank
+        "konno_pairs": [(3, ("max_rank",), set())],
         "macaulay_exceptions": [
             pd_arg, (3, ("hypersurface degree d",), {"large int"}), (1, ("twist a",), {"large int"}),
         ],
@@ -486,7 +496,7 @@ def _library_contract() -> dict[str, list[tuple[object, tuple[str, ...], set[str
         "sigma": [pd_arg, (3, ("hypersurface degree d",), {"large int"})],
         "check_lemma_studiopesi": [(2, ("max_rank",), set()), ((1,), ("twists", "each twist"), set())],
         "check_theorem_lungo": [(2, ("max_rank",), set())],
-        "emit_report": [(flagcoh.Report("s", "v", {}), ("report",), set()), ("json", (), set())],
+        "emit_report": [(flagcoh.Report("s", "v", {}), ("report",), {"report"}), ("json", (), set())],
     }
 
 

@@ -403,7 +403,7 @@ def _assert_writer_matches_oracle(value) -> None:
 
 def _query_object(*argv: str) -> dict:
     """The object a query command hands to the JSON writer."""
-    return cli._QUERIES[argv[0]](cli._build_parser().parse_args(argv))[0]
+    return cli._query(cli._build_parser().parse_args(argv))[0]
 
 
 def _one_case_report(params: dict, witness: tuple = (), annotations: tuple = (), h0: int = 3) -> Report:
