@@ -9,10 +9,10 @@ with dimension given by the Weyl formula at the dominant representative.
 
 Classification is the chamber walk ``to_dominant``: the number of simple
 reflections that make a regular weight dominant is its index.  The Weyl
-products read the scaled pairings s_k(v) = 6 (v, beta_k) of a weight with
-every positive root, from one integer pass along the root chain
-(``rootsys._root_pairings``), and the Weyl dimension of lam is
-prod s_k(lam + delta) / prod s_k(delta), the denominator read at delta.
+products read the pairings s_k(v) = (v, beta_k), integers once short
+roots have squared length 2, of v = lam + delta with every positive root,
+from one integer pass along the root chain (``rootsys._root_pairings``),
+and the Weyl dimension of lam is prod s_k(lam + delta) / prod s_k(delta).
 ``weyl_dim`` multiplies the factors s_k(lam + delta) pairwise
 (``rootsys._pairwise_prod``) once more than a fixed number of them
 remain, rather than growing one running product a factor at a time, and
@@ -122,7 +122,7 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     _check_len(rs, m)
     if not lam.is_dominant():
         raise ValueError(f"weight {m} is not dominant")
-    num = _pairwise_prod(_root_pairings(rs.root_chain, rs.scaled_symmetrizer, [c + 1 for c in m]))
+    num = _pairwise_prod(_root_pairings(rs.root_chain, rs.symmetrizer, m))
     q, r = divmod(num, rs.weyl_denominator)
     if r or q <= 0:
         raise ArithmeticError(f"Weyl product {num}/{rs.weyl_denominator} at {m} is not a positive integer")

@@ -7,8 +7,8 @@ Conventions, fixed once for the whole package:
   node l, C_l has the long root at node l, F4 has long roots at nodes 1, 2
   and short roots at nodes 3, 4, and G2 has the short root at node 1.
 * The Cartan matrix is a_ij = 2(alpha_i, alpha_j) / (alpha_i, alpha_i).
-* The invariant form is normalized so long roots have squared length 2;
-  the symmetrizer d_i = (alpha_i, alpha_i) / 2 then lies in {1, 1/2, 1/3}.
+* The invariant form is normalized so short roots have squared length 2;
+  the symmetrizer d_i = (alpha_i, alpha_i) / 2 then lies in {1, 2, 3}.
 * On a Dynkin edge (i, j) the longer root sees the shorter one as -1, so
   (alpha_i, alpha_j) = -max(d_i, d_j): a diagram is its d and its edges.
 * A root is a row of ``coord_table``, its integer coordinates n over the
@@ -18,8 +18,8 @@ Conventions, fixed once for the whole package:
 
 Everything is exact and there is no floating point.  Root-system
 construction, classification and the Weyl products use integers only, and
-no module imports ``fractions``: the symmetrizer is carried scaled by 6
-(``scaled_symmetrizer``, D_i = 6 d_i in {6, 3, 2}).
+no module imports ``fractions``: at this normalization the symmetrizer
+and every pairing (v, beta) of a weight with a root are integers.
 
 The records (``LieType``, ``Weight`` and ``RootSystem`` here,
 ``CohomologyTable``, ``ParabolicData``, ``CaseResult`` and ``Report``
@@ -48,13 +48,13 @@ A ``RootSystem`` stores no ``Weight``: it keeps, as plain ints,
 the roots and what the root closure learns on the way:
 
 * ``root_chain[k] = (parent, i)``: root k is root ``parent`` plus
-  alpha_i, or alpha_i itself when ``parent`` is -1.  Parents come first
-  in the root order, so s_k(v) = 6 (v, beta_k) = sum_j n_j m_j D_j of a
-  weight v = sum_j m_j lambda_j follows for every root in one pass, one
-  addition each: s(beta + alpha_i) = s(beta) + m_i D_i.  The sign of
+  alpha_i, or alpha_i itself when ``parent`` is -1.  The simple roots come
+  first, alpha_rank first, and each later root after its parent, so the
+  pairings s_k(v) = (v, beta_k) = sum_j n_j m_j d_j of v = sum_j m_j lambda_j
+  follow in one pass: s(beta + alpha_i) = s(beta) + m_i d_i.  The sign of
   s_k is the sign of <v, beta_k^vee>, since (beta_k, beta_k) > 0.
 * ``weyl_denominator = prod_k s_k(delta)``, the denominator of the Weyl
-  dimension formula in this scaling, from the pass ``_root_pairings``,
+  dimension formula at this normalization, from the pass ``_root_pairings``,
   multiplied pairwise by ``_pairwise_prod``, as ``bwb.weyl_dim`` is.
 * ``packed_weights[k]``: the weight coordinates m of beta_k as one int, a
   16-bit digit m_i + 3 per node, node 0 most significant.  As |m_i| <= 3,
@@ -82,6 +82,7 @@ import math
 import struct
 from collections.abc import Mapping, Set
 from enum import Enum
+from itertools import islice
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
@@ -243,7 +244,7 @@ class Weight(_Value):
         return Weight._of(tuple(map(k.__mul__, self.fw_coords)))
 
     def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.fw_coords)
+        return min(self.fw_coords, default=0) >= 0
 
 
 def fundamental_weight(rank: int, i: int) -> Weight:
@@ -258,32 +259,31 @@ def fundamental_weight(rank: int, i: int) -> Weight:
 
 
 def _diagram(t: LieType) -> tuple[list[int], list[tuple[int, int]]]:
-    """Scaled symmetrizer D_i = 6 d_i and the Dynkin edges (i, j), 0-based.
+    """Symmetrizer d_i = (alpha_i, alpha_i) / 2, 1 at the short roots, and the Dynkin edges (i, j), 0-based.
 
-    No inner product is listed: 6 (alpha_i, alpha_j) = -max(D_i, D_j) on an edge.
+    No inner product is listed: (alpha_i, alpha_j) = -max(d_i, d_j) on an edge.
     """
     l = t.rank
     chain = [(i, i + 1) for i in range(l - 1)]
     if t.family is Family.A:
-        return [6] * l, chain
+        return [1] * l, chain
     if t.family is Family.B:
-        return [6] * (l - 1) + [3], chain
+        return [2] * (l - 1) + [1], chain
     if t.family is Family.C:
-        return [3] * (l - 1) + [6], chain
+        return [1] * (l - 1) + [2], chain
     if t.family is Family.D:
-        return [6] * l, chain[:-1] + [(l - 3, l - 1)]
+        return [1] * l, chain[:-1] + [(l - 3, l - 1)]
     if t.family is Family.E:
-        return [6] * l, [(0, 2), (1, 3)] + chain[2:]
+        return [1] * l, [(0, 2), (1, 3)] + chain[2:]
     if t.family is Family.F:
-        return [6, 6, 3, 3], chain
-    return [2, 6], chain  # G2
+        return [2, 2, 1, 1], chain
+    return [1, 3], chain  # G2
 
 
 def _cartan_matrix(t: LieType) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-    """Cartan matrix a_ij = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i) and the scaled symmetrizer."""
+    """Cartan matrix a_ij = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i) = (alpha_i, alpha_j) / d_i and the symmetrizer."""
     d, edges = _diagram(t)
-    l = t.rank
-    rows = [[2 if a == b else 0 for b in range(l)] for a in range(l)]
+    rows = [[2 if a == b else 0 for b in range(t.rank)] for a in range(t.rank)]
     for i, j in edges:
         v = -max(d[i], d[j])
         for a, b in ((i, j), (j, i)):
@@ -316,7 +316,8 @@ def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> list[tuple[int, i
 
     Returns, sorted by (height, coords), one tuple per root: its packed
     coords and weight coordinates and the (parent index, node) of the first
-    step that reached it ((-1, i) for alpha_i).
+    step that reached it.  The first rank tuples are the simple roots,
+    alpha_rank first, linked (-1, i); every later link has a parent >= 0.
     """
     rank = len(cartan)
     shifts = [_WIDTH * (rank - 1 - i) for i in range(rank)]
@@ -366,8 +367,8 @@ def _node_multiple(packed: int, rank: int, i: int, count: int) -> int | None:
 class RootSystem(_Record):
     """Immutable root-system data with precomputed pairing tables.
 
-    Fields, in order: ``lie_type``, ``cartan`` (rows), ``scaled_symmetrizer``
-    (the D_i) and, left out of the repr and described in the module
+    Fields, in order: ``lie_type``, ``cartan`` (rows), ``symmetrizer``
+    (the d_i) and, left out of the repr and described in the module
     docstring, ``root_chain``, ``weyl_denominator``, ``neighbours``,
     ``packed_weights`` and ``coord_table``.  ``neighbours`` lists, per node
     k, the Dynkin neighbours j of k with their Cartan entries a_jk, the only
@@ -380,10 +381,10 @@ class RootSystem(_Record):
     """
 
     __slots__ = (
-        "lie_type", "cartan", "scaled_symmetrizer", "root_chain", "weyl_denominator",
+        "lie_type", "cartan", "symmetrizer", "root_chain", "weyl_denominator",
         "neighbours", "packed_weights", "coord_table",
     )
-    _shown = ("lie_type", "cartan", "scaled_symmetrizer", "positive_roots", "weyl_vector")
+    _shown = ("lie_type", "cartan", "symmetrizer", "positive_roots", "weyl_vector")
 
     @property
     def rank(self) -> int:
@@ -407,17 +408,16 @@ def _dynkin_neighbours(cartan: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int
 
 
 def _root_pairings(root_chain: Sequence[tuple[int, int]], d: Sequence[int], m: Sequence[int]) -> list[int]:
-    """s_k = 6 (v, beta_k) for every positive root, in root order, one addition each; d is the scaled symmetrizer."""
-    inc = [c * di for c, di in zip(m, d)]
-    s: list[int] = []
-    for parent, i in root_chain:
-        s.append(inc[i] if parent < 0 else s[parent] + inc[i])
+    """s_k = (lam + delta, beta_k), root order, lam = sum_j m_j lambda_j; the simple roots, alpha_rank first, seed s."""
+    inc = [(c + 1) * di for c, di in zip(m, d)]
+    s = inc[::-1]
+    for parent, i in islice(root_chain, len(inc), None):
+        s.append(s[parent] + inc[i])
     return s
 
 
-# The pairwise levels stop at this many factors, and math.prod multiplies the rest in
-# turn.  Any leaf from 128 to 256 takes 15-40% off the product at B20 and at rank 30, but
-# with 128 the 132-144 factors of A16, B12, C12 and D12 took 10-20% longer; with 192 they did not.
+# Pairwise levels stop at this many factors; math.prod multiplies the rest.  On a 2-vCPU VM any leaf from 32
+# to 256 took 35-45% off math.prod alone at rank 30; one under 144 slowed the 120-144 factors of E8, A16, B12.
 _PROD_LEAF = 192
 
 
@@ -439,7 +439,7 @@ def build_root_system(t: LieType) -> RootSystem:
     packed, weights, root_chain = zip(*_positive_root_closure(cartan))
     table = b"".join([n.to_bytes(t.rank, "big") for n in packed])  # each root's coordinates n, node 0 first
     return RootSystem(  # the fields in __slots__ order
-        t, cartan, tuple(d), root_chain, _pairwise_prod(_root_pairings(root_chain, d, (1,) * t.rank)),
+        t, cartan, tuple(d), root_chain, _pairwise_prod(_root_pairings(root_chain, d, (0,) * t.rank)),
         _dynkin_neighbours(cartan), weights, table,
     )
 

@@ -37,7 +37,7 @@ def test_reprs_are_the_dataclass_ones() -> None:
     assert repr(Weight((1, -2))) == "Weight(fw_coords=(1, -2))"
     assert repr(rs) == (
         "RootSystem(lie_type=LieType(family=<Family.B: 'B'>, rank=2), cartan=((2, -1), (-2, 2)), "
-        "scaled_symmetrizer=(6, 3), positive_roots=((0, 1), (1, 0), (1, 1), (1, 2)), "
+        "symmetrizer=(2, 1), positive_roots=((0, 1), (1, 0), (1, 1), (1, 2)), "
         "weyl_vector=Weight(fw_coords=(1, 1)))"
     )
     assert repr(CohomologyTable()) == "CohomologyTable(degree=None, dominant_weight=None, dimension=None)"

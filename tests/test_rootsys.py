@@ -153,6 +153,10 @@ def test_closure_at_every_scale(t: LieType):
     rs = root_system(t.family, t.rank)
     rank, coords = t.rank, list(rs.positive_roots)  # a view built on each read, so read once
     assert coords == sorted(coords, key=lambda n: (sum(n), n))
+    # the pairing pass seeds its pairings from the first rank links, the simple roots with alpha_rank
+    # first, and adds one simple root to a parent for every later link
+    assert rs.root_chain[:rank] == tuple((-1, j) for j in reversed(range(rank)))
+    assert all(parent >= 0 for parent, _ in rs.root_chain[rank:])
     # a root as one int, a byte per node, node 0 first: alpha_j is 256^(rank - 1 - j)
     keys = [int.from_bytes(bytes(n), "big") for n in coords]
     units = [1 << 8 * (rank - 1 - j) for j in range(rank)]
@@ -184,11 +188,12 @@ def test_cartan_invariants(t: LieType):
     n = t.rank
     for i in range(n):
         assert rs.cartan[i][i] == 2
-        assert rs.scaled_symmetrizer[i] in (6, 3, 2)
+        assert rs.symmetrizer[i] in (1, 2, 3)
         for j in range(n):
             if i != j:
                 assert rs.cartan[i][j] in (0, -1, -2, -3)
-            assert rs.scaled_symmetrizer[i] * rs.cartan[i][j] == rs.scaled_symmetrizer[j] * rs.cartan[j][i]
+            assert rs.symmetrizer[i] * rs.cartan[i][j] == rs.symmetrizer[j] * rs.cartan[j][i]
+    assert min(rs.symmetrizer) == 1
 
 
 @pytest.mark.parametrize("t", ALL_TYPES_8 + [LieType(Family(f), 30) for f in "ABCD"], ids=str)
@@ -213,7 +218,9 @@ def test_dynkin_neighbours_match_cartan(t: LieType):
 def test_symmetrizer_and_coroots_match_cartan_oracle(t: LieType):
     # the engine keeps no coroots; test_bwb's chain-pass test pairs weights with the oracle's
     rs = root_system(t.family, t.rank)
-    assert tuple(Fraction(x, 6) for x in rs.scaled_symmetrizer) == symmetrizer_from_cartan(rs.cartan)
+    # the engine puts the short roots at 1, the oracle the long ones
+    assert min(rs.symmetrizer) == 1
+    assert tuple(Fraction(x, max(rs.symmetrizer)) for x in rs.symmetrizer) == symmetrizer_from_cartan(rs.cartan)
 
 
 @pytest.mark.parametrize("t", ALL_TYPES_8 + [LieType(Family(f), 30) for f in "ABCD"], ids=str)
@@ -230,7 +237,7 @@ def test_root_to_weight_coords_matches_dense_product(t: LieType):
 
 
 def test_inconsistent_diagram_raises(monkeypatch):
-    # 6 (alpha_1, alpha_2) = -max(6, 4) = -6 is not a multiple of D_2 = 4
+    # (alpha_1, alpha_2) = -max(6, 4) = -6 is not a multiple of d_2 = 4
     monkeypatch.setattr(rootsys, "_diagram", lambda t: ([6, 4], [(0, 1)]))
     with pytest.raises(ArithmeticError, match="-6/4"):
         rootsys.build_root_system(LieType(Family.A, 2))
@@ -278,7 +285,7 @@ def test_pairing_examples():
         rs = root_system(t.family, t.rank)
         for i in range(1, t.rank + 1):
             for j, alpha in enumerate(_simple_roots(t.rank), start=1):
-                expect = Fraction(rs.scaled_symmetrizer[j - 1], 6) if i == j else 0
+                expect = Fraction(rs.symmetrizer[j - 1], max(rs.symmetrizer)) if i == j else 0
                 assert invariant_form(rs.cartan, fundamental_weight(t.rank, i).fw_coords, alpha) == expect
 
 

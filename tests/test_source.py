@@ -248,7 +248,7 @@ BUILDERS = {"RootSystem": "build_root_system", "ParabolicData": "_build_paraboli
 # their stored fields: each fact once, so nothing another stored value gives (the roots as tuples,
 # delta, the type of a pair or its depth) is stored; those are views built on each read
 STORED_ROOT_SYSTEM = (
-    "lie_type", "cartan", "scaled_symmetrizer", "root_chain", "weyl_denominator",
+    "lie_type", "cartan", "symmetrizer", "root_chain", "weyl_denominator",
     "neighbours", "packed_weights", "coord_table",
 )
 STORED_PARABOLIC_DATA = ("node", "lowest_weights", "dim_y", "fano_index", "root_system")
