@@ -7,8 +7,9 @@ lowest weight -lambda, all cohomology vanishes when lambda + delta is
 singular; otherwise it is concentrated in degree p = index(lambda + delta)
 with dimension given by the Weyl formula at the dominant representative.
 
-Classification is the chamber walk ``to_dominant``: the number of simple
-reflections that make a regular weight dominant is its index.  The Weyl
+Classification is ``to_dominant``, whose first value is the index: |Phi+|
+for an antidominant weight, answered through w0 in O(rank), else the
+number of simple reflections that make a regular weight dominant.  The Weyl
 products read the pairings s_k(v) = (v, beta_k), integers once short
 roots have squared length 2, of v = lam + delta with every positive root,
 from one integer pass along the root chain (``rootsys._root_pairings``),
@@ -26,6 +27,7 @@ from .rootsys import (
     RootSystem,
     Weight,
     _check_len,
+    _opposition,
     _pairwise_prod,
     _rank_of,
     _require_int,
@@ -59,20 +61,21 @@ _VANISHES = CohomologyTable()
 
 
 def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
-    """Reflect v into the dominant chamber, or None when v is singular.
+    """The index of v and its dominant representative, or None when v is singular.
 
-    Reflects at the lowest node with negative coordinate until all
-    coordinates are positive; any zero coordinate along the way means the
-    vector is fixed by that simple reflection, hence orthogonal to a root,
-    hence singular.  For regular v the number of reflections equals the
-    index of v.
+    An antidominant v (all coordinates negative) has index |Phi+| and
+    representative w0 v = sum -m_i lambda_sigma(i) (Bott; ``rootsys._opposition``),
+    with no walk.  Any other v is reflected at the lowest negative node until
+    it is dominant; a zero coordinate along the way means the vector is fixed
+    by that simple reflection, hence orthogonal to a root, hence singular.
+    For regular v the number of reflections equals the index of v.
 
     A reflection s_k turns m_k = c < 0 into -c > 0 and changes only the
     Dynkin neighbours j of k, by -c a_jk, so only they can become zero.
     Every node below k was positive before the step, so the next node to
     reflect is the lowest neighbour below k that went negative, or else the
     first negative node above k.  The walk costs O(index x max degree)
-    after an O(rank) entry check, not O(index x rank).
+    after an O(rank) entry check, not O(index x rank); w0 costs O(rank).
     """
     if not isinstance(v, Weight):
         raise TypeError(f"v must be a Weight, got {v!r}")
@@ -80,6 +83,8 @@ def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
     rank = _check_len(rs, m)
     if 0 in m:
         return None
+    if m[0] < 0 and max(m) < 0:  # one comparison on every weight with m_1 > 0
+        return len(rs.root_chain), Weight._of(tuple([-m[j] for j in _opposition(rs.lie_type)]))
     neighbours = rs.neighbours
     limit = len(rs.root_chain)
     steps = 0
@@ -106,7 +111,7 @@ def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
 
 
 def classify(rs: RootSystem, v: Weight) -> int | None:
-    """The index of v, the step count of ``to_dominant`` (looked up through the module), or None when singular.
+    """The index of v, the index ``to_dominant`` returns (looked up through the module), or None when singular.
 
     It raises what the walk raises, the ArithmeticError of its |Phi+| step bound included.
     """

@@ -280,6 +280,16 @@ def _diagram(t: LieType) -> tuple[list[int], list[tuple[int, int]]]:
     return [1, 3], chain  # G2
 
 
+def _opposition(t: LieType) -> Sequence[int]:
+    """sigma = -w0 on the nodes, 0-based, -w0 lambda_i = lambda_sigma(i): the identity but on A, odd D and E6 (Bourbaki)."""
+    l = t.rank
+    if t.family is Family.A:
+        return range(l - 1, -1, -1)
+    if t.family is Family.D and l % 2:
+        return [*range(l - 2), l - 1, l - 2]
+    return [5, 1, 4, 3, 2, 0] if t.family is Family.E and l == 6 else range(l)
+
+
 def _cartan_matrix(t: LieType) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """Cartan matrix a_ij = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i) = (alpha_i, alpha_j) / d_i and the symmetrizer."""
     d, edges = _diagram(t)

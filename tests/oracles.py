@@ -15,6 +15,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
+from operator import mul
 from pathlib import Path
 
 
@@ -487,3 +488,41 @@ def lowest_roots(roots) -> list[list[tuple[int, ...]]]:
             # no simple root lowers a simple root alpha_i, whose one nonzero coordinate is n_i = 1
             out[lowered[0] if lowered else n.index(1)].append(n)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Levi slices: the stored fields of a root system without one end node
+
+
+def levi_slice(family: str, cartan, symmetrizer, root_chain, neighbours, packed_weights, coord_table) -> dict:
+    """The stored fields of the Levi subsystem without node 1 of B, C or D, or node l of A, E7 or E8.
+
+    What is left is B_{l-1}, C_{l-1}, D_{l-1}, A_{l-1}, E6 or E7.  Its roots
+    are the rows of ``coord_table`` that are 0 at the dropped node, in the
+    same (height, coords) order, less that byte.  A Levi root's parent along
+    ``root_chain`` is a Levi root too, so each link is the same link with
+    root and node renumbered.  A weight coordinate m_j = sum_i a_ji n_i of a
+    Levi root reads no dropped n_i, so each packed weight loses one 16-bit
+    digit, node 0 most significant.  The Cartan matrix, the symmetrizer and
+    the Dynkin neighbours lose the node, and the Weyl denominator is the
+    product of the pairings (delta, beta) = sum_j n_j d_j over the kept rows.
+    """
+    rank = len(cartan)
+    drop = 0 if family in "BCD" else rank - 1
+    keep = [j for j in range(rank) if j != drop]
+    node = {j: new for new, j in enumerate(keep)}
+    rows = [coord_table[k * rank : (k + 1) * rank] for k in range(len(root_chain))]
+    kept = [k for k, row in enumerate(rows) if row[drop] == 0]
+    index = {k: new for new, k in enumerate(kept)}
+    low = 16 * (rank - 1 - drop)  # the bits of the digits after the dropped one
+    return {
+        "cartan": tuple(tuple(cartan[a][b] for b in keep) for a in keep),
+        "symmetrizer": tuple(symmetrizer[j] for j in keep),
+        "root_chain": tuple((-1 if p < 0 else index[p], node[i]) for p, i in (root_chain[k] for k in kept)),
+        "weyl_denominator": prod(sum(map(mul, rows[k], symmetrizer)) for k in kept),
+        "neighbours": tuple(tuple((node[j], a) for j, a in neighbours[k] if j != drop) for k in keep),
+        "packed_weights": tuple(
+            packed_weights[k] >> (low + 16) << low | packed_weights[k] & ((1 << low) - 1) for k in kept
+        ),
+        "coord_table": b"".join(rows[k][:drop] + rows[k][drop + 1 :] for k in kept),
+    }

@@ -187,6 +187,23 @@ def test_to_dominant_matches_oracle_at_large_rank(t: LieType):
     assert to_dominant(rs, -rs.weyl_vector) == (n_pos, rs.weyl_vector)
 
 
+# sigma = -w0 is not the identity on A, odd D and E6 (in all_lie_types(8)); A29, A30, D29 and D31 reach it at
+# large rank, odd and even
+ANTIDOMINANT_TYPES = all_lie_types(8) + [LieType(Family(f), l) for f, l in (("A", 29), ("A", 30), ("D", 29), ("D", 31))]
+
+
+@pytest.mark.parametrize("t", ANTIDOMINANT_TYPES, ids=str)
+def test_antidominant_weights_match_the_oracle(t: LieType):
+    # -(1, 2, ..., l) is antidominant with distinct coordinates, so the oracle's walk shows where each node goes;
+    # the engine answers it through w0 with no walk, in degree |Phi+|
+    rs = root_system(t.family, t.rank)
+    coords = tuple(-(i + 1) for i in range(t.rank))
+    steps, dominant = dominant_by_highest_reflection(rs.cartan, coords)
+    assert steps == len(rs.root_chain)
+    assert to_dominant(rs, Weight(coords)) == (steps, Weight(dominant))
+    assert classify(rs, Weight(coords)) == steps
+
+
 def test_to_dominant_step_bound_and_length():
     rs = root_system("A", 2)
     # the affine A1 Cartan matrix: s_1 and s_2 generate an infinite group, so the walk never ends
@@ -408,6 +425,14 @@ def test_wide_weyl_products_match_the_oracles(t: LieType):
         assert steps > 0 and dominant == tuple(c + 1 for c in coords)
         table = bwb_cohomology(rs, Weight(tuple(c - 1 for c in v)))
         assert (table.degree, table.dominant_weight, table.dimension) == (steps, Weight(coords), expected)
+        # the antidominant image lam = -mu - 2 delta: lam + delta = -(mu + delta) has degree |Phi+|, and its
+        # dominant weight is the highest weight of the dual module, which has the same dimension
+        anti = tuple(-c - 1 for c in coords)
+        steps, dominant = dominant_by_highest_reflection(rs.cartan, anti)
+        assert steps == len(rs.root_chain)
+        table = bwb_cohomology(rs, Weight(tuple(c - 1 for c in anti)))
+        dual = Weight(tuple(c - 1 for c in dominant))
+        assert (table.degree, table.dominant_weight, table.dimension) == (steps, dual, expected)
 
 
 @pytest.mark.parametrize("t", [LieType(Family.A, 2), LieType(Family.B, 12)], ids=str)

@@ -28,6 +28,7 @@ from oracles import (
     coroots_from_cartan,
     epsilon_positive_roots,
     invariant_form,
+    levi_slice,
     lowest_roots,
     positive_roots_by_reflection,
     root_weights,
@@ -442,3 +443,25 @@ def test_all_lie_types_enumeration():
     assert len(ALL_TYPES_8) == 32
     assert ALL_TYPES_8 == sorted(ALL_TYPES_8, key=lambda t: (t.family.value, t.rank))
     assert root_system("F", 4) is root_system("F", 4)
+
+
+# every rank a slice of the one above: A-D chained down from rank 30 (to B2, C3 and D3), the MAX_RANK tops, and
+# E8 -> E7 -> E6
+LEVI_CHAINS = [
+    [LieType(Family(f), l) for l in range(30, lo - 1, -1)] for f, lo in zip("ABCD", (1, 2, 3, 3))
+] + [[LieType(Family(f), rootsys.MAX_RANK - s) for s in (0, 1)] for f in "ABCD"] + [
+    [LieType(Family.E, l) for l in (8, 7, 6)]
+]
+
+
+@pytest.mark.parametrize("chain", LEVI_CHAINS, ids=lambda chain: f"{chain[0]}-{chain[-1]}")
+def test_levi_slices_are_the_built_root_systems(chain: list[LieType]):
+    # each slice, taken from the one before, equals the root system built at its type field for field: the
+    # closure's order, links and packing at one rank against the next, with no hand-made table
+    rs = root_system(chain[0].family, chain[0].rank)
+    fields = {name: getattr(rs, name) for name in rs.__slots__ if name != "lie_type"}
+    for t in chain[1:]:
+        # the denominator is the one field the slice recomputes from the rows rather than reads
+        fields = levi_slice(str(t.family), **{name: fields[name] for name in fields if name != "weyl_denominator"})
+        built = root_system(t.family, t.rank)
+        assert fields == {name: getattr(built, name) for name in built.__slots__ if name != "lie_type"}, t

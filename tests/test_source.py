@@ -35,10 +35,11 @@ def test_no_assert_in_package_source() -> None:
 
 # the integer-only hot path: root-system build, the Dynkin neighbours, the
 # root-chain pass, the pairwise Weyl product, the Weyl dimension, the chamber
-# walk, the parabolic partition, the packed-weight unpacking and the
-# lowest-weight derivation
+# walk and its w0 shortcut (the opposition involution), the parabolic
+# partition, the packed-weight unpacking and the lowest-weight derivation
 INTEGER_ONLY = {
     "_cartan_matrix",
+    "_opposition",
     "_positive_root_closure",
     "_unpack",
     "_dynkin_neighbours",
