@@ -10,13 +10,13 @@ with dimension given by the Weyl formula at the dominant representative.
 Classification is ``to_dominant``, whose first value is the index: |Phi+|
 for an antidominant weight, answered through w0 in O(rank), else the
 number of simple reflections that make a regular weight dominant.  The Weyl
-products read the pairings s_k(v) = (v, beta_k), integers once short
-roots have squared length 2, of v = lam + delta with every positive root,
-from one integer pass along the root chain (``rootsys._root_pairings``),
-and the Weyl dimension of lam is prod s_k(lam + delta) / prod s_k(delta).
-``weyl_dim`` multiplies the factors s_k(lam + delta) pairwise
-(``rootsys._pairwise_prod``) once more than a fixed number of them
-remain, rather than growing one running product a factor at a time, and
+dimension of lam is prod s_k(lam + delta) / prod s_k(delta) over the
+pairings s_k(v) = (v, beta_k) with the positive roots, integers once short
+roots have squared length 2.  ``weyl_dim`` reads those of lam + delta off
+packed root columns, or, for a coordinate too wide for their 16-bit
+digits, from the integer pass along the root chain that also gives the
+denominator (``rootsys._weyl_pairings``).  It multiplies them pairwise
+(``rootsys._pairwise_prod``) once more than a fixed number remain, and
 divides once: every Weyl product here is an integer.
 """
 
@@ -31,7 +31,7 @@ from .rootsys import (
     _pairwise_prod,
     _rank_of,
     _require_int,
-    _root_pairings,
+    _weyl_pairings,
     _Value,
 )
 
@@ -120,14 +120,14 @@ def classify(rs: RootSystem, v: Weight) -> int | None:
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
-    """Weyl dimension formula, exact: prod (lam+delta, a) / (delta, a) over positive roots a."""
+    """Weyl dimension formula, exact: prod (lam+delta, a) / (delta, a) over positive roots a, packed or chained."""
     if not isinstance(lam, Weight):
         raise TypeError(f"lam must be a Weight, got {lam!r}")
     m = lam.fw_coords
     _check_len(rs, m)
     if not lam.is_dominant():
         raise ValueError(f"weight {m} is not dominant")
-    num = _pairwise_prod(_root_pairings(rs.root_chain, rs.symmetrizer, m))
+    num = _pairwise_prod(_weyl_pairings(rs, m))
     q, r = divmod(num, rs.weyl_denominator)
     if r or q <= 0:
         raise ArithmeticError(f"Weyl product {num}/{rs.weyl_denominator} at {m} is not a positive integer")

@@ -55,7 +55,9 @@ the roots and what the root closure learns on the way:
   s_k is the sign of <v, beta_k^vee>, since (beta_k, beta_k) > 0.
 * ``weyl_denominator = prod_k s_k(delta)``, the denominator of the Weyl
   dimension formula at this normalization, from the pass ``_root_pairings``,
-  multiplied pairwise by ``_pairwise_prod``, as ``bwb.weyl_dim`` is.
+  multiplied pairwise by ``_pairwise_prod``, as ``bwb.weyl_dim``'s
+  numerator is.  The pass also gives the numerator's pairings when the
+  root columns below cannot hold them.
 * ``packed_weights[k]``: the weight coordinates m of beta_k as one int, a
   16-bit digit m_i + 3 per node, node 0 most significant.  As |m_i| <= 3,
   a digit of a sum of N <= MAX_RANK^2 roots is at most 6 N < 2^16; only
@@ -74,12 +76,22 @@ It also keeps, read off the Cartan matrix once, the Dynkin graph as
 ``neighbours[k]``: the pairs (j, a_jk) with j != k and a_jk != 0.  The
 simple reflection s_k changes m_k to -m_k and m_j to m_j - m_k a_jk for
 these j only, so one reflection costs the degree of node k, at most 3.
+
+Beside the record, built on the first Weyl dimension and filed in
+``_COLUMNS`` only for the instances ``root_system`` shares:
+
+* node j's root column, d_j n_j(beta_k) with one 16-bit digit per root k,
+  and DELTA, their sum, whose digits are s_k(delta).  The pairings of
+  lam + delta, lam dominant, are the digits of DELTA + sum m_j COL_j: no
+  term is negative, so no digit carries while (max(m) + 1) max_k s_k(delta)
+  <= ``_COLUMN_DIGIT``, and a wider weight takes ``_root_pairings``.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import sys
 from collections.abc import Mapping, Set
 from enum import Enum
 from itertools import islice
@@ -426,12 +438,47 @@ def _root_pairings(root_chain: Sequence[tuple[int, int]], d: Sequence[int], m: S
     return s
 
 
+_COLUMN_DIGIT = 0xFFFF  # the largest digit of a root column, read back as memoryview format "H"
+_COLUMNS: dict[RootSystem, tuple[tuple[int, ...], int, int]] = {}
+
+
+def _root_columns(rs: RootSystem) -> tuple[tuple[int, ...], int, int]:
+    """The root column of every node, their sum DELTA and DELTA's largest digit, max_k s_k(delta)."""
+    rank, size = rs.rank, len(rs.root_chain)
+    buf = bytearray(2 * size)
+    columns = []
+    for j, dj in enumerate(rs.symmetrizer):
+        buf[0::2] = rs.coord_table[j::rank]  # the low byte of each digit; n_j <= 6
+        columns.append(dj * int.from_bytes(buf, "little"))
+    delta = sum(columns)
+    return tuple(columns), delta, max(memoryview(delta.to_bytes(2 * size, sys.byteorder)).cast("H"))
+
+
+def _weyl_pairings(rs: RootSystem, m: Sequence[int]) -> Sequence[int]:
+    """s_k = (lam + delta, beta_k), lam dominant, off the root columns, or the chain pass if a digit could carry.
+
+    The digits come back in root order, reversed on a big-endian machine, which no product minds.
+    """
+    packed = _COLUMNS.get(rs)
+    if packed is None:
+        packed = _root_columns(rs)
+        if _CACHE.get((rs.lie_type.family, rs.rank)) is rs:  # a root system built directly is never kept alive
+            _COLUMNS[rs] = packed
+    columns, acc, top = packed
+    if (max(m) + 1) * top > _COLUMN_DIGIT:
+        return _root_pairings(rs.root_chain, rs.symmetrizer, m)
+    for c, column in zip(m, columns):
+        if c:
+            acc += c * column
+    return memoryview(acc.to_bytes(2 * len(rs.root_chain), sys.byteorder)).cast("H")
+
+
 # Pairwise levels stop at this many factors; math.prod multiplies the rest.  On a 2-vCPU VM any leaf from 32
 # to 256 took 35-45% off math.prod alone at rank 30; one under 144 slowed the 120-144 factors of E8, A16, B12.
 _PROD_LEAF = 192
 
 
-def _pairwise_prod(s: list[int]) -> int:
+def _pairwise_prod(s: Sequence[int]) -> int:
     """The exact product of s, multiplying neighbours pairwise while more than _PROD_LEAF factors remain.
 
     Operands of like size keep each multiplication balanced, where one

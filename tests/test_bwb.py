@@ -32,7 +32,11 @@ from flagcoh.rootsys import (
     LieType,
     RootSystem,
     Weight,
+    _pairwise_prod,
+    _root_pairings,
+    _weyl_pairings,
     all_lie_types,
+    build_root_system,
     fundamental_weight,
     root_system,
 )
@@ -54,7 +58,8 @@ KERNEL_TYPES = all_lie_types(8) + [LieType(Family(f), 30) for f in "ABCD"]
 
 @pytest.mark.parametrize("t", KERNEL_TYPES, ids=str)
 def test_chain_pass_matches_coroot_oracle(t: LieType):
-    # classify reads the chamber walk and weyl_dim the root-chain pass; the oracle pairs with coroots directly
+    # classify reads the chamber walk and weyl_dim, at these small weights, the packed root columns; the oracle
+    # pairs with coroots directly
     rs = root_system(t.family, t.rank)
     roots, coroots = cartan_oracle(rs.cartan)
     rng = random.Random(f"chain pass {t}")
@@ -433,6 +438,47 @@ def test_wide_weyl_products_match_the_oracles(t: LieType):
         table = bwb_cohomology(rs, Weight(tuple(c - 1 for c in anti)))
         dual = Weight(tuple(c - 1 for c in dominant))
         assert (table.degree, table.dominant_weight, table.dimension) == (steps, dual, expected)
+
+
+@pytest.mark.parametrize("t", KERNEL_TYPES + [LieType(Family(f), 100) for f in "ABCD"], ids=str)
+def test_packed_pairings_match_the_chain_pass(t: LieType):
+    # a digit of the packed pairings is at most (max(m) + 1) max_k s_k(delta); up to 0xFFFF they are read off
+    # the root columns, past it the chain pass gives them.  Either way they are the chain pass's pairings, so
+    # weyl_dim forms the same product; it is formed up to rank 30, where it costs little
+    rs = root_system(t.family, t.rank)
+    rank = t.rank
+    edge = 0xFFFF // max(_root_pairings(rs.root_chain, rs.symmetrizer, (0,) * rank)) - 1
+    rng = random.Random(f"packed {t}")
+    weights = []
+    for size in (1, 1, 2, 2):
+        m = [0] * rank
+        for j in rng.sample(range(rank), min(size, rank)):
+            m[j] = rng.randint(1, 3)
+        weights.append(tuple(m))
+    weights += [tuple(rng.randint(0, 3) for _ in range(rank)) for _ in range(2)]
+    weights += [(edge,) * rank, (edge + 1,) * rank]
+    roots = cartan_oracle(rs.cartan)[0] if rank <= 8 else None
+    for m in weights:
+        chain = _root_pairings(rs.root_chain, rs.symmetrizer, m)
+        pairings = _weyl_pairings(rs, m)
+        assert isinstance(pairings, memoryview) == (max(m) <= edge)
+        assert sorted(pairings) == sorted(chain)
+        if rank <= 30:
+            dim = weyl_dim(rs, Weight(m))
+            assert _pairwise_prod(pairings) == _pairwise_prod(chain) == dim * rs.weyl_denominator
+            assert roots is None or dim == weyl_product(rs.cartan, m, roots)
+
+
+def test_only_the_shared_root_systems_keep_their_columns():
+    # a root system built directly is not filed in the column cache, which would keep it alive for good
+    shared = root_system("B", 6)
+    lam = Weight((0, 2, 0, 0, 0, 1))
+    dim = weyl_dim(shared, lam)
+    size = len(flagcoh.rootsys._COLUMNS)
+    for _ in range(3):
+        assert weyl_dim(build_root_system(LieType("B", 6)), lam) == dim
+    assert len(flagcoh.rootsys._COLUMNS) == size
+    assert shared in flagcoh.rootsys._COLUMNS and weyl_dim(shared, lam) == dim
 
 
 @pytest.mark.parametrize("t", [LieType(Family.A, 2), LieType(Family.B, 12)], ids=str)

@@ -34,9 +34,10 @@ def test_no_assert_in_package_source() -> None:
 
 
 # the integer-only hot path: root-system build, the Dynkin neighbours, the
-# root-chain pass, the pairwise Weyl product, the Weyl dimension, the chamber
-# walk and its w0 shortcut (the opposition involution), the parabolic
-# partition, the packed-weight unpacking and the lowest-weight derivation
+# root-chain pass, the packed root columns and their pairings, the pairwise
+# Weyl product, the Weyl dimension, the chamber walk and its w0 shortcut (the
+# opposition involution), the parabolic partition, the packed-weight
+# unpacking and the lowest-weight derivation
 INTEGER_ONLY = {
     "_cartan_matrix",
     "_opposition",
@@ -45,6 +46,8 @@ INTEGER_ONLY = {
     "_dynkin_neighbours",
     "build_root_system",
     "_root_pairings",
+    "_root_columns",
+    "_weyl_pairings",
     "_pairwise_prod",
     "classify",
     "to_dominant",
@@ -302,8 +305,9 @@ def test_built_records_store_no_root_or_weight() -> None:
             assert not any(isinstance(getattr(pd, name), flagcoh.Weight) for name in pd.__slots__)
 
 
-# the packed layout of the root closure: digit width, weight offset and the string-length digit
-PACKED_LAYOUT = {"_WIDTH", "_OFFSET", "_P_DIGIT"}
+# the packed layouts: the root closure's digit width, weight offset and string-length digit, and the
+# largest digit of a root column
+PACKED_LAYOUT = {"_WIDTH", "_OFFSET", "_P_DIGIT", "_COLUMN_DIGIT"}
 
 
 def _names_referenced(node: ast.AST) -> set[str]:
@@ -318,7 +322,8 @@ def _names_referenced(node: ast.AST) -> set[str]:
 
 
 def test_only_rootsys_knows_the_packed_layout() -> None:
-    # other modules read packed values through rootsys._unpack, never through the layout constants
+    # other modules read packed values through rootsys._unpack and rootsys._weyl_pairings, never through the
+    # layout constants
     found = [
         f"{path.name}:{node.lineno} {name}"
         for path in SOURCES
