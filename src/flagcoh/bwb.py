@@ -26,13 +26,13 @@ from .rootsys import (
     ConfigError,
     RootSystem,
     Weight,
-    _check_len,
     _opposition,
     _pairwise_prod,
     _rank_of,
     _require_int,
-    _weyl_pairings,
     _Value,
+    _weight_coords,
+    _weyl_pairings,
 )
 
 
@@ -77,10 +77,8 @@ def to_dominant(rs: RootSystem, v: Weight) -> tuple[int, Weight] | None:
     first negative node above k.  The walk costs O(index x max degree)
     after an O(rank) entry check, not O(index x rank); w0 costs O(rank).
     """
-    if not isinstance(v, Weight):
-        raise TypeError(f"v must be a Weight, got {v!r}")
-    m = list(v.fw_coords)
-    rank = _check_len(rs, m)
+    m = list(_weight_coords(rs, "v", v))
+    rank = len(m)
     if 0 in m:
         return None
     if m[0] < 0 and max(m) < 0:  # one comparison on every weight with m_1 > 0
@@ -121,10 +119,7 @@ def classify(rs: RootSystem, v: Weight) -> int | None:
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Weyl dimension formula, exact: prod (lam+delta, a) / (delta, a) over positive roots a, packed or chained."""
-    if not isinstance(lam, Weight):
-        raise TypeError(f"lam must be a Weight, got {lam!r}")
-    m = lam.fw_coords
-    _check_len(rs, m)
+    m = _weight_coords(rs, "lam", lam)
     if not lam.is_dominant():
         raise ValueError(f"weight {m} is not dominant")
     num = _pairwise_prod(_weyl_pairings(rs, m))
@@ -167,10 +162,7 @@ def classify_cotangent_twist_weights(rs: RootSystem, r: int, a: int, twisted_wei
         raise ConfigError(f"node {r} out of range 1..{rank}")
     if a < 1:
         raise ValueError(f"twist a must be >= 1, got {a}")
-    if not isinstance(twisted_weight, Weight):
-        raise TypeError(f"twisted_weight must be a Weight, got {twisted_weight!r}")
-    m = twisted_weight.fw_coords
-    _check_len(rs, m)
+    m = _weight_coords(rs, "twisted_weight", twisted_weight)
     # s = twisted_weight - a lambda_r has s_r = m_r - a, and lambda' = s - s_r lambda_r has r-th coordinate 0
     if m[r - 1] - a not in (-1, -2):
         raise ValueError(f"{m} at node {r}, twist {a} matches none of the admissible shapes")

@@ -44,9 +44,8 @@ from .rootsys import (
     LieType,
     RootSystem,
     Weight,
-    _CACHE,
     _Record,
-    _node_multiple,
+    _memo,
     _rank_of,
     _require_int,
     _unpack,
@@ -123,9 +122,7 @@ def parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
         raise ConfigError(f"node {r} out of range 1..{rank}")
     pd = _PARABOLIC.get((rs, r))
     if pd is None:
-        pd = _build_parabolic_data(rs, r)
-        if _CACHE.get((rs.lie_type.family, rs.rank)) is rs:
-            _PARABOLIC[(rs, r)] = pd
+        pd = _memo(_PARABOLIC, rs, (rs, r), _build_parabolic_data(rs, r))
     return pd
 
 
@@ -134,15 +131,12 @@ def _build_parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
     column = rs.coord_table[r - 1 :: rs.rank]
     dim_y = len(column) - column.count(0)
     levels = sorted(set(column) - {0})  # the grading of the nilradical, depth last
-    # the sum of the nilradical roots, packed, is k lambda_r; unpacked only to name a coordinate that is not 0
-    total = sum(compress(rs.packed_weights, column))
-    k = _node_multiple(total, rs.rank, r - 1, dim_y)
-    if k is None:
-        canonical = _unpack(total, rs.rank, dim_y)
-        j = next(j for j, c in enumerate(canonical) if c and j != r - 1)
-        raise ArithmeticError(
-            f"sum of nilradical roots is not a multiple of lambda_{r}: coordinate {j + 1} is {canonical[j]}"
-        )
+    # the sum of the nilradical roots, summed packed and unpacked once, is k lambda_r
+    total = _unpack(sum(compress(rs.packed_weights, column)), rs.rank, dim_y)
+    for j, c in enumerate(total):
+        if c and j != r - 1:
+            raise ArithmeticError(f"sum of nilradical roots is not a multiple of lambda_{r}: coordinate {j + 1} is {c}")
+    k = total[r - 1]
     if k <= 0:
         raise ArithmeticError(f"Fano index {k} at node {r} is not positive")
     lowest = None if _canonical_form(rs.lie_type, r) else _derive_lowest_weights(rs, r, column, levels)
@@ -230,9 +224,7 @@ def h0_twisted_cotangent(pd: ParabolicData, a: int) -> tuple[int, tuple[tuple[in
     degree would contradict the classification of these twists and is an
     internal error.
     """
-    _require_int("twist a", a)
-    if a < 1:
-        raise ValueError(f"twist a must be >= 1, got {a}")
+    _require_int("twist a", a, 1)
     weights = konno_lowest_weights(pd)
     rs = pd.root_system
     node = pd.node - 1
@@ -258,17 +250,10 @@ def h0_twisted_cotangent(pd: ParabolicData, a: int) -> tuple[int, tuple[tuple[in
 
 def sigma(pd: ParabolicData, d: int) -> int:
     """sigma = (N + 1) d - 2 k(Y) with N = dim Y, for hypersurface degree d >= 3."""
-    _require_int("hypersurface degree d", d)
-    _check_degree(d)
+    _require_int("hypersurface degree d", d, 3)
     if not isinstance(pd, ParabolicData):
         raise TypeError(f"pd must be a ParabolicData, got {pd!r}")
     return (pd.dim_y + 1) * d - 2 * pd.fano_index
-
-
-def _check_degree(d: int) -> None:
-    """The standing degree hypothesis of ``sigma`` and ``macaulay_exceptions``."""
-    if d < 3:
-        raise ValueError(f"hypersurface degree d must be >= 3, got {d}")
 
 
 def macaulay_exceptions(pd: ParabolicData, d: int, a: int) -> MacaulayStatus:
@@ -288,11 +273,8 @@ def macaulay_exceptions(pd: ParabolicData, d: int, a: int) -> MacaulayStatus:
     name every listed presentation, and an omitted pair raises
     UnsupportedPairError naming its canonical form.
     """
-    _require_int("hypersurface degree d", d)
-    _require_int("twist a", a)
-    _check_degree(d)
-    if a < 0:
-        raise ValueError(f"twist a must be >= 0, got {a}")
+    _require_int("hypersurface degree d", d, 3)
+    _require_int("twist a", a, 0)
     _listed_weights(pd, "duality-exception")
     if pd.fano_index == pd.dim_y:  # a quadric
         if pd.dim_y == 3 and (d, a) == (3, 3):

@@ -35,14 +35,18 @@ hand-set fields are faster) has its own.  ``RootSystem`` and
 the one value equality: by field tuple, never equal to another class.
 
 Validation happens once, at the boundary.  The public constructors
-``LieType`` and ``Weight`` and the public entry points check
-what they are given: a bool, float or Fraction rank or coordinate, a
-mapping or set of coordinates, or a family that is neither a str nor a ``Family``,
-is a TypeError, never coerced, and an unknown family letter, a bad rank or
-a bad node is a ConfigError.  Engine arithmetic (the ``Weight`` operators, the chamber
-walk, the views of a ``RootSystem``) derives its values from values already
-checked and builds its weights with the private trusted constructor
-``Weight._of``, which does not re-check.
+``LieType`` and ``Weight`` and the public entry points check what they are
+given: a bool, float or Fraction rank or coordinate, a mapping or set of
+coordinates, or a family that is neither a str nor a ``Family``, is a
+TypeError, never coerced, and an unknown family letter, a bad rank or a bad
+node is a ConfigError.  Each rule is written once, here: ``_require_int``
+(an exact int, at least ``least`` when given), ``_weight_coords`` (a
+``Weight`` with one coordinate per node of a ``RootSystem``),
+``_check_max_rank`` (the rank cap of a sweep) and ``_memo`` (a memo keeps
+only the instances ``root_system`` shares).  Engine arithmetic (the
+``Weight`` operators, the chamber walk, the views of a ``RootSystem``)
+derives its values from values already checked and builds its weights with
+the private trusted constructor ``Weight._of``, which does not re-check.
 
 A ``RootSystem`` stores no ``Weight``: it keeps, as plain ints,
 the roots and what the root closure learns on the way:
@@ -61,8 +65,7 @@ the roots and what the root closure learns on the way:
 * ``packed_weights[k]``: the weight coordinates m of beta_k as one int, a
   16-bit digit m_i + 3 per node, node 0 most significant.  As |m_i| <= 3,
   a digit of a sum of N <= MAX_RANK^2 roots is at most 6 N < 2^16; only
-  ``_unpack`` and ``_node_multiple``, in this module, read digits back,
-  less 3 per root summed.
+  ``_unpack``, in this module, reads digits back, less 3 per root summed.
 
 The closure packs the coordinates n too, 8-bit digits of at most 6, so
 numeric order within a height is coordinate order.  ``coord_table`` joins
@@ -203,10 +206,12 @@ class LieType(_Value):
         return f"{self.family}{self.rank}"
 
 
-def _require_int(name: str, value: object) -> None:
-    """TypeError unless ``value`` is exactly an int: a bool or a float is refused, not coerced."""
+def _require_int(name: str, value: object, least: int | None = None) -> None:
+    """TypeError unless ``value`` is exactly an int, never coercing a bool or a float; ValueError below ``least``."""
     if type(value) is not int:
         raise TypeError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 class Weight(_Value):
@@ -378,14 +383,6 @@ def _unpack(packed: int, rank: int, count: int = 1) -> tuple[int, ...]:
     return tuple([c - _OFFSET * count for c in struct.unpack(f">{rank}H", packed.to_bytes(_WIDTH // 8 * rank, "big"))])
 
 
-def _node_multiple(packed: int, rank: int, i: int, count: int) -> int | None:
-    """k when a sum of ``count`` packed weights is k lambda_{i+1}, by one comparison; else None."""
-    shift = _WIDTH * (rank - 1 - i)
-    k = (packed >> shift & (1 << _WIDTH) - 1) - _OFFSET * count
-    ones = ((1 << _WIDTH * rank) - 1) // ((1 << _WIDTH) - 1)  # a 1 in every digit
-    return k if packed == _OFFSET * count * ones + (k << shift) else None
-
-
 class RootSystem(_Record):
     """Immutable root-system data with precomputed pairing tables.
 
@@ -461,9 +458,7 @@ def _weyl_pairings(rs: RootSystem, m: Sequence[int]) -> Sequence[int]:
     """
     packed = _COLUMNS.get(rs)
     if packed is None:
-        packed = _root_columns(rs)
-        if _CACHE.get((rs.lie_type.family, rs.rank)) is rs:  # a root system built directly is never kept alive
-            _COLUMNS[rs] = packed
+        packed = _memo(_COLUMNS, rs, rs, _root_columns(rs))
     columns, acc, top = packed
     if (max(m) + 1) * top > _COLUMN_DIGIT:
         return _root_pairings(rs.root_chain, rs.symmetrizer, m)
@@ -529,6 +524,16 @@ def root_system(family: Family | str, rank: int) -> RootSystem:
     return rs
 
 
+def _memo(memo: dict, rs: RootSystem, key: object, value: object) -> object:
+    """``value``, filed in ``memo`` under ``key`` when ``rs`` is the instance ``root_system`` shares.
+
+    A root system built directly is never kept alive by a memo.
+    """
+    if _CACHE.get((rs.lie_type.family, rs.rank)) is rs:
+        memo[key] = value
+    return value
+
+
 def _rank_of(rs: RootSystem) -> int:
     """The rank of rs, one Cartan row per node; a TypeError for anything but a RootSystem."""
     if not isinstance(rs, RootSystem):
@@ -536,18 +541,20 @@ def _rank_of(rs: RootSystem) -> int:
     return len(rs.cartan)
 
 
-def _check_len(rs: RootSystem, coords: Sequence[int]) -> int:
-    rank = _rank_of(rs)  # the rank of rs, returned once coords has one entry per node
-    if len(coords) != rank:
-        raise ValueError(f"expected {rank} coordinates, got {len(coords)}")
-    return rank
+def _weight_coords(rs: RootSystem, name: str, v: Weight) -> tuple[int, ...]:
+    """The coordinates of the weight ``v``, one per node of ``rs``: checks v, then rs, then the length."""
+    if not isinstance(v, Weight):
+        raise TypeError(f"{name} must be a Weight, got {v!r}")
+    m = v.fw_coords
+    rank = _rank_of(rs)
+    if len(m) != rank:
+        raise ValueError(f"expected {rank} coordinates, got {len(m)}")
+    return m
 
 
 def _check_max_rank(max_rank: int, least: int = 1) -> None:
     """The one rank cap of every sweep: ``least <= max_rank <= MAX_RANK``, checked in that order."""
-    _require_int("max_rank", max_rank)
-    if max_rank < least:
-        raise ValueError(f"max_rank must be >= {least}, got {max_rank}")
+    _require_int("max_rank", max_rank, least)
     if max_rank > MAX_RANK:
         raise ConfigError(f"max_rank must be <= {MAX_RANK}, got {max_rank}")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -336,6 +337,18 @@ def test_only_rootsys_knows_the_packed_layout() -> None:
     assert PACKED_LAYOUT <= rootsys_names
 
 
+def test_only_rootsys_names_the_root_system_cache() -> None:
+    # which root systems a memo may keep is decided in rootsys alone, by the instance root_system shares
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "rootsys.py"
+        for node in ast.walk(_parse(path))
+        if "_CACHE" in _names_referenced(node)
+    ]
+    assert found == []
+
+
 # calls on the collector and on process exit: gc.freeze only at the end of cli.main, the others nowhere
 COLLECTOR_CALLS = {"gc.freeze", "gc.disable", "gc.set_threshold", "os._exit"}
 
@@ -531,6 +544,41 @@ def test_library_contract_over_a_value_grammar() -> None:
                 else:
                     failures.append(f"{name} argument {k} given {kind}: accepted")
     assert failures == []
+
+
+# one row per refusal of an int argument out of range or of a weight of the wrong length, every other argument
+# valid: the call, on B3 and its node-2 pair, the class it raises and its whole message
+REFUSALS = {
+    "h0 twist 0": (lambda rs, pd: flagcoh.h0_twisted_cotangent(pd, 0), ValueError, "twist a must be >= 1, got 0"),
+    "sigma d 2": (lambda rs, pd: flagcoh.sigma(pd, 2), ValueError, "hypersurface degree d must be >= 3, got 2"),
+    "macaulay d 2": (
+        lambda rs, pd: flagcoh.macaulay_exceptions(pd, 2, 0), ValueError, "hypersurface degree d must be >= 3, got 2"
+    ),
+    "macaulay a -1": (
+        lambda rs, pd: flagcoh.macaulay_exceptions(pd, 3, -1), ValueError, "twist a must be >= 0, got -1"
+    ),
+    "konno_pairs 0": (lambda rs, pd: flagcoh.konno_pairs(0), ValueError, "max_rank must be >= 1, got 0"),
+    "all_lie_types 0": (lambda rs, pd: flagcoh.all_lie_types(0), ValueError, "max_rank must be >= 1, got 0"),
+    "konno_pairs 101": (
+        lambda rs, pd: flagcoh.konno_pairs(101), flagcoh.ConfigError, "max_rank must be <= 100, got 101"
+    ),
+    "lungo 1": (lambda rs, pd: flagcoh.check_theorem_lungo(1), ValueError, "max_rank must be >= 2, got 1"),
+    "studiopesi 1": (lambda rs, pd: flagcoh.check_lemma_studiopesi(1), ValueError, "max_rank must be >= 2, got 1"),
+    "to_dominant short": (
+        lambda rs, pd: flagcoh.to_dominant(rs, flagcoh.Weight((1, 1))), ValueError, "expected 3 coordinates, got 2"
+    ),
+    "weyl_dim short": (
+        lambda rs, pd: flagcoh.weyl_dim(rs, flagcoh.Weight((1, 1))), ValueError, "expected 3 coordinates, got 2"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, cls, message", REFUSALS.values(), ids=list(REFUSALS))
+def test_each_refusal_gives_its_class_and_whole_message(call, cls, message) -> None:
+    rs = flagcoh.root_system("B", 3)
+    with pytest.raises(cls, match=f"^{re.escape(message)}$") as caught:
+        call(rs, flagcoh.parabolic_data(rs, 2))
+    assert caught.type is cls
 
 
 # records, in a fresh interpreter, the package files that run: an audit hook on the exec event, which
