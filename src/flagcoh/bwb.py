@@ -13,11 +13,12 @@ number of simple reflections that make a regular weight dominant.  The Weyl
 dimension of lam is prod s_k(lam + delta) / prod s_k(delta) over the
 pairings s_k(v) = (v, beta_k) with the positive roots, integers once short
 roots have squared length 2.  ``weyl_dim`` reads those of lam + delta off
-packed root columns, or, for a coordinate too wide for their 16-bit
-digits, from the integer pass along the root chain that also gives the
-denominator (``rootsys._weyl_pairings``).  It multiplies them pairwise
-(``rootsys._pairwise_prod``) once more than a fixed number remain, and
-divides once: every Weyl product here is an integer.
+the packed root columns stored with the root system, whose sum gives the
+denominator, or, for a coordinate too wide for their 16-bit digits, from
+the integer pass along the root chain (``rootsys._weyl_pairings``).  It
+multiplies them pairwise (``rootsys._pairwise_prod``) once more than a
+fixed number remain, and divides once: every Weyl product here is an
+integer.
 """
 
 from __future__ import annotations

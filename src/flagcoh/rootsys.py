@@ -57,11 +57,6 @@ the roots and what the root closure learns on the way:
   pairings s_k(v) = (v, beta_k) = sum_j n_j m_j d_j of v = sum_j m_j lambda_j
   follow in one pass: s(beta + alpha_i) = s(beta) + m_i d_i.  The sign of
   s_k is the sign of <v, beta_k^vee>, since (beta_k, beta_k) > 0.
-* ``weyl_denominator = prod_k s_k(delta)``, the denominator of the Weyl
-  dimension formula at this normalization, from the pass ``_root_pairings``,
-  multiplied pairwise by ``_pairwise_prod``, as ``bwb.weyl_dim``'s
-  numerator is.  The pass also gives the numerator's pairings when the
-  root columns below cannot hold them.
 * ``packed_weights[k]``: the weight coordinates m of beta_k as one int, a
   16-bit digit m_i + 3 per node, node 0 most significant.  As |m_i| <= 3,
   a digit of a sum of N <= MAX_RANK^2 roots is at most 6 N < 2^16; only
@@ -75,19 +70,23 @@ It packs the string-down lengths p as digits p_i + 2^15 + 2: a digit of
 p - m is 2^15 + p_i - m_i - 1, so one subtract-and-mask per root finds
 every i with p_i > m_i.
 
-It also keeps, read off the Cartan matrix once, the Dynkin graph as
-``neighbours[k]``: the pairs (j, a_jk) with j != k and a_jk != 0.  The
-simple reflection s_k changes m_k to -m_k and m_j to m_j - m_k a_jk for
-these j only, so one reflection costs the degree of node k, at most 3.
+It also keeps the Dynkin graph as ``neighbours[k]``: the pairs (j, a_jk)
+with j != k and a_jk != 0, filled in from the diagram's edges as the Cartan
+entries are.  The simple reflection s_k changes m_k to -m_k and m_j to
+m_j - m_k a_jk for these j only, so one reflection costs the degree of node
+k, at most 3.
 
-Beside the record, built on the first Weyl dimension and filed in
-``_COLUMNS`` only for the instances ``root_system`` shares:
+The Weyl products read ``root_columns``, built from ``coord_table``:
 
-* node j's root column, d_j n_j(beta_k) with one 16-bit digit per root k,
-  and DELTA, their sum, whose digits are s_k(delta).  The pairings of
-  lam + delta, lam dominant, are the digits of DELTA + sum m_j COL_j: no
-  term is negative, so no digit carries while (max(m) + 1) max_k s_k(delta)
-  <= ``_COLUMN_DIGIT``, and a wider weight takes ``_root_pairings``.
+* node j's root column, d_j n_j(beta_k) with one 16-bit digit per root k;
+  DELTA, their sum, whose digits are s_k(delta); and DELTA's largest digit
+  (396 at most, at rank 100).  The pairings of lam + delta, lam dominant,
+  are the digits of DELTA + sum m_j COL_j: no term is negative, so no digit
+  carries while (max(m) + 1) max_k s_k(delta) <= ``_COLUMN_DIGIT``, and a
+  wider weight takes the chain pass ``_root_pairings``.
+* ``weyl_denominator = prod_k s_k(delta)``, the denominator of the Weyl
+  dimension formula at this normalization: DELTA's digits, multiplied
+  pairwise by ``_pairwise_prod``, as ``bwb.weyl_dim``'s numerator is.
 """
 
 from __future__ import annotations
@@ -307,10 +306,11 @@ def _opposition(t: LieType) -> Sequence[int]:
     return [5, 1, 4, 3, 2, 0] if t.family is Family.E and l == 6 else range(l)
 
 
-def _cartan_matrix(t: LieType) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-    """Cartan matrix a_ij = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i) = (alpha_i, alpha_j) / d_i and the symmetrizer."""
+def _cartan_matrix(t: LieType) -> tuple[tuple[tuple[int, ...], ...], list[int], tuple[tuple[tuple[int, int], ...], ...]]:
+    """Cartan matrix a_ij = (alpha_i, alpha_j) / d_i, the symmetrizer d and, per node k, its neighbours (j, a_jk)."""
     d, edges = _diagram(t)
     rows = [[2 if a == b else 0 for b in range(t.rank)] for a in range(t.rank)]
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(t.rank)]
     for i, j in edges:
         v = -max(d[i], d[j])
         for a, b in ((i, j), (j, i)):
@@ -320,7 +320,8 @@ def _cartan_matrix(t: LieType) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
                     f"{t}: Cartan entry {v}/{d[a]} at ({a + 1}, {b + 1}) is not one of 0, -1, -2, -3"
                 )
             rows[a][b] = q
-    return tuple(tuple(row) for row in rows), d
+            neighbours[b].append((a, q))
+    return tuple(tuple(row) for row in rows), d, tuple(map(tuple, neighbours))
 
 
 # the packed layout of the root closure, described in the module docstring
@@ -389,19 +390,20 @@ class RootSystem(_Record):
     Fields, in order: ``lie_type``, ``cartan`` (rows), ``symmetrizer``
     (the d_i) and, left out of the repr and described in the module
     docstring, ``root_chain``, ``weyl_denominator``, ``neighbours``,
-    ``packed_weights`` and ``coord_table``.  ``neighbours`` lists, per node
-    k, the Dynkin neighbours j of k with their Cartan entries a_jk, the only
-    coordinates besides m_k that s_k changes.  ``coord_table`` is the one
-    copy of the roots, in (height, coords) order: root k is the row
-    ``[k*rank:(k+1)*rank]``, node j the column ``[j::rank]``.  The repr
-    also shows two views built on each read, ``positive_roots`` (the rows,
-    as tuples of ints) and ``weyl_vector`` (delta).  ``root_system`` shares
-    one instance per type; they compare by identity.
+    ``packed_weights``, ``coord_table`` and ``root_columns``.
+    ``neighbours`` lists, per node k, the Dynkin neighbours j of k with
+    their Cartan entries a_jk, the only coordinates besides m_k that s_k
+    changes.  ``coord_table`` is the one copy of the roots, in (height,
+    coords) order: root k is the row ``[k*rank:(k+1)*rank]``, node j the
+    column ``[j::rank]``.  The repr also shows two views built on each
+    read, ``positive_roots`` (the rows, as tuples of ints) and
+    ``weyl_vector`` (delta).  ``root_system`` shares one instance per type;
+    they compare by identity.
     """
 
     __slots__ = (
         "lie_type", "cartan", "symmetrizer", "root_chain", "weyl_denominator",
-        "neighbours", "packed_weights", "coord_table",
+        "neighbours", "packed_weights", "coord_table", "root_columns",
     )
     _shown = ("lie_type", "cartan", "symmetrizer", "positive_roots", "weyl_vector")
 
@@ -418,14 +420,6 @@ class RootSystem(_Record):
         return Weight._of((1,) * self.rank)
 
 
-def _dynkin_neighbours(cartan: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per node k, the pairs (j, a_jk) with j != k and a_jk != 0, in node order."""
-    rank = len(cartan)
-    return tuple(
-        tuple((j, cartan[j][k]) for j in range(rank) if j != k and cartan[j][k]) for k in range(rank)
-    )
-
-
 def _root_pairings(root_chain: Sequence[tuple[int, int]], d: Sequence[int], m: Sequence[int]) -> list[int]:
     """s_k = (lam + delta, beta_k), root order, lam = sum_j m_j lambda_j; the simple roots, alpha_rank first, seed s."""
     inc = [(c + 1) * di for c, di in zip(m, d)]
@@ -436,19 +430,23 @@ def _root_pairings(root_chain: Sequence[tuple[int, int]], d: Sequence[int], m: S
 
 
 _COLUMN_DIGIT = 0xFFFF  # the largest digit of a root column, read back as memoryview format "H"
-_COLUMNS: dict[RootSystem, tuple[tuple[int, ...], int, int]] = {}
 
 
-def _root_columns(rs: RootSystem) -> tuple[tuple[int, ...], int, int]:
+def _digits(packed: int, size: int) -> memoryview:
+    """The ``size`` 16-bit digits of a sum of root columns, root order on a little-endian machine, else reversed."""
+    return memoryview(packed.to_bytes(2 * size, sys.byteorder)).cast("H")
+
+
+def _root_columns(coord_table: bytes, d: Sequence[int]) -> tuple[tuple[int, ...], int, int]:
     """The root column of every node, their sum DELTA and DELTA's largest digit, max_k s_k(delta)."""
-    rank, size = rs.rank, len(rs.root_chain)
+    rank, size = len(d), len(coord_table) // len(d)
     buf = bytearray(2 * size)
     columns = []
-    for j, dj in enumerate(rs.symmetrizer):
-        buf[0::2] = rs.coord_table[j::rank]  # the low byte of each digit; n_j <= 6
+    for j, dj in enumerate(d):
+        buf[0::2] = coord_table[j::rank]  # the low byte of each digit; n_j <= 6
         columns.append(dj * int.from_bytes(buf, "little"))
     delta = sum(columns)
-    return tuple(columns), delta, max(memoryview(delta.to_bytes(2 * size, sys.byteorder)).cast("H"))
+    return tuple(columns), delta, max(_digits(delta, size))
 
 
 def _weyl_pairings(rs: RootSystem, m: Sequence[int]) -> Sequence[int]:
@@ -456,16 +454,13 @@ def _weyl_pairings(rs: RootSystem, m: Sequence[int]) -> Sequence[int]:
 
     The digits come back in root order, reversed on a big-endian machine, which no product minds.
     """
-    packed = _COLUMNS.get(rs)
-    if packed is None:
-        packed = _memo(_COLUMNS, rs, rs, _root_columns(rs))
-    columns, acc, top = packed
+    columns, acc, top = rs.root_columns
     if (max(m) + 1) * top > _COLUMN_DIGIT:
         return _root_pairings(rs.root_chain, rs.symmetrizer, m)
     for c, column in zip(m, columns):
         if c:
             acc += c * column
-    return memoryview(acc.to_bytes(2 * len(rs.root_chain), sys.byteorder)).cast("H")
+    return _digits(acc, len(rs.root_chain))
 
 
 # Pairwise levels stop at this many factors; math.prod multiplies the rest.  On a 2-vCPU VM any leaf from 32
@@ -487,12 +482,13 @@ def _pairwise_prod(s: Sequence[int]) -> int:
 def build_root_system(t: LieType) -> RootSystem:
     if not isinstance(t, LieType):
         raise TypeError(f"t must be a LieType, got {t!r}")
-    cartan, d = _cartan_matrix(t)
+    cartan, d, neighbours = _cartan_matrix(t)
     packed, weights, root_chain = zip(*_positive_root_closure(cartan))
     table = b"".join([n.to_bytes(t.rank, "big") for n in packed])  # each root's coordinates n, node 0 first
+    columns, delta, top = _root_columns(table, d)
     return RootSystem(  # the fields in __slots__ order
-        t, cartan, tuple(d), root_chain, _pairwise_prod(_root_pairings(root_chain, d, (0,) * t.rank)),
-        _dynkin_neighbours(cartan), weights, table,
+        t, cartan, tuple(d), root_chain, _pairwise_prod(_digits(delta, len(root_chain))),
+        neighbours, weights, table, (columns, delta, top),
     )
 
 

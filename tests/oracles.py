@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -504,8 +505,11 @@ def levi_slice(family: str, cartan, symmetrizer, root_chain, neighbours, packed_
     root and node renumbered.  A weight coordinate m_j = sum_i a_ji n_i of a
     Levi root reads no dropped n_i, so each packed weight loses one 16-bit
     digit, node 0 most significant.  The Cartan matrix, the symmetrizer and
-    the Dynkin neighbours lose the node, and the Weyl denominator is the
-    product of the pairings (delta, beta) = sum_j n_j d_j over the kept rows.
+    the Dynkin neighbours lose the node.  The pairings (delta, beta) =
+    sum_j n_j d_j over the kept rows give the Weyl denominator, their
+    product, and with the columns d_j n_j the root columns: one 16-bit
+    digit per kept root, the first root least significant, then their sum
+    DELTA and its largest digit.
     """
     rank = len(cartan)
     drop = 0 if family in "BCD" else rank - 1
@@ -515,14 +519,22 @@ def levi_slice(family: str, cartan, symmetrizer, root_chain, neighbours, packed_
     kept = [k for k, row in enumerate(rows) if row[drop] == 0]
     index = {k: new for new, k in enumerate(kept)}
     low = 16 * (rank - 1 - drop)  # the bits of the digits after the dropped one
+    pairings = [sum(map(mul, rows[k], symmetrizer)) for k in kept]
+    columns = tuple(digits16([symmetrizer[j] * rows[k][j] for k in kept]) for j in keep)
     return {
         "cartan": tuple(tuple(cartan[a][b] for b in keep) for a in keep),
         "symmetrizer": tuple(symmetrizer[j] for j in keep),
         "root_chain": tuple((-1 if p < 0 else index[p], node[i]) for p, i in (root_chain[k] for k in kept)),
-        "weyl_denominator": prod(sum(map(mul, rows[k], symmetrizer)) for k in kept),
+        "weyl_denominator": prod(pairings),
         "neighbours": tuple(tuple((node[j], a) for j, a in neighbours[k] if j != drop) for k in keep),
         "packed_weights": tuple(
             packed_weights[k] >> (low + 16) << low | packed_weights[k] & ((1 << low) - 1) for k in kept
         ),
         "coord_table": b"".join(rows[k][:drop] + rows[k][drop + 1 :] for k in kept),
+        "root_columns": (columns, digits16(pairings), max(pairings)),
     }
+
+
+def digits16(values: list[int]) -> int:
+    """``values`` as one int, a 16-bit digit each, the first least significant."""
+    return int.from_bytes(struct.pack(f"<{len(values)}H", *values), "little")

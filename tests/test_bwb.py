@@ -221,6 +221,7 @@ def test_to_dominant_step_bound_and_length():
         neighbours=(((1, -2),), ((0, -2),)),
         packed_weights=rs.packed_weights,
         coord_table=rs.coord_table,
+        root_columns=rs.root_columns,
     )
     for walk in (to_dominant, classify):
         with pytest.raises(ArithmeticError, match="after \\|Phi\\+\\| = 3 reflections"):
@@ -469,16 +470,38 @@ def test_packed_pairings_match_the_chain_pass(t: LieType):
             assert roots is None or dim == weyl_product(rs.cartan, m, roots)
 
 
-def test_only_the_shared_root_systems_keep_their_columns():
-    # a root system built directly is not filed in the column cache, which would keep it alive for good
-    shared = root_system("B", 6)
-    lam = Weight((0, 2, 0, 0, 0, 1))
-    dim = weyl_dim(shared, lam)
-    size = len(flagcoh.rootsys._COLUMNS)
+@pytest.mark.parametrize("t", KERNEL_TYPES + [LieType(Family(f), 100) for f in "ABCD"], ids=str)
+def test_delta_digits_are_the_chain_pass_at_delta(t: LieType):
+    # the build reads the denominator off DELTA, the sum of the root columns; the chain pass at lam = 0 stays the
+    # reference: digit k of DELTA, counted from the least significant, is s_k(delta), and the largest is the bound
+    rs = root_system(t.family, t.rank)
+    columns, delta, top = rs.root_columns
+    chain = _root_pairings(rs.root_chain, rs.symmetrizer, (0,) * t.rank)
+    assert sum(columns) == delta and delta >> 16 * len(chain) == 0
+    assert [delta >> 16 * k & 0xFFFF for k in range(len(chain))] == chain
+    assert top == max(chain)
+    assert rs.weyl_denominator == _pairwise_prod(chain)
+
+
+@pytest.mark.parametrize("t", [LieType(Family.B, 6), LieType(Family.E, 8)], ids=str)
+def test_direct_root_systems_read_their_stored_columns(t: LieType, monkeypatch):
+    # a root system built directly carries its root columns: weyl_dim answers as on the shared instance, builds no
+    # column per query, and files nothing in a memo, which would keep the instance alive for good
+    shared = root_system(t.family, t.rank)
+    direct = build_root_system(t)
+    rng = random.Random(f"direct {t}")
+    weights = [Weight(tuple(rng.randint(0, 3) for _ in range(t.rank))) for _ in range(4)]
+    answers = [weyl_dim(shared, lam) for lam in weights]
+    h0 = h0_twisted_cotangent(parabolic_data(shared, 1), 2)
+    sizes = len(flagcoh.rootsys._CACHE), len(flagcoh.parabolic._PARABOLIC)
+    calls = []
+    build = flagcoh.rootsys._root_columns
+    monkeypatch.setattr(flagcoh.rootsys, "_root_columns", lambda *args: calls.append(args) or build(*args))
     for _ in range(3):
-        assert weyl_dim(build_root_system(LieType("B", 6)), lam) == dim
-    assert len(flagcoh.rootsys._COLUMNS) == size
-    assert shared in flagcoh.rootsys._COLUMNS and weyl_dim(shared, lam) == dim
+        assert [weyl_dim(direct, lam) for lam in weights] == answers
+        assert h0_twisted_cotangent(parabolic_data(direct, 1), 2) == h0
+    assert calls == []
+    assert (len(flagcoh.rootsys._CACHE), len(flagcoh.parabolic._PARABOLIC)) == sizes
 
 
 @pytest.mark.parametrize("t", [LieType(Family.A, 2), LieType(Family.B, 12)], ids=str)

@@ -405,13 +405,13 @@ def test_parabolic_build_checks_raise_their_messages() -> None:
 
 def test_konno_pairs_checks_max_rank_before_it_builds() -> None:
     # above the cap it would build every type up to rank 100; it refuses, as the sweeps do, before building any
-    built = dict(rootsys._CACHE), dict(parabolic._PARABOLIC), dict(rootsys._COLUMNS)
+    built = dict(rootsys._CACHE), dict(parabolic._PARABOLIC)
     with pytest.raises(ConfigError, match=f"^max_rank must be <= {MAX_RANK}, got {MAX_RANK + 1}$"):
         konno_pairs(MAX_RANK + 1)
     for bad in (0, -1):
         with pytest.raises(ValueError, match=f"^max_rank must be >= 1, got {bad}$"):
             konno_pairs(bad)
-    assert (rootsys._CACHE, parabolic._PARABOLIC, rootsys._COLUMNS) == built
+    assert (rootsys._CACHE, parabolic._PARABOLIC) == built
 
 
 def test_parabolic_data_is_shared_and_read_only() -> None:

@@ -34,17 +34,16 @@ def test_no_assert_in_package_source() -> None:
     assert found == []
 
 
-# the integer-only hot path: root-system build, the Dynkin neighbours, the
-# root-chain pass, the packed root columns and their pairings, the pairwise
-# Weyl product, the Weyl dimension, the chamber walk and its w0 shortcut (the
-# opposition involution), the parabolic partition, the packed-weight
-# unpacking and the lowest-weight derivation
+# the integer-only hot path: root-system build (the Cartan matrix with the
+# Dynkin neighbours), the root-chain pass, the packed root columns and their
+# pairings, the pairwise Weyl product, the Weyl dimension, the chamber walk
+# and its w0 shortcut (the opposition involution), the parabolic partition,
+# the packed-weight unpacking and the lowest-weight derivation
 INTEGER_ONLY = {
     "_cartan_matrix",
     "_opposition",
     "_positive_root_closure",
     "_unpack",
-    "_dynkin_neighbours",
     "build_root_system",
     "_root_pairings",
     "_root_columns",
@@ -254,7 +253,7 @@ BUILDERS = {"RootSystem": "build_root_system", "ParabolicData": "_build_paraboli
 # delta, the type of a pair or its depth) is stored; those are views built on each read
 STORED_ROOT_SYSTEM = (
     "lie_type", "cartan", "symmetrizer", "root_chain", "weyl_denominator",
-    "neighbours", "packed_weights", "coord_table",
+    "neighbours", "packed_weights", "coord_table", "root_columns",
 )
 STORED_PARABOLIC_DATA = ("node", "lowest_weights", "dim_y", "fano_index", "root_system")
 
