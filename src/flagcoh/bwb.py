@@ -30,14 +30,14 @@ from .rootsys import (
     _opposition,
     _pairwise_prod,
     _rank_of,
+    _Record,
     _require_int,
-    _Value,
     _weight_coords,
     _weyl_pairings,
 )
 
 
-class CohomologyTable(_Value):
+class CohomologyTable(_Record):
     """All cohomology of one irreducible bundle: nothing (``degree`` None), or one group."""
 
     __slots__ = ("degree", "dominant_weight", "dimension")

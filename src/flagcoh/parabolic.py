@@ -75,8 +75,8 @@ class ParabolicData(_Record):
     ``root_system.coord_table``: the nilradical roots (coefficient of
     alpha_r positive; the others are the Levi roots), as rows of ints,
     grouped by that coefficient, in root order, as a read-only mapping, and
-    the largest level.  Records compare by identity, as ``parabolic_data``
-    shares one instance per pair; a shallow copy is the record itself.  The levels are
+    the largest level.  Records compare by value, their ``root_system`` by
+    identity, as every record but ``RootSystem`` does.  The levels are
     exactly 1..depth whenever ``lowest_weights`` is set, and
     ``lowest_weights[i - 1]`` is the lowest weight of the cotangent piece at
     level i; it is None for a pair omitted in favour of an isomorphic listed
@@ -86,9 +86,6 @@ class ParabolicData(_Record):
 
     __slots__ = ("node", "lowest_weights", "dim_y", "fano_index", "root_system")
     _shown = ("lie_type", "node", "dim_y", "fano_index")
-
-    def __copy__(self) -> ParabolicData:
-        return self  # immutable, so a shallow copy may share everything, the record included
 
     @property
     def lie_type(self) -> LieType:
@@ -114,7 +111,8 @@ def parabolic_data(rs: RootSystem, r: int) -> ParabolicData:
 
     Results are memoized per node for the instances ``root_system`` shares, and
     shared between callers; the record's ``root_system`` is always ``rs``.  Any
-    other root system gets a new record per call, so the memo never keeps it alive.
+    other root system gets a new, equal record per call, so the memo never keeps
+    it alive; the memo is only a cache, as records compare by value.
     """
     _require_int("node", r)
     rank = _rank_of(rs)

@@ -32,14 +32,14 @@ from . import __version__
 from ._writer import _json, _json_str, pieces_json
 from .bwb import weyl_dim
 from .parabolic import ParabolicData, h0_twisted_cotangent, konno_pairs
-from .rootsys import ConfigError, Family, _check_max_rank, _require_int, _Value, fundamental_weight, root_system
+from .rootsys import ConfigError, Family, _check_max_rank, _Record, _require_int, fundamental_weight, root_system
 
 # Pairs excluded from the degree-3 statement of the main theorem: the
 # three-dimensional quadric and the three-dimensional spinor variety.
 _DEGREE_THREE_EXCEPTIONS = {("B", 2, 1), ("D", 3, 2)}
 
 
-class CaseResult(_Value):
+class CaseResult(_Record):
     """One sweep case.
 
     Fields, in order: ``family`` (a letter), ``rank``, ``node``, ``twist``, ``h0``, ``dim_y``, ``passed``,
@@ -53,7 +53,7 @@ class CaseResult(_Value):
         return (self.family, self.rank, self.node, self.twist)
 
 
-class Report(_Value):
+class Report(_Record):
     """Sweep output, with summary counts; fields ``sweep``, ``version``, ``params`` and ``cases`` (default ())."""
 
     __slots__ = ("sweep", "version", "params", "cases")

@@ -367,6 +367,22 @@ def test_only_the_shared_root_systems_are_memoized() -> None:
     assert parabolic_data(shared, 2) is parabolic_data(shared, 2)
 
 
+@pytest.mark.parametrize("t", [LieType("B", 6), LieType("E", 8)], ids=str)
+def test_directly_built_root_systems_give_equal_records(t: LieType) -> None:
+    # records compare by value, so two calls on one direct instance agree without the memo keeping it alive
+    shared = [parabolic_data(root_system(t.family, t.rank), r) for r in range(1, t.rank + 1)]
+    fresh = build_root_system(t)
+    sizes = len(rootsys._CACHE), len(parabolic._PARABOLIC)
+    for r, memoized in enumerate(shared, 1):
+        pd, again = parabolic_data(fresh, r), parabolic_data(fresh, r)
+        assert pd == again and hash(pd) == hash(again)
+        assert pd.root_system is fresh and again.root_system is fresh
+        assert pd != memoized  # the same fields but the root system, held by identity
+    assert (len(rootsys._CACHE), len(parabolic._PARABOLIC)) == sizes
+    # equal records are equal pairs: the (A3, 1)/(A3, 3) and triality twins stay apart by node
+    assert len(set(konno_pairs(8))) == 142
+
+
 def _tampered(rs, **fields):
     """A RootSystem built by keyword from the fields of ``rs``, some of them replaced."""
     return RootSystem(**{**dict(zip(RootSystem.__slots__, rs._fields())), **fields})

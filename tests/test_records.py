@@ -22,7 +22,7 @@ from flagcoh import (
     parabolic_data,
     root_system,
 )
-from flagcoh.rootsys import _Value, build_root_system
+from flagcoh.rootsys import _Record, build_root_system
 
 
 def _case(**changes) -> CaseResult:
@@ -85,7 +85,7 @@ def test_value_records_compare_and_hash_by_their_fields() -> None:
             hash(unhashable)
 
 
-class _Twin(_Value):
+class _Twin(_Record):
     """A value record with Weight's one field, so that only the class tells the two apart."""
 
     __slots__ = ("fw_coords",)
@@ -101,7 +101,7 @@ def test_records_of_different_classes_never_compare_equal() -> None:
     assert len({Weight((1,)), _Twin((1,))}) == 2
 
 
-def test_root_systems_and_parabolic_data_compare_by_identity() -> None:
+def test_root_systems_compare_by_identity_and_parabolic_data_by_value() -> None:
     rs = root_system("B", 3)
     fresh = build_root_system(LieType("B", 3))
     assert repr(rs) == repr(fresh)
@@ -116,8 +116,11 @@ def test_root_systems_and_parabolic_data_compare_by_identity() -> None:
         root_system=pd.root_system,
     )
     assert repr(twin) == repr(pd)
-    assert pd is parabolic_data(rs, 1) and pd == pd and pd != twin
-    assert hash(pd) == object.__hash__(pd) and len({pd, twin}) == 2
+    assert pd is parabolic_data(rs, 1) and twin is not pd
+    assert pd == twin and not pd != twin
+    assert hash(pd) == hash(twin) and len({pd, twin}) == 1
+    # the root system is a field like any other, and held by identity
+    assert parabolic_data(fresh, 1) != pd and repr(parabolic_data(fresh, 1)) == repr(pd)
 
 
 def _records() -> list:
@@ -161,8 +164,8 @@ def test_records_copy_and_pickle() -> None:
     for twin in (copy.copy(rs), pickle.loads(pickle.dumps(rs))):
         assert twin is not rs and repr(twin) == repr(rs) and twin._fields() == rs._fields()
     pd = parabolic_data(rs, 1)
-    # levels is derived on read, so a shallow copy shares it by being the record itself
-    assert repr(copy.copy(pd)) == repr(pd) and copy.copy(pd) is pd
+    # a shallow copy shares the root system, so it equals the record
+    assert repr(copy.copy(pd)) == repr(pd) and copy.copy(pd) == pd
     for twin in (copy.deepcopy(pd), pickle.loads(pickle.dumps(pd))):
         assert repr(twin) == repr(pd) and dict(twin.levels) == dict(pd.levels) and twin.depth == pd.depth
         assert twin.lowest_weights == pd.lowest_weights and isinstance(twin.levels, MappingProxyType)

@@ -187,8 +187,9 @@ def _json_imports(node: ast.AST) -> set[int]:
 
 
 def test_one_value_equality_and_one_json_writer() -> None:
-    # records compare by value through rootsys._Value alone, and all JSON comes from the one writer,
-    # _writer: nothing calls json.dumps, and only _json_str imports json, to escape a string
+    # records compare by value through rootsys._Record alone, save RootSystem, which assigns itself
+    # identity; all JSON comes from the one writer, _writer: nothing calls json.dumps, and only
+    # _json_str imports json, to escape a string
     equality = []
     stray_json = []
     for path in SOURCES:
@@ -196,17 +197,23 @@ def test_one_value_equality_and_one_json_writer() -> None:
         allowed = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
-                equality += [
-                    f"{node.name}.{fn.name}"
-                    for fn in node.body
-                    if isinstance(fn, ast.FunctionDef) and fn.name in ("__eq__", "__hash__")
-                ]
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef):
+                        bound = [(stmt.name, "def")]
+                    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):  # to a name, or inside a tuple
+                        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                        bound = [(n.id, "=") for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+                    else:
+                        bound = []
+                    equality += [f"{node.name}.{name} {kind}" for name, kind in bound if name in ("__eq__", "__hash__")]
             elif isinstance(node, ast.FunctionDef) and node.name == "_json_str":
                 allowed |= _json_imports(node)
             elif isinstance(node, ast.Attribute) and node.attr == "dumps":
                 stray_json.append(f"{path.name}:{node.lineno} .dumps")
         stray_json += [f"{path.name}:{line} json import" for line in sorted(_json_imports(tree) - allowed)]
-    assert sorted(equality) == ["_Value.__eq__", "_Value.__hash__"]
+    assert sorted(equality) == [
+        "RootSystem.__eq__ =", "RootSystem.__hash__ =", "_Record.__eq__ def", "_Record.__hash__ def",
+    ]
     assert stray_json == []
 
 
