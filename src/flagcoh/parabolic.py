@@ -300,10 +300,15 @@ def konno_pairs(max_rank: int) -> list[ParabolicData]:
     twin are skipped; other isomorphic presentations stay, for instance
     (A3, 1) and (A3, 3), both P^3, or (D4, 1) and (D4, 3), both the
     six-dimensional quadric by triality.
+
+    The root systems are the shared instances of ``root_system``, requested
+    from each family's top rank down: the closure builds the top one, and
+    each lower rank is sliced from the instance one rank up.
     """
+    types = all_lie_types(max_rank)
+    systems = [root_system(t.family, t.rank) for t in reversed(types)][::-1]
     out: list[ParabolicData] = []
-    for t in all_lie_types(max_rank):
-        rs = root_system(t.family, t.rank)
+    for t, rs in zip(types, systems):
         # an omitted pair is dropped before it is built
         out += [parabolic_data(rs, r) for r in range(1, t.rank + 1) if _canonical_form(t, r) is None]
     return out

@@ -33,7 +33,20 @@ naming the class.  Only a record that checks its input (``LieType``,
 hand-set fields are faster) has its own.  ``_Record`` also has the one
 equality: by field tuple, never equal to another class.  ``RootSystem``
 alone compares by identity, as its fields are costly to hash; so a
-``ParabolicData`` compares by value, its ``root_system`` by identity.
+``ParabolicData`` compares by value, its ``root_system`` by identity.  A
+copy or a pickle of the instance ``root_system`` shares restores that
+instance, so a record holding it copies equal.
+
+``root_system`` shares one instance per type.  On a miss it slices the
+shared instance of the same family one rank up when that is cached, and
+runs the root closure otherwise.  Removing node 1 of B, C or D, or node l
+of A or E, from the Dynkin diagram leaves the type one rank down (Bourbaki,
+Ch. VI), whose roots are the rows of ``coord_table`` that are 0 at that
+node; ``_levi_slice`` keeps them and rebuilds only the Cartan data, the
+root columns and the Weyl denominator.  ``konno_pairs`` asks for each
+family's types from the top rank down, so a sweep runs the closure once
+per family.  ``build_root_system`` always runs the closure and never reads
+or fills the cache, so the tests hold every shared instance to it.
 
 Validation happens once, at the boundary.  The public constructors
 ``LieType`` and ``Weight`` and the public entry points check what they are
@@ -394,7 +407,8 @@ class RootSystem(_Record):
     column ``[j::rank]``.  The repr also shows two views built on each
     read, ``positive_roots`` (the rows, as tuples of ints) and
     ``weyl_vector`` (delta).  ``root_system`` shares one instance per type;
-    root systems alone among the records compare by identity.
+    root systems alone among the records compare by identity, and a copy
+    or pickle of the shared instance is that instance.
     """
 
     __slots__ = (
@@ -406,6 +420,12 @@ class RootSystem(_Record):
     # and parabolic_data hashes its root system on every call, through the _PARABOLIC key
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    def __reduce__(self) -> tuple:
+        # the shared instance comes back as the shared instance, so a record holding it copies equal
+        if _shared(self):
+            return root_system, (self.lie_type.family, self.rank)
+        return _Record.__reduce__(self)
 
     @property
     def rank(self) -> int:
@@ -480,16 +500,60 @@ def _pairwise_prod(s: Sequence[int]) -> int:
 
 
 def build_root_system(t: LieType) -> RootSystem:
+    """The root system of ``t``, by the root closure; it never reads or fills the cache of ``root_system``."""
     if not isinstance(t, LieType):
         raise TypeError(f"t must be a LieType, got {t!r}")
     cartan, d, neighbours = _cartan_matrix(t)
     packed, weights, root_chain = zip(*_positive_root_closure(cartan))
     table = b"".join([n.to_bytes(t.rank, "big") for n in packed])  # each root's coordinates n, node 0 first
+    return _assemble(t, cartan, d, neighbours, root_chain, weights, table)
+
+
+def _assemble(
+    t: LieType,
+    cartan: tuple[tuple[int, ...], ...],
+    d: Sequence[int],
+    neighbours: tuple[tuple[tuple[int, int], ...], ...],
+    root_chain: Sequence[tuple[int, int]],
+    weights: tuple[int, ...],
+    table: bytes,
+) -> RootSystem:
+    """The root system from its stored roots; the root columns and the Weyl denominator are built from ``table``."""
     columns, delta, top = _root_columns(table, d)
     return RootSystem(  # the fields in __slots__ order
         t, cartan, tuple(d), root_chain, _pairwise_prod(_digits(delta, len(root_chain))),
         neighbours, weights, table, (columns, delta, top),
     )
+
+
+def _levi_slice(rs: RootSystem) -> RootSystem:
+    """The root system one rank down: the Levi subsystem of ``rs`` without node 1 of B, C, D or node l of A, E.
+
+    What is left is B, C, D, A or E of rank l - 1 in Bourbaki numbering,
+    the same as ``build_root_system`` gives, field for field.  Its roots are
+    the rows of ``coord_table`` that are 0 at the dropped node, in the same
+    (height, coords) order, less that byte.  The parent of a kept root along
+    ``root_chain`` is kept too, so each link is renumbered.  A weight
+    coordinate m_j = sum_i a_ji n_i of a kept root reads no dropped n_i, so
+    each packed weight loses the dropped node's 16-bit digit, the most
+    significant for node 1 and the least for node l.
+    """
+    t, rank = rs.lie_type, rs.rank
+    sub = LieType(t.family, rank - 1)
+    cartan, d, neighbours = _cartan_matrix(sub)
+    first = 1 if t.family in (Family.B, Family.C, Family.D) else 0  # node 1 goes, else node l; kept nodes start here
+    table, chain, weights = rs.coord_table, rs.root_chain, rs.packed_weights
+    kept = [k for k, n in enumerate(table[0 if first else rank - 1 :: rank]) if not n]
+    index = dict(zip(kept, range(len(kept))))
+    index[-1] = -1
+    table = b"".join([table[k * rank + first : (k + 1) * rank - 1 + first] for k in kept])
+    if first:
+        mask = (1 << _WIDTH * (rank - 1)) - 1
+        weights = tuple([weights[k] & mask for k in kept])
+    else:
+        weights = tuple([weights[k] >> _WIDTH for k in kept])
+    chain = tuple([(index[p], i - first) for p, i in map(chain.__getitem__, kept)])
+    return _assemble(sub, cartan, d, neighbours, chain, weights, table)
 
 
 # One instance per type, filed under (Family, rank) and under every
@@ -504,6 +568,9 @@ def root_system(family: Family | str, rank: int) -> RootSystem:
     for a plain int rank and a str or Family family: True == 1 and
     hash(1.0) == hash(1), so a bool or float rank would otherwise hit the
     entry of rank 1.  Anything else, and every miss, goes through LieType.
+    A miss slices the shared instance of the same family one rank up when
+    that is cached (``_levi_slice``), and runs the closure otherwise; either
+    way the instance equals ``build_root_system``'s field for field.
     """
     key = (family, rank)
     trusted = type(rank) is int and (type(family) is str or type(family) is Family)
@@ -514,10 +581,16 @@ def root_system(family: Family | str, rank: int) -> RootSystem:
     t = LieType(family, rank)
     rs = _CACHE.get((t.family, t.rank))
     if rs is None:
-        rs = _CACHE[(t.family, t.rank)] = build_root_system(t)
+        above = _CACHE.get((t.family, t.rank + 1))
+        rs = _CACHE[(t.family, t.rank)] = build_root_system(t) if above is None else _levi_slice(above)
     if trusted:
         _CACHE[key] = rs
     return rs
+
+
+def _shared(rs: RootSystem) -> bool:
+    """Whether ``rs`` is the instance ``root_system`` shares for its type."""
+    return _CACHE.get((rs.lie_type.family, rs.rank)) is rs
 
 
 def _memo(memo: dict, rs: RootSystem, key: object, value: object) -> object:
@@ -525,7 +598,7 @@ def _memo(memo: dict, rs: RootSystem, key: object, value: object) -> object:
 
     A root system built directly is never kept alive by a memo.
     """
-    if _CACHE.get((rs.lie_type.family, rs.rank)) is rs:
+    if _shared(rs):
         memo[key] = value
     return value
 

@@ -343,6 +343,44 @@ def test_konno_pairs_builds_no_omitted_pair(monkeypatch) -> None:
     assert pairs == [pd for pd in all_pairs(8) if pd.lowest_weights is not None]
 
 
+def test_konno_pairs_runs_the_closure_once_per_family(monkeypatch) -> None:
+    # each family's top rank comes from the closure, and every rank below it is sliced from the shared instance
+    # one rank up; a rank with nothing cached above it, or above a directly built instance, runs the closure
+    closed = []
+    real = rootsys._positive_root_closure
+
+    def spy(cartan):
+        closed.append(cartan)
+        return real(cartan)
+
+    monkeypatch.setattr(rootsys, "_CACHE", {})
+    monkeypatch.setattr(parabolic, "_PARABOLIC", {})
+    monkeypatch.setattr(rootsys, "_positive_root_closure", spy)
+    pairs = konno_pairs(16)
+    tops = [LieType(f, l) for f, l in [("A", 16), ("B", 16), ("C", 16), ("D", 16), ("E", 8), ("F", 4), ("G", 2)]]
+    assert sorted(closed) == sorted(rootsys._cartan_matrix(t)[0] for t in tops)
+    types = all_lie_types(16)
+    assert len(types) == 64 and set(rootsys._CACHE) == {(t.family, t.rank) for t in types}
+    for t in types:
+        rs = rootsys._CACHE[(t.family, t.rank)]
+        assert rs.lie_type == t and rs._fields() == build_root_system(t)._fields(), t
+    expected = [(t, r) for t in types for r in range(1, t.rank + 1) if _canonical_form(t, r) is None]
+    assert [(pd.lie_type, pd.node) for pd in pairs] == expected
+    assert all(pd.root_system is rootsys._CACHE[(pd.lie_type.family, pd.lie_type.rank)] for pd in pairs)
+    # nothing cached one rank up: the closure; the rank below a cached one: a slice
+    del closed[:]
+    root_system("D", 20)
+    sliced = root_system("D", 19)
+    assert closed == [rootsys._cartan_matrix(LieType("D", 20))[0]]
+    assert sliced._fields() == build_root_system(LieType("D", 19))._fields()
+    # a directly built instance is neither filed nor sliced
+    direct = build_root_system(LieType("C", 25))
+    del closed[:]
+    root_system("C", 24)
+    assert closed == [rootsys._cartan_matrix(LieType("C", 24))[0]]
+    assert not any(rs is direct for rs in rootsys._CACHE.values())
+
+
 def test_parabolic_data_keeps_the_root_system_it_is_given() -> None:
     # the memo is keyed on the root system, so a fresh one is never handed the shared one's record
     shared = parabolic_data(root_system("B", 3), 1)

@@ -161,14 +161,18 @@ def test_records_copy_and_pickle() -> None:
     for record in values:
         for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert twin == record and repr(twin) == repr(record)
-    for twin in (copy.copy(rs), pickle.loads(pickle.dumps(rs))):
-        assert twin is not rs and repr(twin) == repr(rs) and twin._fields() == rs._fields()
+    # the shared instance comes back as itself, a directly built one as a new instance with equal fields
+    for twin in (copy.copy(rs), copy.deepcopy(rs), pickle.loads(pickle.dumps(rs))):
+        assert twin is rs
+    direct = build_root_system(LieType("B", 2))
+    for twin in (copy.copy(direct), copy.deepcopy(direct), pickle.loads(pickle.dumps(direct))):
+        assert twin is not direct and twin is not rs and repr(twin) == repr(direct)
+        assert twin._fields() == direct._fields()
+    # so a record holding the shared instance round-trips equal
     pd = parabolic_data(rs, 1)
-    # a shallow copy shares the root system, so it equals the record
-    assert repr(copy.copy(pd)) == repr(pd) and copy.copy(pd) == pd
-    for twin in (copy.deepcopy(pd), pickle.loads(pickle.dumps(pd))):
-        assert repr(twin) == repr(pd) and dict(twin.levels) == dict(pd.levels) and twin.depth == pd.depth
-        assert twin.lowest_weights == pd.lowest_weights and isinstance(twin.levels, MappingProxyType)
+    for twin in (copy.copy(pd), copy.deepcopy(pd), pickle.loads(pickle.dumps(pd))):
+        assert twin == pd and repr(twin) == repr(pd) and twin.root_system is rs
+        assert dict(twin.levels) == dict(pd.levels) and isinstance(twin.levels, MappingProxyType)
 
 
 def test_constructor_keywords_and_defaults() -> None:

@@ -456,13 +456,15 @@ LEVI_CHAINS = [
 
 @pytest.mark.parametrize("chain", LEVI_CHAINS, ids=lambda chain: f"{chain[0]}-{chain[-1]}")
 def test_levi_slices_are_the_built_root_systems(chain: list[LieType]):
-    # each slice, taken from the one before, equals the root system built at its type field for field: the
-    # closure's order, links and packing at one rank against the next, with no hand-made table
-    rs = root_system(chain[0].family, chain[0].rank)
+    # each slice, taken from the one before, equals the root system the closure builds at its type field for
+    # field: the closure's order, links and packing at one rank against the next, with no hand-made table; and
+    # so does the instance root_system shares, which may itself be the engine's slice of the rank above
+    rs = rootsys.build_root_system(chain[0])
     fields = {name: getattr(rs, name) for name in rs.__slots__ if name != "lie_type"}
     for t in chain[1:]:
         # the denominator and the root columns are the fields the slice recomputes from the rows rather than reads
         derived = ("weyl_denominator", "root_columns")
         fields = levi_slice(str(t.family), **{name: fields[name] for name in fields if name not in derived})
-        built = root_system(t.family, t.rank)
+        built = rootsys.build_root_system(t)
         assert fields == {name: getattr(built, name) for name in built.__slots__ if name != "lie_type"}, t
+        assert root_system(t.family, t.rank)._fields() == built._fields(), t

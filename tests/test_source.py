@@ -45,6 +45,8 @@ INTEGER_ONLY = {
     "_positive_root_closure",
     "_unpack",
     "build_root_system",
+    "_assemble",
+    "_levi_slice",
     "_root_pairings",
     "_root_columns",
     "_weyl_pairings",
